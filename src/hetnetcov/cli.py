@@ -152,18 +152,12 @@ def run_sweep(config: RunConfig, rate: bool = False, bits: bool = False,
     values = sweep.values()
     unit = math.log(2.0) if bits else 1.0
 
-    # One simulation pass serves a whole threshold sweep (the per-tier max
-    # SINR does not depend on the thresholds); a noise sweep of coverage
-    # reuses one pass through the per-trial noise-margin statistic.
-    tier_max = None
-    margins = None
-    if "mc" in sweep.methods:
-        if sweep.variable == "beta1_db" or (sweep.variable == "noise_db" and not rate):
-            base = _params_at(config, values[0])
-            if sweep.variable == "beta1_db":
-                tier_max = mcsim.simulate_tier_max(base, config.sim, threads=threads)
-            else:
-                margins = mcsim.simulate_noise_margin(base, config.sim, threads=threads)
+    # The simulated statistic depends on neither the thresholds nor the
+    # noise power, so one pass serves a threshold or noise sweep; only a
+    # change of the fading law (nakagami_pair) needs a pass per point.
+    trials = None
+    if "mc" in sweep.methods and sweep.variable != "nakagami_pair":
+        trials = mcsim.simulate_trials(config.params, config.sim, threads=threads)
 
     rows: list[dict[str, float]] = []
     for value in values:
@@ -186,30 +180,20 @@ def run_sweep(config: RunConfig, rate: bool = False, bits: bool = False,
                     if rate else analysis.coverage_reference(params).value
                 )
             elif method == "mc":
-                est = _mc_point(params, config, rate, tier_max, margins, threads)
+                point_trials = trials or mcsim.simulate_trials(params, config.sim, threads=threads)
+                est = _mc_point(params, point_trials, rate)
                 row["mc"] = est.mean / unit if rate else est.mean
                 row["mc_se"] = est.std_error / unit if rate else est.std_error
         rows.append(row)
     return rows
 
 
-def _mc_point(params, config, rate, tier_max, margins, threads) -> mcsim.Estimate:
+def _mc_point(params: NetworkParams, trials: mcsim.Trials, rate: bool) -> mcsim.Estimate:
+    tier_max = mcsim.tier_max_sinr(trials, params.noise)
     thresholds = [t.threshold for t in params.tiers]
     if rate:
-        if tier_max is None:
-            tier_max_here = mcsim.simulate_tier_max(params, config.sim, threads=threads)
-        else:
-            tier_max_here = tier_max
-        est, _ = mcsim.rate_from_tier_max(tier_max_here, thresholds)
-        return est
-    if margins is not None:
-        covered = margins > params.noise
-        geo = covered.mean(axis=1)
-        se = float(np.std(geo, ddof=1) / math.sqrt(len(geo))) if len(geo) > 1 else math.inf
-        return mcsim.Estimate(mean=float(geo.mean()), std_error=se, n_samples=covered.size)
-    if tier_max is not None:
-        return mcsim.coverage_from_tier_max(tier_max, thresholds)
-    return mcsim.mc_coverage(params, config.sim, threads=threads)
+        return mcsim.rate_from_tier_max(tier_max, thresholds)[0]
+    return mcsim.coverage_from_tier_max(tier_max, thresholds)
 
 
 def write_csv(rows: list[dict[str, float]], methods: tuple[str, ...], out) -> None:

@@ -14,6 +14,11 @@ the outside process (`tail_mean_interference`); its fluctuation is
 negligible for the disk sizes used here and the compensation can be
 switched off via SimConfig.
 
+Coverage and rate depend on a trial only through each tier's largest
+received power and the total received power.  One pass (`simulate_trials`)
+stores those; `tier_max_sinr` turns them into per-tier SINRs at any noise
+power, so threshold and noise sweeps share the pass.
+
 Determinism: every (geometry, tier) pair owns RNG streams derived from
 (seed, geometry index, tier index), and reductions run in geometry order,
 so results are identical for any thread count.
@@ -31,20 +36,19 @@ import numpy as np
 
 from .. import model
 from ..model import NetworkParams
-from .backend import BACKEND_NAME, kernels
 
 __all__ = [
     "SimConfig",
     "Realization",
     "Estimate",
-    "BACKEND_NAME",
+    "Trials",
     "default_region_radius",
     "tail_mean_interference",
     "sample_geometry",
     "sample_fading",
     "snapshot_sinrs",
-    "simulate_tier_max",
-    "simulate_noise_margin",
+    "simulate_trials",
+    "tier_max_sinr",
     "mc_coverage",
     "mc_conditional_rate",
     "radius_doubling_drift",
@@ -85,6 +89,24 @@ class Realization:
 
     distances: tuple[np.ndarray, ...]
     region_radius: float
+
+
+@dataclass(frozen=True)
+class Trials:
+    """Per-trial sufficient statistic of one simulation pass.
+
+    received : (n_geometry, K+1, n_fading).  Row k < K is tier k's largest
+               received power P d^-alpha h (0 where the tier has no BS);
+               row K is the total received power over every BS in the disk.
+    tail     : mean interference from beyond the disk, added to every
+               denominator (0 with tail compensation off).
+
+    Neither thresholds nor the noise power enter, so one pass serves any
+    threshold or noise sweep point (`tier_max_sinr`).
+    """
+
+    received: np.ndarray
+    tail: float
 
 
 @dataclass(frozen=True)
@@ -162,7 +184,7 @@ def snapshot_sinrs(
 
     Plain restatement of the SINR definition; the denominator of BS b is
     the sum over every other BS plus noise, with no tail compensation.
-    Used directly by tests; the batched kernels are checked against it.
+    Used directly by tests; the batched simulator pass is checked against it.
     """
     model.require_valid(params)
     received = []
@@ -180,18 +202,6 @@ def snapshot_sinrs(
     ]
 
 
-def _geometry_weights(params: NetworkParams, realization: Realization):
-    """Concatenated mean received powers and tier slice offsets."""
-    w = [
-        tier.power * d ** -params.alpha
-        for tier, d in zip(params.tiers, realization.distances)
-    ]
-    counts = [len(x) for x in w]
-    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return np.ascontiguousarray(np.concatenate(w)), offsets, counts
-
-
 def _run_geometries(params: NetworkParams, sim: SimConfig, per_geometry, out: np.ndarray, threads: int):
     """Fill out[g] = per_geometry(g) for every geometry, optionally threaded."""
     def work(g: int) -> None:
@@ -205,66 +215,56 @@ def _run_geometries(params: NetworkParams, sim: SimConfig, per_geometry, out: np
             list(pool.map(work, range(sim.n_geometry)))
 
 
-def simulate_tier_max(params: NetworkParams, sim: SimConfig, threads: int = 1) -> np.ndarray:
-    """(n_geometry, K, n_fading) per-trial per-tier maximum SINR.
-
-    Thresholds never enter: the same array serves every threshold sweep
-    point at a fixed noise power.
-    """
+def simulate_trials(params: NetworkParams, sim: SimConfig, threads: int = 1) -> Trials:
+    """One simulation pass: per-tier max and total received power per trial."""
     model.require_valid(params)
     radius = _resolve_radius(params, sim)
-    extra = tail_mean_interference(params, radius) if sim.tail_compensation else 0.0
-    denom_const = params.noise + extra
+    tail = tail_mean_interference(params, radius) if sim.tail_compensation else 0.0
+    n_tiers = params.n_tiers
 
-    out = np.empty((sim.n_geometry, params.n_tiers, sim.n_fading))
+    out = np.empty((sim.n_geometry, n_tiers + 1, sim.n_fading))
 
     def one(g: int) -> np.ndarray:
         realization = sample_geometry(params, sim, g)
-        w, offsets, counts = _geometry_weights(params, realization)
-        h = np.ascontiguousarray(np.vstack(sample_fading(params, sim, g, counts)))
-        res = np.empty((params.n_tiers, sim.n_fading))
-        kernels.tier_max_sinr(w, offsets, h, denom_const, res)
+        counts = [len(d) for d in realization.distances]
+        received = [
+            (tier.power * d ** -params.alpha)[:, None] * h
+            for tier, d, h in zip(
+                params.tiers, realization.distances, sample_fading(params, sim, g, counts)
+            )
+        ]
+        res = np.zeros((n_tiers + 1, sim.n_fading))
+        for k, r in enumerate(received):
+            if r.shape[0]:
+                res[k] = r.max(axis=0)
+        res[n_tiers] = np.vstack(received).sum(axis=0)
         return res
 
     _run_geometries(params, sim, one, out, threads)
-    return out
+    return Trials(received=out, tail=tail)
 
 
-def simulate_noise_margin(params: NetworkParams, sim: SimConfig, threads: int = 1) -> np.ndarray:
-    """(n_geometry, n_fading) per-trial noise tolerance.
+def tier_max_sinr(trials: Trials, noise: float) -> np.ndarray:
+    """(n_geometry, K, n_fading) per-trial per-tier maximum SINR at `noise`.
 
-    Entry (g, f) is the largest sigma^2 under which trial (g, f) would
-    still be covered at the configured thresholds; a noise sweep is then a
-    family of comparisons against one simulation pass.
+    The SINR r / (T + N - r) of a BS is non-decreasing in its received
+    power r, also under float rounding, so the tier maximum is the SINR of
+    the tier's strongest BS; an empty tier (r = 0) gives 0.
     """
-    model.require_valid(params)
-    radius = _resolve_radius(params, sim)
-    extra = tail_mean_interference(params, radius) if sim.tail_compensation else 0.0
-    beta = np.array([t.threshold for t in params.tiers])
-
-    out = np.empty((sim.n_geometry, sim.n_fading))
-
-    def one(g: int) -> np.ndarray:
-        realization = sample_geometry(params, sim, g)
-        w, offsets, counts = _geometry_weights(params, realization)
-        h = np.ascontiguousarray(np.vstack(sample_fading(params, sim, g, counts)))
-        res = np.empty(sim.n_fading)
-        kernels.noise_margin(w, offsets, h, beta, extra, res)
-        return res
-
-    _run_geometries(params, sim, one, out, threads)
-    return out
+    strongest = trials.received[:, :-1]
+    total = trials.received[:, -1:]
+    return strongest / ((total + (noise + trials.tail)) - strongest)
 
 
 def coverage_from_tier_max(tier_max: np.ndarray, thresholds: Sequence[float]) -> Estimate:
-    """Coverage estimate from a `simulate_tier_max` array at given thresholds."""
+    """Coverage estimate from a `tier_max_sinr` array at given thresholds."""
     beta = np.asarray(thresholds)
     covered = (tier_max > beta[None, :, None]).any(axis=1)
     return _cluster_mean(covered)
 
 
 def rate_from_tier_max(tier_max: np.ndarray, thresholds: Sequence[float]) -> tuple[Estimate, Estimate]:
-    """(conditional rate, coverage) estimates from a `simulate_tier_max` array."""
+    """(conditional rate, coverage) estimates from a `tier_max_sinr` array."""
     beta = np.asarray(thresholds)
     covered = (tier_max > beta[None, :, None]).any(axis=1)
     if not covered.any():
@@ -293,7 +293,7 @@ def _cluster_mean(per_trial: np.ndarray) -> Estimate:
 
 def mc_coverage(params: NetworkParams, sim: SimConfig, threads: int = 1) -> Estimate:
     """Fraction of trials in which some BS beats its tier threshold."""
-    tier_max = simulate_tier_max(params, sim, threads=threads)
+    tier_max = tier_max_sinr(simulate_trials(params, sim, threads=threads), params.noise)
     return coverage_from_tier_max(tier_max, [t.threshold for t in params.tiers])
 
 
@@ -301,7 +301,7 @@ def mc_conditional_rate(
     params: NetworkParams, sim: SimConfig, threads: int = 1
 ) -> tuple[Estimate, Estimate]:
     """Mean of ln(1 + max SINR) over covered trials, plus the coverage fraction."""
-    tier_max = simulate_tier_max(params, sim, threads=threads)
+    tier_max = tier_max_sinr(simulate_trials(params, sim, threads=threads), params.noise)
     return rate_from_tier_max(tier_max, [t.threshold for t in params.tiers])
 
 

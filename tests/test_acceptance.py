@@ -83,11 +83,14 @@ def test_criterion_2_monte_carlo_agreement(acceptance_report):
     """Closed forms within 3 SE of the simulator at >= 95% of sweep points."""
     results = []
 
-    # Threshold sweeps share one simulation pass per shape set: the
-    # per-tier max SINR array is threshold independent.
-    tm_rayleigh = mcsim.simulate_tier_max(fig_network(), DESK_SIM, threads=4)
-    tm_nakagami = mcsim.simulate_tier_max(fig_network(shapes=(2, 3)), DESK_SIM,
-                                          threads=4)
+    # Threshold and noise sweeps share one simulation pass per shape set:
+    # the simulated statistic depends on neither thresholds nor noise.
+    trials_rayleigh = mcsim.simulate_trials(fig_network(), DESK_SIM, threads=4)
+    tm_rayleigh = mcsim.tier_max_sinr(trials_rayleigh, fig_network().noise)
+    tm_nakagami = mcsim.tier_max_sinr(
+        mcsim.simulate_trials(fig_network(shapes=(2, 3)), DESK_SIM, threads=4),
+        fig_network().noise,
+    )
 
     for label, tier_max, shapes in (
         ("coverage M=(1,1)", tm_rayleigh, (1, 1)),
@@ -113,19 +116,17 @@ def test_criterion_2_monte_carlo_agreement(acceptance_report):
         hits += abs(closed - est.mean) <= 3.0 * est.std_error
     results.append(("rate M=(1,1)", hits, len(BETA1_DB)))
 
-    # Noise sweep: one noise-margin pass serves every sigma^2 point.
-    base = fig_network(beta1_db=1.0)
-    margins = mcsim.simulate_noise_margin(base, DESK_SIM, threads=4)
+    # Noise sweep, on the same Rayleigh pass.
     hits = 0
     noise_db_sweep = np.linspace(-20.0, 30.0, 10)
     for noise_db in noise_db_sweep:
-        noise = db_to_linear(float(noise_db))
-        net = fig_network(beta1_db=1.0, noise=noise)
+        net = fig_network(beta1_db=1.0, noise=db_to_linear(float(noise_db)))
         closed = analysis.coverage_probability(net).value
-        covered = margins > noise
-        geo = covered.mean(axis=1)
-        se = float(np.std(geo, ddof=1) / math.sqrt(len(geo)))
-        hits += abs(closed - geo.mean()) <= 3.0 * se
+        est = mcsim.coverage_from_tier_max(
+            mcsim.tier_max_sinr(trials_rayleigh, net.noise),
+            [t.threshold for t in net.tiers],
+        )
+        hits += abs(closed - est.mean) <= 3.0 * est.std_error
     results.append(("coverage vs noise", hits, len(noise_db_sweep)))
 
     hits_total = sum(h for _, h, _ in results)
@@ -459,7 +460,7 @@ def test_criterion_8_qualitative_shapes(acceptance_report):
             fig_network(noise=1000.0, shapes=(2, 2))]
     per_geo = []
     for net in nets:
-        tier_max = mcsim.simulate_tier_max(net, sim, threads=4)
+        tier_max = mcsim.tier_max_sinr(mcsim.simulate_trials(net, sim, threads=4), net.noise)
         beta = np.array([t.threshold for t in net.tiers])
         covered = (tier_max > beta[None, :, None]).any(axis=1)
         per_geo.append(covered.mean(axis=1))

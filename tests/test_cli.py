@@ -6,8 +6,10 @@ import math
 
 import pytest
 
+from hetnetcov import mcsim
 from hetnetcov.cli import (
     ConfigError,
+    _params_at,
     db_to_linear,
     linear_to_db,
     load_config,
@@ -125,6 +127,25 @@ class TestRunSweep:
         bits = run_sweep(config, rate=True, bits=True)
         for a, b in zip(nats, bits):
             assert b["closed"] == pytest.approx(a["closed"] / math.log(2.0))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("rate", [False, True])
+    def test_noise_sweep_one_pass_matches_per_point(self, tmp_path, rate, threads):
+        # The sweep simulates once and re-derives the SINR at each noise
+        # power; that must equal a fresh simulation at every point.
+        cfg = base_config()
+        cfg["sweep"] = {"variable": "noise_db", "start": -20.0, "stop": 30.0,
+                        "points": 3, "methods": ["mc"]}
+        config = load_config(write_config(tmp_path, cfg))
+        rows = run_sweep(config, rate=rate, threads=threads)
+        for row in rows:
+            params = _params_at(config, row["sweep_db"])
+            if rate:
+                est, _ = mcsim.mc_conditional_rate(params, config.sim, threads=threads)
+            else:
+                est = mcsim.mc_coverage(params, config.sim, threads=threads)
+            assert row["mc"] == est.mean
+            assert row["mc_se"] == est.std_error
 
     def test_nakagami_sweep_unique_integers(self, tmp_path):
         cfg = base_config()

@@ -1,7 +1,7 @@
 """Tests for the Monte Carlo engine.
 
 Distributional checks (Poisson counts, the disk distance law), a
-brute-force SINR oracle for the batched kernels, determinism across
+brute-force SINR oracle for the simulator pass, determinism across
 thread counts, and the common-random-numbers prefix property behind the
 radius-doubling self-check.
 """
@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from hetnetcov.mcsim import (
-    BACKEND_NAME,
     Estimate,
     SimConfig,
     coverage_from_tier_max,
@@ -24,13 +23,11 @@ from hetnetcov.mcsim import (
     rate_from_tier_max,
     sample_fading,
     sample_geometry,
-    simulate_noise_margin,
-    simulate_tier_max,
+    simulate_trials,
     snapshot_sinrs,
     tail_mean_interference,
+    tier_max_sinr,
 )
-from hetnetcov.mcsim import _kernels_py
-from hetnetcov.mcsim.backend import kernels
 from hetnetcov.model import NetworkParams, TierParams
 
 
@@ -108,74 +105,52 @@ class TestGeometry:
 
 
 class TestKernels:
-    def _case(self, shapes=(2, 1)):
-        net = make_network(shapes=shapes)
-        sim = sim_config(n_fading=11, region_radius=3.0)
-        rz = sample_geometry(net, sim, 0)
-        counts = [len(d) for d in rz.distances]
-        h = sample_fading(net, sim, 0, counts)
-        return net, sim, rz, counts, h
-
     def test_tier_max_matches_snapshot_oracle(self):
-        net, sim, rz, counts, h = self._case()
-        w = np.concatenate([
-            t.power * d ** -net.alpha for t, d in zip(net.tiers, rz.distances)
-        ])
-        offsets = np.zeros(3, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        hcat = np.ascontiguousarray(np.vstack(h))
-        out = np.empty((2, sim.n_fading))
-        kernels.tier_max_sinr(np.ascontiguousarray(w), offsets, hcat, net.noise, out)
-        for f in range(sim.n_fading):
-            sinrs = snapshot_sinrs(net, rz, [x[:, f] for x in h])
-            for tier in range(2):
-                best = max(s for t, s in sinrs if t == tier)
-                assert out[tier, f] == pytest.approx(best, rel=1e-12)
+        net = make_network(shapes=(2, 1))
+        sim = sim_config(n_fading=11, region_radius=3.0, tail_compensation=False)
+        tier_max = tier_max_sinr(simulate_trials(net, sim), net.noise)
+        for g in range(2):
+            rz = sample_geometry(net, sim, g)
+            h = sample_fading(net, sim, g, [len(d) for d in rz.distances])
+            for f in range(sim.n_fading):
+                sinrs = snapshot_sinrs(net, rz, [x[:, f] for x in h])
+                for tier in range(2):
+                    best = max(s for t, s in sinrs if t == tier)
+                    assert tier_max[g, tier, f] == pytest.approx(best, rel=1e-12)
 
-    def test_noise_margin_matches_definition(self):
-        net, sim, rz, counts, h = self._case()
-        w = np.concatenate([
-            t.power * d ** -net.alpha for t, d in zip(net.tiers, rz.distances)
-        ])
-        offsets = np.zeros(3, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        hcat = np.ascontiguousarray(np.vstack(h))
-        beta = np.array([t.threshold for t in net.tiers])
-        out = np.empty(sim.n_fading)
-        kernels.noise_margin(np.ascontiguousarray(w), offsets, hcat, beta, 0.0, out)
-        signals = np.ascontiguousarray(w)[:, None] * hcat
-        total = signals.sum(axis=0)
-        expected = np.full(sim.n_fading, -np.inf)
-        for k, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
-            cand = signals[lo:hi] * (1.0 + 1.0 / beta[k]) - total[None, :]
-            if hi > lo:
-                expected = np.maximum(expected, cand.max(axis=0))
-        np.testing.assert_allclose(out, expected, rtol=1e-12)
-
-    def test_backends_agree(self):
-        net, sim, rz, counts, h = self._case()
-        w = np.ascontiguousarray(np.concatenate([
-            t.power * d ** -net.alpha for t, d in zip(net.tiers, rz.distances)
-        ]))
-        offsets = np.zeros(3, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        hcat = np.ascontiguousarray(np.vstack(h))
-        a = np.empty((2, sim.n_fading))
-        b = np.empty((2, sim.n_fading))
-        kernels.tier_max_sinr(w, offsets, hcat, net.noise, a)
-        _kernels_py.tier_max_sinr(w, offsets, hcat, net.noise, b)
-        # ULP-level slack: the compiled kernel sums sequentially, numpy
-        # pairwise, so the totals can differ in the last bit.
-        np.testing.assert_allclose(a, b, rtol=1e-14)
-        beta = np.array([t.threshold for t in net.tiers])
-        ma = np.empty(sim.n_fading)
-        mb = np.empty(sim.n_fading)
-        kernels.noise_margin(w, offsets, hcat, beta, 0.5, ma)
-        _kernels_py.noise_margin(w, offsets, hcat, beta, 0.5, mb)
-        np.testing.assert_allclose(ma, mb, rtol=1e-15)
-
-    def test_backend_name_reported(self):
-        assert BACKEND_NAME in ("cython", "numpy")
+    @pytest.mark.parametrize("tail", [True, False])
+    @pytest.mark.parametrize("noise", [1e-4, 1e3])
+    @pytest.mark.parametrize("shapes", [(1, 1), (2, 3)])
+    @pytest.mark.parametrize("n_tiers", [1, 2, 3])
+    def test_tier_max_equals_per_bs_formula(self, n_tiers, shapes, noise, tail):
+        # max_b r_b / (T + noise + tail - r_b), evaluated per BS over each
+        # tier, equals the SINR of the tier's largest r_b bit for bit.  The third tier is sparse enough to be empty in some
+        # geometries, where the tier maximum must be 0.
+        net = make_network(
+            noise=noise,
+            densities=(1.0, 5.0, 0.01)[:n_tiers],
+            powers=(25.0, 1.0, 4.0)[:n_tiers],
+            thresholds=(1.2589,) * n_tiers,
+            shapes=tuple(shapes[k % 2] for k in range(n_tiers)),
+        )
+        sim = sim_config(n_geometry=20, n_fading=50, region_radius=3.0,
+                         tail_compensation=tail)
+        trials = simulate_trials(net, sim)
+        denom_const = noise + (tail_mean_interference(net, 3.0) if tail else 0.0)
+        expected = np.zeros((sim.n_geometry, n_tiers, sim.n_fading))
+        for g in range(sim.n_geometry):
+            rz = sample_geometry(net, sim, g)
+            counts = [len(d) for d in rz.distances]
+            w = np.concatenate([t.power * d ** -net.alpha for t, d in zip(net.tiers, rz.distances)])
+            received = w[:, None] * np.vstack(sample_fading(net, sim, g, counts))
+            total = received.sum(axis=0) + denom_const
+            offsets = np.cumsum([0] + counts)
+            for k in range(n_tiers):
+                r = received[offsets[k]:offsets[k + 1]]
+                if len(r):
+                    expected[g, k] = (r / (total - r)).max(axis=0)
+        np.testing.assert_array_equal(tier_max_sinr(trials, noise), expected)
+        assert trials.tail == (tail_mean_interference(net, 3.0) if tail else 0.0)
 
 
 class TestUnionSemantics:
@@ -204,9 +179,10 @@ class TestEstimates:
     def test_thread_count_determinism(self):
         net = make_network(shapes=(2, 1))
         sim = sim_config(n_geometry=60, n_fading=20)
-        single = simulate_tier_max(net, sim, threads=1)
-        multi = simulate_tier_max(net, sim, threads=3)
-        np.testing.assert_array_equal(single, multi)
+        single = simulate_trials(net, sim, threads=1)
+        multi = simulate_trials(net, sim, threads=3)
+        np.testing.assert_array_equal(single.received, multi.received)
+        assert single.tail == multi.tail
 
     def test_same_seed_reproducible(self):
         net = make_network()
@@ -219,17 +195,6 @@ class TestEstimates:
         net = make_network(thresholds=(1e12, 1e12))
         est = mc_coverage(net, sim_config(n_geometry=100, n_fading=10))
         assert est.mean == 0.0
-
-    def test_noise_margin_consistent_with_tier_max(self):
-        # Comparing the margin against sigma^2 must reproduce the covered
-        # indicator of the direct pass (identical streams, same algebra).
-        net = make_network(shapes=(2, 1), noise=1e-2)
-        sim = sim_config(n_geometry=100, n_fading=10)
-        margins = simulate_noise_margin(net, sim)
-        tier_max = simulate_tier_max(net, sim)
-        beta = [t.threshold for t in net.tiers]
-        covered = (tier_max > np.asarray(beta)[None, :, None]).any(axis=1)
-        np.testing.assert_array_equal(margins > net.noise, covered)
 
     def test_rate_monotone_in_threshold(self):
         net_lo = make_network(thresholds=(1.2589, 1.2589))

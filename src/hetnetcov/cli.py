@@ -70,6 +70,14 @@ def _require(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
+def _require_integer(mapping: dict, key: str, path: str) -> int:
+    """A JSON integer field; floats, bools and strings are rejected, not coerced."""
+    value = _require(mapping, key, path)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"'{path}.{key}' must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def load_config(path: str) -> RunConfig:
     """Parse and validate a JSON run configuration."""
     try:
@@ -90,7 +98,7 @@ def load_config(path: str) -> RunConfig:
                 density=float(_require(t, "lambda", f"tiers[{i}]")),
                 power=float(_require(t, "power", f"tiers[{i}]")),
                 threshold=db_to_linear(float(_require(t, "beta_db", f"tiers[{i}]"))),
-                nakagami_m=int(_require(t, "m", f"tiers[{i}]")),
+                nakagami_m=_require_integer(t, "m", f"tiers[{i}]"),
             )
         )
     params = NetworkParams(alpha=alpha, noise=noise, tiers=tuple(tiers))
@@ -155,7 +163,9 @@ def run_sweep(config: RunConfig, rate: bool = False, bits: bool = False,
     # The simulated statistic depends on neither the thresholds nor the
     # noise power, so one pass serves a threshold or noise sweep; only a
     # change of the fading law (nakagami_pair) needs a pass per point.
-    trials = None
+    # The per-tier SINRs depend on the noise only, so a threshold sweep
+    # derives them once.
+    trials = tier_max = tier_max_noise = None
     if "mc" in sweep.methods and sweep.variable != "nakagami_pair":
         trials = mcsim.simulate_trials(config.params, config.sim, threads=threads)
 
@@ -180,16 +190,21 @@ def run_sweep(config: RunConfig, rate: bool = False, bits: bool = False,
                     if rate else analysis.coverage_reference(params).value
                 )
             elif method == "mc":
-                point_trials = trials or mcsim.simulate_trials(params, config.sim, threads=threads)
-                est = _mc_point(params, point_trials, rate)
+                if trials is None:
+                    tier_max = mcsim.tier_max_sinr(
+                        mcsim.simulate_trials(params, config.sim, threads=threads), params.noise
+                    )
+                elif params.noise != tier_max_noise:
+                    tier_max = mcsim.tier_max_sinr(trials, params.noise)
+                    tier_max_noise = params.noise
+                est = _mc_point(params, tier_max, rate)
                 row["mc"] = est.mean / unit if rate else est.mean
                 row["mc_se"] = est.std_error / unit if rate else est.std_error
         rows.append(row)
     return rows
 
 
-def _mc_point(params: NetworkParams, trials: mcsim.Trials, rate: bool) -> mcsim.Estimate:
-    tier_max = mcsim.tier_max_sinr(trials, params.noise)
+def _mc_point(params: NetworkParams, tier_max: np.ndarray, rate: bool) -> mcsim.Estimate:
     thresholds = [t.threshold for t in params.tiers]
     if rate:
         return mcsim.rate_from_tier_max(tier_max, thresholds)[0]

@@ -6,8 +6,12 @@ as the arrival times of a rate lambda*pi process, which (a) reproduces the
 disk PPP exactly (Poisson count, d = R sqrt(u) distance law) and (b) keeps
 the near-field points identical when the radius is enlarged, so the
 radius-doubling self-check measures truncation bias rather than resampling
-noise.  Fading power is Gamma(M, 1), drawn as a sum of M unit exponentials
-so every BS consumes a fixed number of stream values.
+noise.  Fading power is Gamma(M, 1), drawn by `Generator.standard_gamma`
+(Marsaglia-Tsang for M >= 2, the ziggurat exponential for M = 1) into one
+(BS, draw) block per geometry.  A draw uses a varying number of stream
+values, but each tier's stream fills its rows sequentially, BS-major, so
+the draws of the first n BSs do not depend on how many BSs follow: the
+enlarged disk sees the same fading at its inner points.
 
 Interference from beyond the disk is folded in as its expectation over
 the outside process (`tail_mean_interference`); its fluctuation is
@@ -162,19 +166,24 @@ def sample_geometry(params: NetworkParams, sim: SimConfig, stream_index: int) ->
 
 def sample_fading(
     params: NetworkParams, sim: SimConfig, stream_index: int, counts: Sequence[int]
-) -> list[np.ndarray]:
-    """Per-tier (n_bs, n_fading) Gamma(M_i, 1) fading power draws.
+) -> np.ndarray:
+    """(sum(counts), n_fading) block of Gamma(M_i, 1) fading power draws.
 
-    Drawn BS-major from a fixed stream, so the draws of the first n BSs do
-    not depend on how many BSs follow them (needed by the radius-doubling
+    Rows run in tier order, then BS order: tier i owns the `counts[i]` rows
+    after those of the tiers before it.  Each tier's rows are filled in
+    place from its own stream by `Generator.standard_gamma`, one draw at a
+    time, BS-major.  Rejection steps make the number of stream values per
+    draw vary, but the fill is sequential, so the draws of the first n BSs
+    do not depend on how many BSs follow them (needed by the radius-doubling
     common-random-numbers check).
     """
-    out = []
+    block = np.empty((sum(counts), sim.n_fading))
+    start = 0
     for tier_index, (tier, n_bs) in enumerate(zip(params.tiers, counts)):
         rng = _stream(sim.seed, stream_index, tier_index, _FADING_STREAM)
-        u = rng.random((n_bs, sim.n_fading, tier.nakagami_m))
-        out.append(-np.log(u).sum(axis=2))
-    return out
+        rng.standard_gamma(tier.nakagami_m, out=block[start:start + n_bs])
+        start += n_bs
+    return block
 
 
 def snapshot_sinrs(
@@ -227,17 +236,17 @@ def simulate_trials(params: NetworkParams, sim: SimConfig, threads: int = 1) -> 
     def one(g: int) -> np.ndarray:
         realization = sample_geometry(params, sim, g)
         counts = [len(d) for d in realization.distances]
-        received = [
-            (tier.power * d ** -params.alpha)[:, None] * h
-            for tier, d, h in zip(
-                params.tiers, realization.distances, sample_fading(params, sim, g, counts)
-            )
-        ]
+        # Scaled in place to the received powers P d^-alpha h.
+        received = sample_fading(params, sim, g, counts)
         res = np.zeros((n_tiers + 1, sim.n_fading))
-        for k, r in enumerate(received):
-            if r.shape[0]:
-                res[k] = r.max(axis=0)
-        res[n_tiers] = np.vstack(received).sum(axis=0)
+        start = 0
+        for k, (tier, d) in enumerate(zip(params.tiers, realization.distances)):
+            if len(d):
+                rows = received[start:start + len(d)]
+                rows *= (tier.power * d ** -params.alpha)[:, None]
+                rows.max(axis=0, out=res[k])
+            start += len(d)
+        received.sum(axis=0, out=res[n_tiers])
         return res
 
     _run_geometries(params, sim, one, out, threads)

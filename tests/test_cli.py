@@ -203,6 +203,16 @@ class TestMain:
         assert main(["--config", path]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shape, shown", [(2.7, "2.7"), (2.0, "2.0"), ("2", '"2"'),
+                                              (True, "true")])
+    def test_non_integer_shape_exit_code(self, tmp_path, capsys, shape, shown):
+        # int() would read 2.7 as 2 and true as 1: the simulator would draw
+        # another fading law than the config names.
+        cfg = base_config()
+        cfg["tiers"][1]["m"] = shape
+        assert main(["--config", write_config(tmp_path, cfg)]) == 1
+        assert f"'tiers[1].m' must be an integer, got {shown}" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "absent.json")]) == 1
         assert "config error" in capsys.readouterr().err

@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from hetnetcov.mcsim import (
     Estimate,
@@ -28,7 +29,8 @@ from hetnetcov.mcsim import (
     tail_mean_interference,
     tier_max_sinr,
 )
-from hetnetcov.model import NetworkParams, TierParams
+from hetnetcov.mcsim.engine import _FADING_STREAM, _stream
+from hetnetcov.model import MAX_NAKAGAMI_M, NetworkParams, TierParams
 
 
 def make_network(alpha=3.0, noise=1e-4, densities=(1.0, 5.0), powers=(25.0, 1.0),
@@ -88,20 +90,46 @@ class TestGeometry:
             np.testing.assert_array_equal(ds, dl[: len(ds)])
 
     def test_fading_prefix_property(self):
-        net = make_network(shapes=(2, 1))
+        # The first n BSs of a tier draw the same fading whatever follows.
+        # The prefixes hold 800 and 1200 Gamma draws per tier, enough for
+        # Marsaglia-Tsang to reject inside them, so a draw's use of the
+        # stream varies and only the sequential fill keeps the property.
         sim = sim_config()
-        h_small = sample_fading(net, sim, 3, counts=[4, 7])
-        h_large = sample_fading(net, sim, 3, counts=[9, 12])
-        for hs, hl in zip(h_small, h_large):
-            np.testing.assert_array_equal(hs, hl[: hs.shape[0]])
+        small, large = [40, 60], [90, 150]
+        for shapes in ((2, 1), (3, 16)):
+            net = make_network(shapes=shapes)
+            h_small = np.split(sample_fading(net, sim, 3, small), [small[0]])
+            h_large = np.split(sample_fading(net, sim, 3, large), [large[0]])
+            for hs, hl in zip(h_small, h_large):
+                np.testing.assert_array_equal(hs, hl[: hs.shape[0]])
+            # A Marsaglia-Tsang draw takes at least two stream values (a
+            # normal and a uniform); a prefix that took exactly 2 per draw
+            # had no rejection.
+            for tier, (m, n_bs) in enumerate(zip(shapes, small)):
+                if m == 1:
+                    continue
+                drawn = _stream(sim.seed, 3, tier, _FADING_STREAM)
+                drawn.standard_gamma(m, size=(n_bs, sim.n_fading))
+                fixed = _stream(sim.seed, 3, tier, _FADING_STREAM).bit_generator
+                fixed.advance(2 * n_bs * sim.n_fading)
+                assert drawn.bit_generator.state != fixed.state
 
     def test_fading_moments(self):
         # Gamma(M, 1): mean M, variance M.
         net = make_network(shapes=(3, 1))
         sim = sim_config(n_geometry=1, n_fading=20000)
-        h = sample_fading(net, sim, 0, counts=[5, 5])[0]
+        h = sample_fading(net, sim, 0, counts=[5, 5])[:5]
         assert h.mean() == pytest.approx(3.0, rel=0.02)
         assert h.var() == pytest.approx(3.0, rel=0.05)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, MAX_NAKAGAMI_M])
+    def test_fading_law(self, m):
+        # Every supported shape draws Gamma(M, 1) and only finite values.
+        net = make_network(densities=(1.0,), powers=(1.0,), thresholds=(2.0,),
+                           shapes=(m,))
+        h = sample_fading(net, sim_config(n_fading=100), 0, counts=[200])
+        assert np.isfinite(h).all()
+        assert stats.kstest(h.ravel(), stats.gamma(m).cdf).pvalue > 1e-3
 
 
 class TestKernels:
@@ -111,7 +139,8 @@ class TestKernels:
         tier_max = tier_max_sinr(simulate_trials(net, sim), net.noise)
         for g in range(2):
             rz = sample_geometry(net, sim, g)
-            h = sample_fading(net, sim, g, [len(d) for d in rz.distances])
+            counts = [len(d) for d in rz.distances]
+            h = np.split(sample_fading(net, sim, g, counts), np.cumsum(counts)[:-1])
             for f in range(sim.n_fading):
                 sinrs = snapshot_sinrs(net, rz, [x[:, f] for x in h])
                 for tier in range(2):
@@ -142,7 +171,7 @@ class TestKernels:
             rz = sample_geometry(net, sim, g)
             counts = [len(d) for d in rz.distances]
             w = np.concatenate([t.power * d ** -net.alpha for t, d in zip(net.tiers, rz.distances)])
-            received = w[:, None] * np.vstack(sample_fading(net, sim, g, counts))
+            received = w[:, None] * sample_fading(net, sim, g, counts)
             total = received.sum(axis=0) + denom_const
             offsets = np.cumsum([0] + counts)
             for k in range(n_tiers):

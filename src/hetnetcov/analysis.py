@@ -14,9 +14,8 @@ from enum import Enum
 from scipy import integrate
 
 from . import model, pla
-from .model import NetworkParams
+from .model import DerivedConstants, NetworkParams
 from .pla import QuadratureError
-from .specfun import lower_incomplete_gamma  # noqa: F401  (re-export convenience)
 
 __all__ = [
     "Method",
@@ -60,44 +59,53 @@ def _clamp_probability(p: float, context: str) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _tier_weights(params: NetworkParams, script_i) -> list[float]:
-    """pi lambda_i P_i^(2/a) beta_i^(-2/a) I_i for each tier."""
+def _tier_weights(params: NetworkParams, script_i, scale: float = 1.0,
+                  y: float = 0.0) -> list[float]:
+    """scale lambda_i P_i^(2/a) max(y, beta_i)^(-2/a) I_i for each tier.
+
+    With y = 0 (below every threshold) these are the tiers' coverage
+    masses; scale = pi makes them the tiers' coverage terms.
+    """
     e = 2.0 / params.alpha
     return [
-        math.pi * t.density * t.power**e * t.threshold**-e * si
+        scale * t.density * t.power**e * max(y, t.threshold) ** -e * si
         for t, si in zip(params.tiers, script_i)
     ]
 
 
-def coverage_probability(params: NetworkParams, kernel=None) -> CoverageResult:
-    """P_c = sum_i pi lambda_i P_i^(2/a) beta_i^(-2/a) I_i (PLA closed form)."""
+def _constants_for(params: NetworkParams, constants: DerivedConstants | None,
+                   kernel=None) -> DerivedConstants:
+    """`constants` if given (checked against `params`), else built with `kernel`."""
+    if constants is None:
+        return model.derived_constants(params, kernel)
     model.require_valid(params)
-    if kernel is None:
-        kernel = pla.approx_gamma_kernel_integral
-        method = Method.CLOSED_FORM
-    else:
-        method = Method.QUADRATURE_REFERENCE
-    script_i = [tier_script_i_cached(params, i, kernel) for i in range(params.n_tiers)]
-    p = sum(_tier_weights(params, script_i))
+    constants.require_fits(params)
+    return constants
+
+
+def coverage_probability(params: NetworkParams, kernel=None, *,
+                         constants: DerivedConstants | None = None) -> CoverageResult:
+    """P_c = sum_i pi lambda_i P_i^(2/a) beta_i^(-2/a) I_i (PLA closed form).
+
+    `constants` from `model.derived_constants(params, kernel)`, built at
+    any thresholds, are used instead of being rebuilt.
+    """
+    method = Method.CLOSED_FORM if kernel is None else Method.QUADRATURE_REFERENCE
+    script_i = _constants_for(params, constants, kernel).script_i
+    p = sum(_tier_weights(params, script_i, scale=math.pi))
     return CoverageResult(value=_clamp_probability(p, "coverage"), method=method)
 
 
-def coverage_reference(params: NetworkParams) -> CoverageResult:
+def coverage_reference(params: NetworkParams, *,
+                       constants: DerivedConstants | None = None) -> CoverageResult:
     """Same tier sums as the closed form, with exact quadrature kernels.
 
     This (not the PLA form) is the yardstick for the approximation-loss
-    claim; quadrature failures surface as QuadratureError.
+    claim; quadrature failures surface as QuadratureError.  `constants`
+    must then be built with `pla.exact_gamma_kernel_integral`.
     """
-    return coverage_probability(params, kernel=pla.exact_gamma_kernel_integral)
-
-
-def tier_script_i_cached(params: NetworkParams, tier_index: int, kernel) -> float:
-    """I_i depends on the tier only through its Nakagami shape; reuse equals."""
-    m = params.tiers[tier_index].nakagami_m
-    for j in range(tier_index):
-        if params.tiers[j].nakagami_m == m:
-            return tier_script_i_cached(params, j, kernel)
-    return model.tier_script_I(params, tier_index, kernel=kernel)
+    return coverage_probability(params, kernel=pla.exact_gamma_kernel_integral,
+                                constants=constants)
 
 
 def coverage_rayleigh(params: NetworkParams) -> CoverageResult:
@@ -145,39 +153,25 @@ def conditional_ccdf(params: NetworkParams, y: float, kernel=None) -> float:
     model.require_valid(params)
     if y < 0:
         raise ValueError(f"conditional_ccdf requires y >= 0, got {y}")
-    if kernel is None:
-        kernel = pla.approx_gamma_kernel_integral
-    e = 2.0 / params.alpha
-    script_i = [tier_script_i_cached(params, i, kernel) for i in range(params.n_tiers)]
-    num = sum(
-        t.density * t.power**e * max(y, t.threshold) ** -e * si
-        for t, si in zip(params.tiers, script_i)
-    )
-    den = sum(
-        t.density * t.power**e * t.threshold**-e * si
-        for t, si in zip(params.tiers, script_i)
-    )
-    return num / den
+    script_i = model.derived_constants(params, kernel).script_i
+    return sum(_tier_weights(params, script_i, y=y)) / sum(_tier_weights(params, script_i))
 
 
-def _rate_from_constants(params: NetworkParams, kernel) -> float:
-    e = 2.0 / params.alpha
-    script_i = [tier_script_i_cached(params, i, kernel) for i in range(params.n_tiers)]
-    weights = [
-        t.density * t.power**e * t.threshold**-e * si
-        for t, si in zip(params.tiers, script_i)
-    ]
-    constants = [model.rate_constant(params, i) for i in range(params.n_tiers)]
-    return sum(w * c for w, c in zip(weights, constants)) / sum(weights)
+def _mean_rate_constant(params: NetworkParams, script_i) -> float:
+    """The per-tier rate constants averaged with the tiers' coverage masses."""
+    weights = _tier_weights(params, script_i)
+    rate_constants = [model.rate_constant(params, i) for i in range(params.n_tiers)]
+    return sum(w * c for w, c in zip(weights, rate_constants)) / sum(weights)
 
 
-def average_rate(params: NetworkParams) -> RateResult:
-    """R = weighted mean of the per-tier rate constants, weights ~ coverage mass."""
-    model.require_valid(params)
-    return RateResult(
-        value=_rate_from_constants(params, pla.approx_gamma_kernel_integral),
-        method=Method.CLOSED_FORM,
-    )
+def average_rate(params: NetworkParams, *,
+                 constants: DerivedConstants | None = None) -> RateResult:
+    """R = weighted mean of the per-tier rate constants, weights ~ coverage mass.
+
+    `constants` as in `coverage_probability`, built with the PLA kernel.
+    """
+    script_i = _constants_for(params, constants).script_i
+    return RateResult(value=_mean_rate_constant(params, script_i), method=Method.CLOSED_FORM)
 
 
 def rate_rayleigh(params: NetworkParams) -> RateResult:
@@ -185,25 +179,24 @@ def rate_rayleigh(params: NetworkParams) -> RateResult:
     model.require_valid(params)
     if any(t.nakagami_m != 1 for t in params.tiers):
         raise ValueError("rate_rayleigh requires M_i = 1 for every tier")
-    e = 2.0 / params.alpha
-    weights = [t.density * t.power**e * t.threshold**-e for t in params.tiers]
-    constants = [model.rate_constant(params, i) for i in range(params.n_tiers)]
-    value = sum(w * c for w, c in zip(weights, constants)) / sum(weights)
+    value = _mean_rate_constant(params, (1.0,) * params.n_tiers)
     return RateResult(value=value, method=Method.RAYLEIGH_CLOSED_FORM)
 
 
-def rate_reference(params: NetworkParams, rel_tol: float = 1e-8) -> RateResult:
+def rate_reference(params: NetworkParams, rel_tol: float = 1e-8, *,
+                   constants: DerivedConstants | None = None) -> RateResult:
     """Quadrature of int_0^inf P(X > y | C) / (1 + y) dy.
 
     Integrated piecewise between the tier thresholds (the CCDF has kinks
     there) plus an analytic-free tail integral; agrees with `average_rate`
     to quadrature accuracy since the closed form integrates the same CCDF
-    exactly.
+    exactly.  It integrates the PLA closed form's CCDF, so `constants`,
+    as in `coverage_probability`, are built with the PLA kernel.
     """
-    model.require_valid(params)
-    kernel = pla.approx_gamma_kernel_integral
+    script_i = _constants_for(params, constants).script_i
     e = 2.0 / params.alpha
-    script_i = [tier_script_i_cached(params, i, kernel) for i in range(params.n_tiers)]
+    # lambda_i P_i^(2/a) I_i: the threshold-free part of each tier's weight,
+    # taken out of the integrand.
     coef = [
         t.density * t.power**e * si for t, si in zip(params.tiers, script_i)
     ]

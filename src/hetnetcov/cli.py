@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import analysis, mcsim
+from . import analysis, mcsim, model, pla
 from .model import NetworkParams, TierParams, validate
 from .pla import QuadratureError
 
@@ -64,9 +64,14 @@ class ConfigError(ValueError):
     pass
 
 
+def _field(path: str, key: str) -> str:
+    """The quoted name of a config field, as error messages give it."""
+    return f"'{path}.{key}'" if path else f"'{key}'"
+
+
 def _require(mapping: dict, key: str, path: str):
     if key not in mapping:
-        raise ConfigError(f"missing field '{path}.{key}'" if path else f"missing field '{key}'")
+        raise ConfigError(f"missing field {_field(path, key)}")
     return mapping[key]
 
 
@@ -74,8 +79,33 @@ def _require_integer(mapping: dict, key: str, path: str) -> int:
     """A JSON integer field; floats, bools and strings are rejected, not coerced."""
     value = _require(mapping, key, path)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"'{path}.{key}' must be an integer, got {json.dumps(value)}")
+        raise ConfigError(f"{_field(path, key)} must be an integer, got {json.dumps(value)}")
     return value
+
+
+def _require_number(mapping: dict, key: str, path: str) -> float:
+    """A JSON number field; bools, strings and null are rejected, not coerced."""
+    value = _require(mapping, key, path)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{_field(path, key)} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _optional_integer(mapping: dict, key: str, path: str, default: int) -> int:
+    return _require_integer(mapping, key, path) if key in mapping else default
+
+
+def _reject_unknown(mapping: dict, known: tuple[str, ...], path: str) -> None:
+    """A config section must be a JSON object; a key the parser does not read
+    is a config error, not silently ignored."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"'{path}' must be a JSON object" if path
+                          else "config must be a JSON object")
+    unknown = [_field(path, key) for key in mapping if key not in known]
+    if unknown:
+        raise ConfigError(
+            f"unknown field {', '.join(unknown)}; known fields are {', '.join(known)}"
+        )
 
 
 def load_config(path: str) -> RunConfig:
@@ -88,16 +118,21 @@ def load_config(path: str) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
 
-    alpha = float(_require(raw, "alpha", ""))
-    noise = db_to_linear(float(_require(raw, "noise_db", "")))
+    _reject_unknown(raw, ("alpha", "noise_db", "tiers", "sweep", "sim"), "")
+    alpha = _require_number(raw, "alpha", "")
+    noise = db_to_linear(_require_number(raw, "noise_db", ""))
 
     tiers = []
-    for i, t in enumerate(_require(raw, "tiers", "")):
+    tier_list = _require(raw, "tiers", "")
+    if not isinstance(tier_list, list):
+        raise ConfigError("'tiers' must be a JSON list")
+    for i, t in enumerate(tier_list):
+        _reject_unknown(t, ("lambda", "power", "beta_db", "m"), f"tiers[{i}]")
         tiers.append(
             TierParams(
-                density=float(_require(t, "lambda", f"tiers[{i}]")),
-                power=float(_require(t, "power", f"tiers[{i}]")),
-                threshold=db_to_linear(float(_require(t, "beta_db", f"tiers[{i}]"))),
+                density=_require_number(t, "lambda", f"tiers[{i}]"),
+                power=_require_number(t, "power", f"tiers[{i}]"),
+                threshold=db_to_linear(_require_number(t, "beta_db", f"tiers[{i}]")),
                 nakagami_m=_require_integer(t, "m", f"tiers[{i}]"),
             )
         )
@@ -107,6 +142,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("; ".join(violations))
 
     sw = _require(raw, "sweep", "")
+    _reject_unknown(sw, ("variable", "start", "stop", "points", "methods"), "sweep")
     variable = _require(sw, "variable", "sweep")
     if variable not in SWEEP_VARIABLES:
         raise ConfigError(f"sweep.variable must be one of {SWEEP_VARIABLES}, got '{variable}'")
@@ -118,9 +154,9 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("sweep.methods must not be empty")
     sweep = SweepSpec(
         variable=variable,
-        start=float(_require(sw, "start", "sweep")),
-        stop=float(_require(sw, "stop", "sweep")),
-        points=int(_require(sw, "points", "sweep")),
+        start=_require_number(sw, "start", "sweep"),
+        stop=_require_number(sw, "stop", "sweep"),
+        points=_require_integer(sw, "points", "sweep"),
         methods=methods,
     )
     if not sweep.start < sweep.stop:
@@ -132,12 +168,17 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError("method 'rayleigh' requires M_i = 1 on every tier")
 
     sm = raw.get("sim", {})
-    sim = mcsim.SimConfig(
-        n_geometry=int(sm.get("n_geometry", 1000)),
-        n_fading=int(sm.get("n_fading", 100)),
-        seed=int(sm.get("seed", 0)),
-        region_radius=(float(sm["region_radius"]) if sm.get("region_radius") is not None else None),
-    )
+    _reject_unknown(sm, ("n_geometry", "n_fading", "seed", "region_radius"), "sim")
+    n_geometry = _optional_integer(sm, "n_geometry", "sim", 1000)
+    n_fading = _optional_integer(sm, "n_fading", "sim", 100)
+    seed = _optional_integer(sm, "seed", "sim", 0)
+    region_radius = (_require_number(sm, "region_radius", "sim")
+                     if sm.get("region_radius") is not None else None)
+    try:
+        sim = mcsim.SimConfig(n_geometry=n_geometry, n_fading=n_fading, seed=seed,
+                              region_radius=region_radius)
+    except ValueError as exc:
+        raise ConfigError(f"sim: {exc}") from exc
     return RunConfig(params=params, sweep=sweep, sim=sim)
 
 
@@ -156,6 +197,12 @@ def _params_at(config: RunConfig, value: float) -> NetworkParams:
 def run_sweep(config: RunConfig, rate: bool = False, bits: bool = False,
               threads: int = 1) -> list[dict[str, float]]:
     """Evaluate every requested method at every sweep point."""
+    return _sweep(config, rate, bits, threads)[0]
+
+
+def _sweep(config: RunConfig, rate: bool, bits: bool,
+           threads: int) -> tuple[list[dict[str, float]], mcsim.Trials | None]:
+    """`run_sweep`'s rows, and the simulation pass shared by every point, if any."""
     sweep = config.sweep
     values = sweep.values()
     unit = math.log(2.0) if bits else 1.0
@@ -169,15 +216,29 @@ def run_sweep(config: RunConfig, rate: bool = False, bits: bool = False,
     if "mc" in sweep.methods and sweep.variable != "nakagami_pair":
         trials = mcsim.simulate_trials(config.params, config.sim, threads=threads)
 
+    # The analytic constants depend on no threshold either, so a threshold
+    # sweep builds them once per kernel, a noise or shape sweep per point.
+    # The rate reference integrates the closed form's CCDF, so it runs on
+    # the PLA constants; only the coverage reference needs the exact kernel.
+    needs_pla = "closed" in sweep.methods or (rate and "reference" in sweep.methods)
+    needs_exact = not rate and "reference" in sweep.methods
+    pla_constants = exact_constants = None
+
     rows: list[dict[str, float]] = []
-    for value in values:
+    for index, value in enumerate(values):
         params = _params_at(config, float(value))
+        if index == 0 or sweep.variable != "beta1_db":
+            if needs_pla:
+                pla_constants = model.derived_constants(params)
+            if needs_exact:
+                exact_constants = model.derived_constants(params, pla.exact_gamma_kernel_integral)
         row: dict[str, float] = {"sweep_db": float(value)}
         for method in sweep.methods:
             if method == "closed":
                 row["closed"] = (
-                    analysis.average_rate(params).value / unit
-                    if rate else analysis.coverage_probability(params).value
+                    analysis.average_rate(params, constants=pla_constants).value / unit
+                    if rate else
+                    analysis.coverage_probability(params, constants=pla_constants).value
                 )
             elif method == "rayleigh":
                 row["rayleigh"] = (
@@ -186,8 +247,9 @@ def run_sweep(config: RunConfig, rate: bool = False, bits: bool = False,
                 )
             elif method == "reference":
                 row["reference"] = (
-                    analysis.rate_reference(params).value / unit
-                    if rate else analysis.coverage_reference(params).value
+                    analysis.rate_reference(params, constants=pla_constants).value / unit
+                    if rate else
+                    analysis.coverage_reference(params, constants=exact_constants).value
                 )
             elif method == "mc":
                 if trials is None:
@@ -201,7 +263,7 @@ def run_sweep(config: RunConfig, rate: bool = False, bits: bool = False,
                 row["mc"] = est.mean / unit if rate else est.mean
                 row["mc_se"] = est.std_error / unit if rate else est.std_error
         rows.append(row)
-    return rows
+    return rows, trials
 
 
 def _mc_point(params: NetworkParams, tier_max: np.ndarray, rate: bool) -> mcsim.Estimate:
@@ -248,9 +310,11 @@ def main(argv: list[str] | None = None) -> int:
         config = replace(config, sim=replace(config.sim, seed=args.seed))
 
     try:
-        rows = run_sweep(config, rate=args.rate, bits=args.bits, threads=args.threads)
+        rows, trials = _sweep(config, args.rate, args.bits, args.threads)
         if args.radius_check:
-            drift = mcsim.radius_doubling_drift(config.params, config.sim, threads=args.threads)
+            # The sweep's own pass, if it made one, is the inner disk's.
+            drift = mcsim.radius_doubling_drift(config.params, config.sim,
+                                                threads=args.threads, trials=trials)
             print(f"radius-doubling coverage drift: {drift:.3e}", file=sys.stderr)
     except (QuadratureError, ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

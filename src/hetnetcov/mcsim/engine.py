@@ -314,14 +314,20 @@ def mc_conditional_rate(
     return rate_from_tier_max(tier_max, [t.threshold for t in params.tiers])
 
 
-def radius_doubling_drift(params: NetworkParams, sim: SimConfig, threads: int = 1) -> float:
+def radius_doubling_drift(params: NetworkParams, sim: SimConfig, threads: int = 1,
+                          trials: Trials | None = None) -> float:
     """Absolute coverage change when the observation disk radius doubles.
 
     Shares the underlying random streams between the two radii (the inner
     points and their fading are identical), so the returned figure is the
-    truncation effect itself, not resampling noise.
+    truncation effect itself, not resampling noise.  `trials`, if given,
+    must be `simulate_trials(params, sim)`: it is the inner disk's pass,
+    and only the doubled disk is simulated.
     """
     radius = _resolve_radius(params, sim)
-    small = mc_coverage(params, replace(sim, region_radius=radius), threads=threads)
+    if trials is None:
+        trials = simulate_trials(params, replace(sim, region_radius=radius), threads=threads)
+    thresholds = [t.threshold for t in params.tiers]
+    small = coverage_from_tier_max(tier_max_sinr(trials, params.noise), thresholds)
     large = mc_coverage(params, replace(sim, region_radius=2.0 * radius), threads=threads)
     return abs(large.mean - small.mean)

@@ -10,6 +10,9 @@ closed-form coverage/rate expressions need three derived quantities:
   integrals; depends on the tier only through its Nakagami shape),
 * the per-tier rate constant A_i = ln(1+beta_i) + (alpha/2) 2F1(...).
 
+A and the I_i involve no threshold; `derived_constants` builds them once
+as a `DerivedConstants`, which every threshold of a sweep can share.
+
 Thresholds and powers are linear-scale throughout; dB conversion is the
 CLI's job.
 """
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import pla
 from .specfun import beta_function, d_sequence, hyp2f1_rate, partial_bell
@@ -37,8 +40,8 @@ __all__ = [
     "derived_constants",
 ]
 
-# Beyond this shape the alternating sum in tier_script_I loses too many
-# digits in float64 to be defensible.
+# Beyond this shape the alternating sum behind I_i loses too many digits
+# in float64 to be defensible.
 MAX_NAKAGAMI_M = 16
 
 
@@ -74,12 +77,33 @@ class NetworkParams:
 
 @dataclass(frozen=True)
 class DerivedConstants:
-    """Everything the closed forms need, precomputed once per network."""
+    """The threshold-free constants of the closed forms, for one network and kernel.
+
+    A and the I_i depend on alpha, the noise power, the tier densities,
+    powers and Nakagami shapes, and the kernel, but on no SINR threshold:
+    one object serves every point of a threshold sweep.
+    """
 
     a_constant: float
-    script_i: tuple[float, ...]
-    rate_constants: tuple[float, ...]
-    d_values: tuple[float, ...]
+    script_i: tuple[float, ...]  # I_i per tier; tiers of equal shape share it
+    network: tuple  # what they depend on, see _threshold_free
+
+    def require_fits(self, params: NetworkParams) -> None:
+        """Raise ValueError unless built for `params`, whatever its thresholds."""
+        if _threshold_free(params) != self.network:
+            raise ValueError(
+                "derived constants were built for another alpha, noise power, "
+                "density, power or Nakagami shape than this network's"
+            )
+
+
+def _threshold_free(params: NetworkParams) -> tuple:
+    """(alpha, noise, ((density, power, shape) per tier)): all but the thresholds."""
+    return (
+        params.alpha,
+        params.noise,
+        tuple((t.density, t.power, t.nakagami_m) for t in params.tiers),
+    )
 
 
 def validate(params: NetworkParams) -> list[str]:
@@ -135,53 +159,58 @@ def interference_constant(params: NetworkParams) -> float:
     return total
 
 
-def tier_script_I(
-    params: NetworkParams,
-    tier_index: int,
-    kernel=pla.approx_gamma_kernel_integral,
-) -> float:
-    """Per-tier coverage kernel I_i.
+def tier_script_I(params: NetworkParams, tier_index: int, kernel=None) -> float:
+    """Per-tier coverage kernel I_i; see `derived_constants`."""
+    if not (0 <= tier_index < params.n_tiers):
+        raise IndexError(f"tier_index {tier_index} out of range for K={params.n_tiers}")
+    m_shape = params.tiers[tier_index].nakagami_m
+    return _script_i_by_shape(params, interference_constant(params), (m_shape,), kernel)[m_shape]
+
+
+def _script_i_by_shape(params: NetworkParams, a_const: float, shapes, kernel) -> dict[int, float]:
+    """I for each Nakagami shape in `shapes`, one kernel call per distinct t-exponent.
 
     Triple sum over (k, l, r) of alternating terms, each carrying a kernel
     integral with U = sigma^2, V = A, and t-exponent r + (alpha/2)(k-l).
-    `kernel` defaults to the closed-form approximation; passing
-    `pla.exact_gamma_kernel_integral` yields the quadrature reference.
-
-    Depends on the tier only through its Nakagami shape.
+    Shapes share exponents (those of M are a subset of those of M+1), and
+    the kernel is deterministic, so each exponent is evaluated once; every
+    sum keeps its order of terms.
     """
-    require_valid(params)
-    if not (0 <= tier_index < params.n_tiers):
-        raise IndexError(f"tier_index {tier_index} out of range for K={params.n_tiers}")
-
+    if kernel is None:
+        kernel = pla.approx_gamma_kernel_integral
     a = params.alpha
     sigma2 = params.noise
-    m_shape = params.tiers[tier_index].nakagami_m
-    a_const = interference_constant(params)
+    kernel_at: dict[float, float] = {}
+    by_shape: dict[int, float] = {}
+    for m_shape in shapes:
+        if m_shape in by_shape:
+            continue
+        d_vals = [d_sequence(a, t) for t in range(1, m_shape + 1)]
+        total = 0.0
+        max_term = 0.0
+        for k in range(m_shape):
+            for l in range(k + 1):
+                outer = math.comb(k, l) * sigma2 ** (k - l) * (-1.0) ** l / math.factorial(k)
+                for r in range(l + 1):
+                    bell = partial_bell(l, r, d_vals[: l - r + 1])
+                    if bell == 0.0:
+                        continue
+                    power = r + (a / 2.0) * (k - l)
+                    if power not in kernel_at:
+                        kernel_at[power] = kernel(sigma2, a_const, power, a)
+                    term = outer * (-a_const) ** r * bell * kernel_at[power]
+                    total += term
+                    max_term = max(max_term, abs(term))
 
-    d_vals = [d_sequence(a, t) for t in range(1, m_shape + 1)]
-
-    total = 0.0
-    max_term = 0.0
-    for k in range(m_shape):
-        for l in range(k + 1):
-            outer = math.comb(k, l) * sigma2 ** (k - l) * (-1.0) ** l / math.factorial(k)
-            for r in range(l + 1):
-                bell = partial_bell(l, r, d_vals[: l - r + 1])
-                if bell == 0.0:
-                    continue
-                power = r + (a / 2.0) * (k - l)
-                term = outer * (-a_const) ** r * bell * kernel(sigma2, a_const, power, a)
-                total += term
-                max_term = max(max_term, abs(term))
-
-    if total != 0.0 and max_term > 1e6 * abs(total):
-        warnings.warn(
-            f"tier_script_I: intermediate terms up to {max_term:.3e} against a "
-            f"result of {total:.3e}; significant cancellation",
-            CancellationWarning,
-            stacklevel=2,
-        )
-    return total
+        if total != 0.0 and max_term > 1e6 * abs(total):
+            warnings.warn(
+                f"I for Nakagami shape {m_shape}: intermediate terms up to "
+                f"{max_term:.3e} against a result of {total:.3e}; significant cancellation",
+                CancellationWarning,
+                stacklevel=3,
+            )
+        by_shape[m_shape] = total
+    return by_shape
 
 
 def rate_constant(params: NetworkParams, tier_index: int) -> float:
@@ -191,12 +220,18 @@ def rate_constant(params: NetworkParams, tier_index: int) -> float:
     return math.log1p(beta) + (params.alpha / 2.0) * hyp2f1_rate(params.alpha, beta)
 
 
-def derived_constants(params: NetworkParams) -> DerivedConstants:
-    require_valid(params)
-    max_m = max(t.nakagami_m for t in params.tiers)
+def derived_constants(params: NetworkParams, kernel=None) -> DerivedConstants:
+    """A once, I once per distinct Nakagami shape, the kernel once per distinct t-exponent.
+
+    `kernel` defaults to the PLA closed form, `pla.approx_gamma_kernel_integral`
+    as bound when called; passing `pla.exact_gamma_kernel_integral` yields
+    the quadrature reference.
+    """
+    a_const = interference_constant(params)
+    shapes = [t.nakagami_m for t in params.tiers]
+    by_shape = _script_i_by_shape(params, a_const, shapes, kernel)
     return DerivedConstants(
-        a_constant=interference_constant(params),
-        script_i=tuple(tier_script_I(params, i) for i in range(params.n_tiers)),
-        rate_constants=tuple(rate_constant(params, i) for i in range(params.n_tiers)),
-        d_values=tuple(d_sequence(params.alpha, t) for t in range(1, max_m + 1)),
+        a_constant=a_const,
+        script_i=tuple(by_shape[m] for m in shapes),
+        network=_threshold_free(params),
     )

@@ -225,17 +225,7 @@ def exact_gamma_kernel_integral(
         e = -v * t - u * t ** half_alpha + power * math.log(t)
         return math.exp(e) if e > -_EXP_UNDERFLOW else 0.0
 
-    # Solve v t + u t^(alpha/2) = underflow bound by bisection.
-    lo, hi = 0.0, 1.0
-    while v * hi + u * hi ** half_alpha < _EXP_UNDERFLOW:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if v * mid + u * mid ** half_alpha < _EXP_UNDERFLOW:
-            lo = mid
-        else:
-            hi = mid
-    t_max = hi
+    t_max = _underflow_point(u, v, half_alpha)
 
     # Interior maximum of the full integrand, handed to quad as a breakpoint.
     points = []
@@ -254,6 +244,26 @@ def exact_gamma_kernel_integral(
             f"did not converge: result={result}, abserr={abserr}"
         )
     return result
+
+
+def _underflow_point(u: float, v: float, half_alpha: float) -> float:
+    """Solve v t + u t^(alpha/2) = underflow bound by bisection; the upper end.
+
+    Up to 200 halvings; the loop stops early once the midpoint equals an
+    end, since from then on no halving changes either end.
+    """
+    lo, hi = 0.0, 1.0
+    while v * hi + u * hi ** half_alpha < _EXP_UNDERFLOW:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if v * mid + u * mid ** half_alpha < _EXP_UNDERFLOW:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def _check_kernel_args(u: float, v: float, power: float, alpha: float) -> None:

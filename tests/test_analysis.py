@@ -22,7 +22,8 @@ from hetnetcov.analysis import (
     rate_rayleigh,
     rate_reference,
 )
-from hetnetcov.model import NetworkParams, TierParams
+from hetnetcov import pla
+from hetnetcov.model import NetworkParams, TierParams, derived_constants
 
 
 def make_network(alpha=3.0, noise=1e-4, densities=(1.0, 5.0), powers=(25.0, 1.0),
@@ -205,3 +206,29 @@ class TestRate:
     def test_rate_exceeds_log_threshold_floor(self):
         net = make_network(thresholds=(2.0, 1.5), shapes=(2, 1))
         assert average_rate(net).value > math.log1p(1.5)
+
+
+class TestPrebuiltConstants:
+    """`constants=` reuses `model.derived_constants` across thresholds."""
+
+    def test_equal_to_fresh_build_at_other_thresholds(self):
+        built = make_network(shapes=(2, 3))
+        net = make_network(shapes=(2, 3), thresholds=(3.0, 1.5))
+        pla_constants = derived_constants(built)
+        exact_constants = derived_constants(built, pla.exact_gamma_kernel_integral)
+        assert coverage_probability(net, constants=pla_constants) == coverage_probability(net)
+        assert (coverage_reference(net, constants=exact_constants)
+                == coverage_reference(net))
+        assert average_rate(net, constants=pla_constants) == average_rate(net)
+        assert rate_reference(net, constants=pla_constants) == rate_reference(net)
+
+    @pytest.mark.parametrize("other", [
+        {"noise": 1e-3}, {"alpha": 3.5}, {"densities": (1.0, 6.0)},
+        {"powers": (20.0, 1.0)}, {"shapes": (2, 2)},
+    ])
+    def test_built_for_another_network_rejected(self, other):
+        net = make_network(shapes=(2, 3))
+        constants = derived_constants(make_network(**{"shapes": (2, 3), **other}))
+        for route in (coverage_probability, coverage_reference, average_rate, rate_reference):
+            with pytest.raises(ValueError, match="another"):
+                route(net, constants=constants)

@@ -3,10 +3,12 @@ reproducibility across runs and thread counts, and exit codes."""
 
 import json
 import math
+import warnings
+from dataclasses import replace
 
 import pytest
 
-from hetnetcov import mcsim
+from hetnetcov import analysis, mcsim, pla
 from hetnetcov.cli import (
     ConfigError,
     _params_at,
@@ -109,6 +111,148 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, cfg))
 
 
+    def test_sim_defaults_and_region_radius(self, tmp_path):
+        cfg = base_config(sim={"region_radius": 12.5})
+        sim = load_config(write_config(tmp_path, cfg)).sim
+        assert (sim.n_geometry, sim.n_fading, sim.seed, sim.region_radius) == (1000, 100, 0, 12.5)
+        del cfg["sim"]
+        assert load_config(write_config(tmp_path, cfg)).sim.region_radius is None
+
+
+# One case per rejection path of the strict parser: (where the bad value
+# goes, the value, the field the message must name).
+STRICT_CASES = {
+    "unknown-top": (("comment",), "x", "'comment'"),
+    "unknown-tier": (("tiers", 1, "beta"), 1.0, "'tiers[1].beta'"),
+    "unknown-sweep": (("sweep", "point"), 4, "'sweep.point'"),
+    "unknown-sim": (("sim", "n_fadings"), 10, "'sim.n_fadings'"),
+    "points-float": (("sweep", "points"), 2.5, "'sweep.points' must be an integer, got 2.5"),
+    "n_geometry-float": (("sim", "n_geometry"), 200.0,
+                         "'sim.n_geometry' must be an integer, got 200.0"),
+    "n_fading-bool": (("sim", "n_fading"), True, "'sim.n_fading' must be an integer, got true"),
+    "seed-string": (("sim", "seed"), "11", "'sim.seed' must be an integer, got \"11\""),
+    "n_geometry-zero": (("sim", "n_geometry"), 0, "n_geometry and n_fading must be positive"),
+    "alpha-string": (("alpha",), "3", "'alpha' must be a number, got \"3\""),
+    "power-bool": (("tiers", 0, "power"), True, "'tiers[0].power' must be a number, got true"),
+    "stop-null": (("sweep", "stop"), None, "'sweep.stop' must be a number, got null"),
+    "region_radius-string": (("sim", "region_radius"), "big",
+                             "'sim.region_radius' must be a number, got \"big\""),
+    "tiers-not-list": (("tiers",), {"lambda": 1.0}, "'tiers' must be a JSON list"),
+    "tier-not-object": (("tiers", 0), 3, "'tiers[0]' must be a JSON object"),
+    "sweep-not-object": (("sweep",), [], "'sweep' must be a JSON object"),
+    "sim-not-object": (("sim",), 5, "'sim' must be a JSON object"),
+}
+
+
+class TestStrictConfig:
+    @pytest.mark.parametrize("case", list(STRICT_CASES))
+    def test_rejected_with_field_named(self, tmp_path, capsys, case):
+        where, value, message = STRICT_CASES[case]
+        cfg = base_config()
+        target = cfg
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        assert main(["--config", write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error")
+        assert message in err
+
+    def test_shipped_configs_use_known_keys_only(self):
+        # Every shipped config still loads now that unknown keys are errors
+        # (test_shipped_configs_load), and keeps its own budget and seed.
+        for name in ("fig1_coverage", "fig1_nakagami23", "fig2_coverage_noise", "fig3_rate"):
+            sim = load_config(f"configs/{name}.json").sim
+            assert (sim.n_geometry, sim.n_fading, sim.seed) == (10000, 100, 2024)
+
+
+def network_config(tmp_path, variable, shapes, methods, points=4):
+    """A two-tier config with the given shapes and an analytic sweep."""
+    start, stop = (1.0, 20.0) if variable == "beta1_db" else (-20.0, 30.0)
+    cfg = base_config()
+    for tier, m in zip(cfg["tiers"], shapes):
+        tier["m"] = m
+    cfg["sweep"] = {"variable": variable, "start": start, "stop": stop,
+                    "points": points, "methods": list(methods)}
+    return load_config(write_config(tmp_path, cfg))
+
+
+def counting(func, calls):
+    """`func`, adding 1 to calls[0] at every call."""
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return func(*args, **kwargs)
+
+    return counted
+
+
+class TestSharedConstants:
+    """The sweep builds the analytic constants once per kernel and noise."""
+
+    @pytest.mark.parametrize("rate", [False, True])
+    @pytest.mark.parametrize("shapes", [(2, 3), (1, 1)])
+    @pytest.mark.parametrize("variable", ["beta1_db", "noise_db"])
+    def test_columns_equal_per_point_public_calls(self, tmp_path, variable, shapes, rate):
+        methods = ("closed", "reference") + (("rayleigh",) if shapes == (1, 1) else ())
+        config = network_config(tmp_path, variable, shapes, methods)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", pla.PlaAccuracyWarning)
+            rows = run_sweep(config, rate=rate)
+            for row in rows:
+                params = _params_at(config, row["sweep_db"])
+                if rate:
+                    expected = {"closed": analysis.average_rate(params),
+                                "reference": analysis.rate_reference(params)}
+                    if "rayleigh" in methods:
+                        expected["rayleigh"] = analysis.rate_rayleigh(params)
+                else:
+                    expected = {"closed": analysis.coverage_probability(params),
+                                "reference": analysis.coverage_reference(params)}
+                    if "rayleigh" in methods:
+                        expected["rayleigh"] = analysis.coverage_rayleigh(params)
+                assert {m: row[m] for m in methods} == {m: r.value for m, r in expected.items()}
+
+    @pytest.mark.parametrize("variable, calls_per_sweep", [("beta1_db", 6), ("noise_db", 6 * 50)])
+    def test_exact_kernel_calls(self, tmp_path, monkeypatch, variable, calls_per_sweep):
+        # At M = (2, 3) and alpha = 3 the coverage sums need 6 distinct
+        # t-exponents; thresholds leave them unchanged, the noise does not.
+        config = network_config(tmp_path, variable, (2, 3), ("reference",), points=50)
+        calls = [0]
+        monkeypatch.setattr(pla, "exact_gamma_kernel_integral",
+                            counting(pla.exact_gamma_kernel_integral, calls))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", pla.PlaAccuracyWarning)
+            run_sweep(config)
+        assert calls[0] == calls_per_sweep
+
+    @pytest.mark.parametrize("rate", [False, True])
+    def test_same_warnings_as_per_point_calls(self, rate):
+        # fig2's noise sweep reaches the PLA kernel's noise-limited regime.
+        config = load_config("configs/fig2_coverage_noise.json")
+        config = replace(config, sweep=replace(config.sweep,
+                                               methods=("closed", "rayleigh", "reference")))
+
+        def messages(run):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run()
+            return {str(w.message) for w in caught if w.category is pla.PlaAccuracyWarning}
+
+        def per_point():
+            for value in config.sweep.values():
+                params = _params_at(config, float(value))
+                if rate:
+                    analysis.average_rate(params), analysis.rate_rayleigh(params)
+                    analysis.rate_reference(params)
+                else:
+                    analysis.coverage_probability(params), analysis.coverage_rayleigh(params)
+                    analysis.coverage_reference(params)
+
+        swept = messages(lambda: run_sweep(config, rate=rate))
+        assert swept
+        assert swept == messages(per_point)
+
+
 class TestRunSweep:
     def test_rows_cover_sweep(self, tmp_path):
         config = load_config(write_config(tmp_path, base_config()))
@@ -127,6 +271,12 @@ class TestRunSweep:
         bits = run_sweep(config, rate=True, bits=True)
         for a, b in zip(nats, bits):
             assert b["closed"] == pytest.approx(a["closed"] / math.log(2.0))
+
+    def test_bits_leave_coverage_unscaled(self, tmp_path):
+        cfg = base_config()
+        cfg["sweep"]["methods"] = ["closed", "reference"]
+        config = load_config(write_config(tmp_path, cfg))
+        assert run_sweep(config, bits=True) == run_sweep(config)
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("rate", [False, True])
@@ -212,6 +362,27 @@ class TestMain:
         cfg["tiers"][1]["m"] = shape
         assert main(["--config", write_config(tmp_path, cfg)]) == 1
         assert f"'tiers[1].m' must be an integer, got {shown}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variable, passes", [("beta1_db", 2), ("noise_db", 2),
+                                                  ("nakagami_pair", 4)])
+    def test_radius_check_reuses_sweep_pass(self, tmp_path, capsys, monkeypatch,
+                                            variable, passes):
+        # A threshold or noise sweep's own pass is the drift's inner disk;
+        # only the doubled disk is simulated again.  A nakagami_pair sweep
+        # (two points here) simulates each point, and the drift both disks.
+        cfg = base_config()
+        cfg["sweep"] = {"variable": variable, "start": 1.0, "stop": 2.0,
+                        "points": 2, "methods": ["mc"]}
+        path = write_config(tmp_path, cfg)
+        config = load_config(path)
+        expected = mcsim.radius_doubling_drift(config.params, config.sim)
+        calls = [0]
+        counted = counting(mcsim.simulate_trials, calls)
+        monkeypatch.setattr(mcsim, "simulate_trials", counted)
+        monkeypatch.setattr(mcsim.engine, "simulate_trials", counted)
+        assert main(["--config", path, "--radius-check"]) == 0
+        assert calls[0] == passes
+        assert f"radius-doubling coverage drift: {expected:.3e}\n" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "absent.json")]) == 1

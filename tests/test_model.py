@@ -134,22 +134,28 @@ class TestTierScriptI:
         expected = pla.approx_gamma_kernel_integral(net.noise, a_const, 0.0, net.alpha)
         assert tier_script_I(net, 0) == expected
         assert tier_script_I(net, 1) == expected
+        assert derived_constants(net).script_i == (expected, expected)
 
     def test_depends_only_on_shape(self):
         net = make_network(shapes=(3, 3))
         assert tier_script_I(net, 0) == tier_script_I(net, 1)
+        script_i = derived_constants(net).script_i
+        assert script_i[0] == script_i[1]
 
     def test_kernel_override_matches_quadrature_reference(self):
         net = make_network(shapes=(2, 3))
+        exact_i = derived_constants(net, pla.exact_gamma_kernel_integral).script_i
         for i in range(net.n_tiers):
             approx = tier_script_I(net, i)
             exact = tier_script_I(net, i, kernel=pla.exact_gamma_kernel_integral)
             assert approx == pytest.approx(exact, rel=0.02)
+            assert exact_i[i] == exact
 
     def test_positive_over_shapes(self):
         for m in (1, 2, 4, 8):
             net = make_network(shapes=(m, 1))
             assert tier_script_I(net, 0) > 0.0
+            assert derived_constants(net).script_i[0] > 0.0
 
     def test_tier_index_bounds(self):
         net = make_network()
@@ -188,11 +194,50 @@ class TestRateConstant:
         assert rate_constant(net, 0) == pytest.approx(1.990057262609446, rel=1e-10)
 
 
+def counting(kernel, calls):
+    """`kernel`, appending the t-exponent of every call to `calls`."""
+    def counted(u, v, power, alpha):
+        calls.append(power)
+        return kernel(u, v, power, alpha)
+
+    return counted
+
+
 class TestDerivedConstants:
     def test_consistent_with_components(self):
         net = make_network(shapes=(2, 1))
         dc = derived_constants(net)
         assert dc.a_constant == interference_constant(net)
         assert dc.script_i == tuple(tier_script_I(net, i) for i in range(2))
-        assert dc.rate_constants == tuple(rate_constant(net, i) for i in range(2))
-        assert len(dc.d_values) == 2
+
+    def test_threshold_free(self):
+        # One object serves every point of a threshold sweep.
+        net = make_network(shapes=(2, 3))
+        other = make_network(shapes=(2, 3), thresholds=(40.0, 1.01))
+        for kernel in (None, pla.exact_gamma_kernel_integral):
+            assert derived_constants(net, kernel) == derived_constants(other, kernel)
+
+    def test_one_kernel_call_per_distinct_exponent(self):
+        # At alpha = 3, M = 2 needs the exponents {0, 1.5, 1} and M = 3
+        # those plus {3, 2.5, 2}, exponent 1 twice: 6 calls, not 10.
+        net = make_network(shapes=(2, 3))
+        calls = []
+        dc = derived_constants(net, counting(pla.approx_gamma_kernel_integral, calls))
+        assert sorted(calls) == [0.0, 1.0, 1.5, 2.0, 2.5, 3.0]
+        assert dc == derived_constants(net)
+
+    def test_shapes_computed_once(self):
+        calls = []
+        derived_constants(make_network(shapes=(3, 3)),
+                          counting(pla.approx_gamma_kernel_integral, calls))
+        assert len(calls) == len(set(calls)) == 6
+
+    def test_kernel_looked_up_at_call_time(self, monkeypatch):
+        # A kernel replaced on the pla module (as a tracer does) is the one
+        # the default resolves to.
+        calls = []
+        monkeypatch.setattr(pla, "approx_gamma_kernel_integral",
+                            counting(pla.approx_gamma_kernel_integral, calls))
+        derived_constants(make_network())
+        tier_script_I(make_network(), 0)
+        assert calls == [0.0, 0.0]

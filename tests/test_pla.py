@@ -5,6 +5,7 @@ import mpmath
 import pytest
 from scipy import integrate
 
+from hetnetcov import pla
 from hetnetcov.pla import (
     PlaAccuracyWarning,
     QuadratureError,
@@ -158,6 +159,31 @@ class TestExactKernelIntegral:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             exact_gamma_kernel_integral(1.0, -1.0, 0.0, 3.0)
+
+    def test_truncation_point_equals_full_bisection(self):
+        # The bisection stops once its midpoint equals an end; that must
+        # give the t_max of all 200 halvings, bit for bit.  The grid runs
+        # from U, V = 1e-300 (many doublings) to 1e300 (more halvings than
+        # 200 can resolve, so the early stop never fires).
+        def full_bisection(u, v, half_alpha):
+            lo, hi = 0.0, 1.0
+            while v * hi + u * hi ** half_alpha < 745.0:
+                hi *= 2.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if v * mid + u * mid ** half_alpha < 745.0:
+                    lo = mid
+                else:
+                    hi = mid
+            return hi
+
+        scales = (1e-300, 1e-30, 1e-6, 1e-2, 0.7, 1.0, 3.0, 745.0, 1e4, 1e12, 1e300)
+        for alpha in (2.01, 2.5, 3.0, 3.7, 4.0, 6.0):
+            for u in scales:
+                for v in scales:
+                    assert pla._underflow_point(u, v, alpha / 2.0) == full_bisection(
+                        u, v, alpha / 2.0
+                    ), (u, v, alpha)
 
 
 class TestApproxVersusExact:

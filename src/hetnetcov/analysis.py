@@ -75,11 +75,16 @@ def _tier_weights(params: NetworkParams, script_i, scale: float = 1.0,
 
 def _constants_for(params: NetworkParams, constants: DerivedConstants | None,
                    kernel=None) -> DerivedConstants:
-    """`constants` if given (checked against `params`), else built with `kernel`."""
+    """`constants` if given (checked against `params` and `kernel`), else built with `kernel`.
+
+    `kernel` defaults to the PLA kernel, looked up when called.
+    """
+    if kernel is None:
+        kernel = pla.approx_gamma_kernel_integral
     if constants is None:
         return model.derived_constants(params, kernel)
     model.require_valid(params)
-    constants.require_fits(params)
+    constants.require_fits(params, kernel)
     return constants
 
 
@@ -88,7 +93,8 @@ def coverage_probability(params: NetworkParams, kernel=None, *,
     """P_c = sum_i pi lambda_i P_i^(2/a) beta_i^(-2/a) I_i (PLA closed form).
 
     `constants` from `model.derived_constants(params, kernel)`, built at
-    any thresholds, are used instead of being rebuilt.
+    any thresholds, are used instead of being rebuilt; constants built for
+    another network, or with another kernel, raise ValueError.
     """
     method = Method.CLOSED_FORM if kernel is None else Method.QUADRATURE_REFERENCE
     script_i = _constants_for(params, constants, kernel).script_i

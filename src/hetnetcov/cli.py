@@ -216,8 +216,9 @@ def _sweep(config: RunConfig, rate: bool, bits: bool,
     if "mc" in sweep.methods and sweep.variable != "nakagami_pair":
         trials = mcsim.simulate_trials(config.params, config.sim, threads=threads)
 
-    # The analytic constants depend on no threshold either, so a threshold
-    # sweep builds them once per kernel, a noise or shape sweep per point.
+    # The analytic constants depend on no threshold either, so they are
+    # rebuilt only when the network they were built for changes: once per
+    # kernel for a threshold sweep, at every point of a noise or shape sweep.
     # The rate reference integrates the closed form's CCDF, so it runs on
     # the PLA constants; only the coverage reference needs the exact kernel.
     needs_pla = "closed" in sweep.methods or (rate and "reference" in sweep.methods)
@@ -225,13 +226,12 @@ def _sweep(config: RunConfig, rate: bool, bits: bool,
     pla_constants = exact_constants = None
 
     rows: list[dict[str, float]] = []
-    for index, value in enumerate(values):
+    for value in values:
         params = _params_at(config, float(value))
-        if index == 0 or sweep.variable != "beta1_db":
-            if needs_pla:
-                pla_constants = model.derived_constants(params)
-            if needs_exact:
-                exact_constants = model.derived_constants(params, pla.exact_gamma_kernel_integral)
+        if needs_pla and (pla_constants is None or not pla_constants.fits(params)):
+            pla_constants = model.derived_constants(params)
+        if needs_exact and (exact_constants is None or not exact_constants.fits(params)):
+            exact_constants = model.derived_constants(params, pla.exact_gamma_kernel_integral)
         row: dict[str, float] = {"sweep_db": float(value)}
         for method in sweep.methods:
             if method == "closed":

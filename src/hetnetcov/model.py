@@ -87,14 +87,21 @@ class DerivedConstants:
     a_constant: float
     script_i: tuple[float, ...]  # I_i per tier; tiers of equal shape share it
     network: tuple  # what they depend on, see _threshold_free
+    kernel: object  # the kernel integral the I_i were evaluated with
 
-    def require_fits(self, params: NetworkParams) -> None:
-        """Raise ValueError unless built for `params`, whatever its thresholds."""
-        if _threshold_free(params) != self.network:
+    def fits(self, params: NetworkParams) -> bool:
+        """Whether these were built for `params`, whatever its thresholds."""
+        return _threshold_free(params) == self.network
+
+    def require_fits(self, params: NetworkParams, kernel) -> None:
+        """Raise ValueError unless built for `params` with `kernel`."""
+        if not self.fits(params):
             raise ValueError(
                 "derived constants were built for another alpha, noise power, "
                 "density, power or Nakagami shape than this network's"
             )
+        if kernel != self.kernel:
+            raise ValueError("derived constants were built with another kernel than this route's")
 
 
 def _threshold_free(params: NetworkParams) -> tuple:
@@ -227,6 +234,8 @@ def derived_constants(params: NetworkParams, kernel=None) -> DerivedConstants:
     as bound when called; passing `pla.exact_gamma_kernel_integral` yields
     the quadrature reference.
     """
+    if kernel is None:
+        kernel = pla.approx_gamma_kernel_integral
     a_const = interference_constant(params)
     shapes = [t.nakagami_m for t in params.tiers]
     by_shape = _script_i_by_shape(params, a_const, shapes, kernel)
@@ -234,4 +243,5 @@ def derived_constants(params: NetworkParams, kernel=None) -> DerivedConstants:
         a_constant=a_const,
         script_i=tuple(by_shape[m] for m in shapes),
         network=_threshold_free(params),
+        kernel=kernel,
     )

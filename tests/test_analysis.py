@@ -232,3 +232,33 @@ class TestPrebuiltConstants:
         for route in (coverage_probability, coverage_reference, average_rate, rate_reference):
             with pytest.raises(ValueError, match="another"):
                 route(net, constants=constants)
+
+    def test_built_with_another_kernel_rejected(self):
+        # The closed form and both rates run on the PLA kernel, the
+        # coverage reference on the exact one (or the kernel passed).
+        net = make_network(shapes=(2, 3))
+        pla_constants = derived_constants(net)
+        exact_constants = derived_constants(net, pla.exact_gamma_kernel_integral)
+        mismatches = [
+            lambda: coverage_reference(net, constants=pla_constants),
+            lambda: coverage_probability(net, kernel=pla.exact_gamma_kernel_integral,
+                                         constants=pla_constants),
+            lambda: coverage_probability(net, constants=exact_constants),
+            lambda: average_rate(net, constants=exact_constants),
+            lambda: rate_reference(net, constants=exact_constants),
+        ]
+        for call in mismatches:
+            with pytest.raises(ValueError, match="another kernel"):
+                call()
+
+    def test_kernel_replaced_on_module_still_fits(self, monkeypatch):
+        # A kernel rebound on the pla module (as a tracer does) is looked up
+        # by both the build and the route, so the two agree.
+        net = make_network(shapes=(2, 3))
+        closed, reference = coverage_probability(net), coverage_reference(net)
+        for name in ("approx_gamma_kernel_integral", "exact_gamma_kernel_integral"):
+            original = getattr(pla, name)
+            monkeypatch.setattr(pla, name, lambda *args, kernel=original: kernel(*args))
+        assert coverage_probability(net, constants=derived_constants(net)) == closed
+        exact_constants = derived_constants(net, pla.exact_gamma_kernel_integral)
+        assert coverage_reference(net, constants=exact_constants) == reference

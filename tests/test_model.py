@@ -14,6 +14,7 @@ import scipy.integrate
 import scipy.special
 
 from hetnetcov import pla
+from hetnetcov.analysis import average_rate
 from hetnetcov.model import (
     MAX_NAKAGAMI_M,
     NetworkParams,
@@ -209,6 +210,13 @@ class TestDerivedConstants:
         dc = derived_constants(net)
         assert dc.a_constant == interference_constant(net)
         assert dc.script_i == tuple(tier_script_I(net, i) for i in range(2))
+        # The rate built on the object is the per-tier rate constants'
+        # mean, weighted by lambda_i P_i^(2/a) beta_i^(-2/a) I_i.
+        e = 2.0 / net.alpha
+        weights = [t.density * t.power**e * t.threshold**-e * si
+                   for t, si in zip(net.tiers, dc.script_i)]
+        expected = sum(w * rate_constant(net, i) for i, w in enumerate(weights)) / sum(weights)
+        assert average_rate(net, constants=dc).value == pytest.approx(expected, rel=1e-14)
 
     def test_threshold_free(self):
         # One object serves every point of a threshold sweep.
@@ -224,7 +232,7 @@ class TestDerivedConstants:
         calls = []
         dc = derived_constants(net, counting(pla.approx_gamma_kernel_integral, calls))
         assert sorted(calls) == [0.0, 1.0, 1.5, 2.0, 2.5, 3.0]
-        assert dc == derived_constants(net)
+        assert dc.script_i == derived_constants(net).script_i
 
     def test_shapes_computed_once(self):
         calls = []
@@ -238,6 +246,7 @@ class TestDerivedConstants:
         calls = []
         monkeypatch.setattr(pla, "approx_gamma_kernel_integral",
                             counting(pla.approx_gamma_kernel_integral, calls))
-        derived_constants(make_network())
+        dc = derived_constants(make_network())
         tier_script_I(make_network(), 0)
         assert calls == [0.0, 0.0]
+        assert dc.kernel is pla.approx_gamma_kernel_integral

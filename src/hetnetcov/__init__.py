@@ -2,8 +2,9 @@
 
 Closed-form (piecewise-linear-approximation) coverage probability and
 average achievable rate under Nakagami-m fading, with two independent
-oracles: adaptive quadrature of the exact integrals and a seeded Monte
-Carlo simulation of the Poisson network.
+oracles: the exact forms of the displacement theorem (one kernel
+quadrature for coverage, none for rate) and a seeded Monte Carlo
+simulation of the Poisson network.
 """
 
 from .analysis import (
@@ -15,6 +16,7 @@ from .analysis import (
     coverage_probability,
     coverage_rayleigh,
     coverage_reference,
+    rate_exact,
     rate_rayleigh,
     rate_reference,
 )

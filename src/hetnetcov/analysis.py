@@ -1,7 +1,8 @@
 """Coverage probability and average achievable rate of the typical user.
 
-Closed forms (PLA-based), the Rayleigh specialisations, and quadrature
-references that bypass the piecewise-linear step.  Rates are in nats per
+Closed forms (PLA-based), the Rayleigh specialisations, and exact
+references from the displacement theorem that bypass both the
+piecewise-linear step and the paper's triple sum.  Rates are in nats per
 channel use.
 """
 
@@ -27,6 +28,7 @@ __all__ = [
     "conditional_ccdf",
     "average_rate",
     "rate_rayleigh",
+    "rate_exact",
     "rate_reference",
 ]
 
@@ -59,59 +61,76 @@ def _clamp_probability(p: float, context: str) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _tier_weights(params: NetworkParams, script_i, scale: float = 1.0,
+def _tier_weights(params: NetworkParams, factors, scale: float = 1.0,
                   y: float = 0.0) -> list[float]:
-    """scale lambda_i P_i^(2/a) max(y, beta_i)^(-2/a) I_i for each tier.
+    """scale lambda_i P_i^(2/a) max(y, beta_i)^(-2/a) f_i for each tier.
 
+    f_i is the closed form's I_i or, for the exact forms, E[h_i^(2/a)].
     With y = 0 (below every threshold) these are the tiers' coverage
     masses; scale = pi makes them the tiers' coverage terms.
     """
     e = 2.0 / params.alpha
     return [
-        scale * t.density * t.power**e * max(y, t.threshold) ** -e * si
-        for t, si in zip(params.tiers, script_i)
+        scale * t.density * t.power**e * max(y, t.threshold) ** -e * f
+        for t, f in zip(params.tiers, factors)
     ]
 
 
-def _constants_for(params: NetworkParams, constants: DerivedConstants | None,
-                   kernel=None) -> DerivedConstants:
-    """`constants` if given (checked against `params` and `kernel`), else built with `kernel`.
-
-    `kernel` defaults to the PLA kernel, looked up when called.
-    """
-    if kernel is None:
-        kernel = pla.approx_gamma_kernel_integral
+def _constants_for(params: NetworkParams, constants: DerivedConstants | None) -> DerivedConstants:
+    """`constants` if given (checked against `params`), else built."""
     if constants is None:
-        return model.derived_constants(params, kernel)
+        return model.derived_constants(params)
     model.require_valid(params)
-    constants.require_fits(params, kernel)
+    constants.require_fits(params)
     return constants
 
 
-def coverage_probability(params: NetworkParams, kernel=None, *,
+def coverage_probability(params: NetworkParams, *,
                          constants: DerivedConstants | None = None) -> CoverageResult:
     """P_c = sum_i pi lambda_i P_i^(2/a) beta_i^(-2/a) I_i (PLA closed form).
 
-    `constants` from `model.derived_constants(params, kernel)`, built at
-    any thresholds, are used instead of being rebuilt; constants built for
-    another network, or with another kernel, raise ValueError.
+    `constants` from `model.derived_constants`, built at any thresholds,
+    are used instead of being rebuilt; constants built for another network
+    raise ValueError.
     """
-    method = Method.CLOSED_FORM if kernel is None else Method.QUADRATURE_REFERENCE
-    script_i = _constants_for(params, constants, kernel).script_i
+    script_i = _constants_for(params, constants).script_i
     p = sum(_tier_weights(params, script_i, scale=math.pi))
-    return CoverageResult(value=_clamp_probability(p, "coverage"), method=method)
+    return CoverageResult(value=_clamp_probability(p, "coverage"), method=Method.CLOSED_FORM)
 
 
-def coverage_reference(params: NetworkParams, *,
-                       constants: DerivedConstants | None = None) -> CoverageResult:
-    """Same tier sums as the closed form, with exact quadrature kernels.
+def _fading_moments(params: NetworkParams) -> list[float]:
+    """E[h_i^(2/a)] = Gamma(M_i + 2/a) / Gamma(M_i) for each tier's Gamma(M_i, 1) power."""
+    e = 2.0 / params.alpha
+    return [math.gamma(t.nakagami_m + e) / math.gamma(t.nakagami_m) for t in params.tiers]
 
-    This (not the PLA form) is the yardstick for the approximation-loss
-    claim; quadrature failures surface as QuadratureError.  `constants`
-    must then be built with `pla.exact_gamma_kernel_integral`.
+
+def coverage_reference(params: NetworkParams) -> CoverageResult:
+    """Exact coverage from the displacement theorem, with one kernel quadrature.
+
+    The received powers P_i h |x|^(-alpha) of tier i form a Poisson process
+    on (0, inf) with intensity measure a_i y^(-d) on [y, inf), where
+    d = 2/alpha and a_i = pi lambda_i P_i^d E[h_i^d].  With every
+    beta_i > 1 at most one BS covers, so (Dhillon, Ganti, Baccelli &
+    Andrews, IEEE JSAC 2012, for Rayleigh fading; Blaszczyszyn & Keeler,
+    arXiv:1401.4005, for any fading)
+
+        P_c = sum_i a_i beta_i^(-d) (alpha/2) / Gamma(d) K(sigma^2, a Gamma(1-d), 0),
+
+    with a = sum_i a_i and K the exact kernel integral at t-exponent 0.
+    It shares neither the PLA nor the paper's triple sum with the closed
+    form, so it is the yardstick for both; quadrature failures surface as
+    QuadratureError.
     """
-    return coverage_probability(params, kernel=pla.exact_gamma_kernel_integral,
-                                constants=constants)
+    model.require_valid(params)
+    e = 2.0 / params.alpha
+    moments = _fading_moments(params)
+    a_total = math.pi * sum(t.density * t.power**e * g for t, g in zip(params.tiers, moments))
+    k = pla.exact_gamma_kernel_integral(params.noise, a_total * math.gamma(1.0 - e),
+                                        0.0, params.alpha)
+    masses = _tier_weights(params, moments, scale=math.pi)  # a_i beta_i^(-d)
+    p = sum(masses) * (params.alpha / 2.0) / math.gamma(e) * k
+    return CoverageResult(value=_clamp_probability(p, "coverage reference"),
+                          method=Method.QUADRATURE_REFERENCE)
 
 
 def coverage_rayleigh(params: NetworkParams) -> CoverageResult:
@@ -151,7 +170,7 @@ def coverage_rayleigh(params: NetworkParams) -> CoverageResult:
     return CoverageResult(value=_clamp_probability(p, "rayleigh coverage"), method=Method.RAYLEIGH_CLOSED_FORM)
 
 
-def conditional_ccdf(params: NetworkParams, y: float, kernel=None) -> float:
+def conditional_ccdf(params: NetworkParams, y: float) -> float:
     """P(X > y | coverage): raised-threshold coverage over baseline coverage.
 
     Equals 1 for y <= min_i beta_i, is non-increasing, and -> 0 as y -> inf.
@@ -159,13 +178,13 @@ def conditional_ccdf(params: NetworkParams, y: float, kernel=None) -> float:
     model.require_valid(params)
     if y < 0:
         raise ValueError(f"conditional_ccdf requires y >= 0, got {y}")
-    script_i = model.derived_constants(params, kernel).script_i
+    script_i = model.derived_constants(params).script_i
     return sum(_tier_weights(params, script_i, y=y)) / sum(_tier_weights(params, script_i))
 
 
-def _mean_rate_constant(params: NetworkParams, script_i) -> float:
+def _mean_rate_constant(params: NetworkParams, factors) -> float:
     """The per-tier rate constants averaged with the tiers' coverage masses."""
-    weights = _tier_weights(params, script_i)
+    weights = _tier_weights(params, factors)
     rate_constants = [model.rate_constant(params, i) for i in range(params.n_tiers)]
     return sum(w * c for w, c in zip(weights, rate_constants)) / sum(weights)
 
@@ -174,7 +193,7 @@ def average_rate(params: NetworkParams, *,
                  constants: DerivedConstants | None = None) -> RateResult:
     """R = weighted mean of the per-tier rate constants, weights ~ coverage mass.
 
-    `constants` as in `coverage_probability`, built with the PLA kernel.
+    `constants` as in `coverage_probability`.
     """
     script_i = _constants_for(params, constants).script_i
     return RateResult(value=_mean_rate_constant(params, script_i), method=Method.CLOSED_FORM)
@@ -189,6 +208,19 @@ def rate_rayleigh(params: NetworkParams) -> RateResult:
     return RateResult(value=value, method=Method.RAYLEIGH_CLOSED_FORM)
 
 
+def rate_exact(params: NetworkParams) -> RateResult:
+    """Exact rate: the rate constants averaged with weights a_i beta_i^(-2/a).
+
+    In the displacement picture of `coverage_reference` the SINR given
+    coverage has the noise-free CCDF sum_i a_i max(y, beta_i)^(-d) /
+    sum_i a_i beta_i^(-d), so the rate needs neither kernel nor quadrature.
+    `rate_rayleigh` is its M_i = 1 case.  Tagged as the reference route.
+    """
+    model.require_valid(params)
+    value = _mean_rate_constant(params, _fading_moments(params))
+    return RateResult(value=value, method=Method.QUADRATURE_REFERENCE)
+
+
 def rate_reference(params: NetworkParams, rel_tol: float = 1e-8, *,
                    constants: DerivedConstants | None = None) -> RateResult:
     """Quadrature of int_0^inf P(X > y | C) / (1 + y) dy.
@@ -196,8 +228,8 @@ def rate_reference(params: NetworkParams, rel_tol: float = 1e-8, *,
     Integrated piecewise between the tier thresholds (the CCDF has kinks
     there) plus an analytic-free tail integral; agrees with `average_rate`
     to quadrature accuracy since the closed form integrates the same CCDF
-    exactly.  It integrates the PLA closed form's CCDF, so `constants`,
-    as in `coverage_probability`, are built with the PLA kernel.
+    exactly.  It integrates the PLA closed form's CCDF, with `constants`
+    as in `coverage_probability`; `rate_exact` is the exact rate.
     """
     script_i = _constants_for(params, constants).script_i
     e = 2.0 / params.alpha

@@ -7,7 +7,7 @@ RFC-4180-style CSV with a stable column set: sweep_db, then one column
 per requested method (closed, rayleigh, reference, mc) plus mc_se when
 the simulator runs.
 
-Exit codes: 0 success, 1 config/validation failure, 2 numerical failure.
+Exit codes: 0 success, 1 config, flag or validation failure, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import analysis, mcsim, model, pla
+from . import analysis, mcsim, model
 from .model import NetworkParams, TierParams, validate
 from .pla import QuadratureError
 
@@ -146,7 +146,12 @@ def load_config(path: str) -> RunConfig:
     variable = _require(sw, "variable", "sweep")
     if variable not in SWEEP_VARIABLES:
         raise ConfigError(f"sweep.variable must be one of {SWEEP_VARIABLES}, got '{variable}'")
-    methods = tuple(_require(sw, "methods", "sweep"))
+    methods = _require(sw, "methods", "sweep")
+    if not (isinstance(methods, list) and all(isinstance(m, str) for m in methods)):
+        raise ConfigError(
+            f"'sweep.methods' must be a JSON list of strings, got {json.dumps(methods)}"
+        )
+    methods = tuple(methods)
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"sweep.methods entry '{m}' not in {METHODS}")
@@ -216,29 +221,23 @@ def _sweep(config: RunConfig, rate: bool, bits: bool,
     if "mc" in sweep.methods and sweep.variable != "nakagami_pair":
         trials = mcsim.simulate_trials(config.params, config.sim, threads=threads)
 
-    # The analytic constants depend on no threshold either, so they are
-    # rebuilt only when the network they were built for changes: once per
-    # kernel for a threshold sweep, at every point of a noise or shape sweep.
-    # The rate reference integrates the closed form's CCDF, so it runs on
-    # the PLA constants; only the coverage reference needs the exact kernel.
-    needs_pla = "closed" in sweep.methods or (rate and "reference" in sweep.methods)
-    needs_exact = not rate and "reference" in sweep.methods
-    pla_constants = exact_constants = None
+    # The closed form's constants depend on no threshold either, so they
+    # are rebuilt only when the network they were built for changes: once
+    # for a threshold sweep, at every point of a noise or shape sweep.
+    constants = None
 
     rows: list[dict[str, float]] = []
     for value in values:
         params = _params_at(config, float(value))
-        if needs_pla and (pla_constants is None or not pla_constants.fits(params)):
-            pla_constants = model.derived_constants(params)
-        if needs_exact and (exact_constants is None or not exact_constants.fits(params)):
-            exact_constants = model.derived_constants(params, pla.exact_gamma_kernel_integral)
+        if "closed" in sweep.methods and (constants is None or not constants.fits(params)):
+            constants = model.derived_constants(params)
         row: dict[str, float] = {"sweep_db": float(value)}
         for method in sweep.methods:
             if method == "closed":
                 row["closed"] = (
-                    analysis.average_rate(params, constants=pla_constants).value / unit
+                    analysis.average_rate(params, constants=constants).value / unit
                     if rate else
-                    analysis.coverage_probability(params, constants=pla_constants).value
+                    analysis.coverage_probability(params, constants=constants).value
                 )
             elif method == "rayleigh":
                 row["rayleigh"] = (
@@ -247,9 +246,8 @@ def _sweep(config: RunConfig, rate: bool, bits: bool,
                 )
             elif method == "reference":
                 row["reference"] = (
-                    analysis.rate_reference(params, constants=pla_constants).value / unit
-                    if rate else
-                    analysis.coverage_reference(params, constants=exact_constants).value
+                    analysis.rate_exact(params).value / unit
+                    if rate else analysis.coverage_reference(params).value
                 )
             elif method == "mc":
                 if trials is None:
@@ -299,6 +297,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--radius-check", action="store_true",
                         help="also report the radius-doubling truncation drift on stderr")
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        print(f"usage error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
+        return 1
 
     try:
         config = load_config(args.config)

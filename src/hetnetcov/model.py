@@ -77,31 +77,28 @@ class NetworkParams:
 
 @dataclass(frozen=True)
 class DerivedConstants:
-    """The threshold-free constants of the closed forms, for one network and kernel.
+    """The threshold-free constants of the PLA closed forms, for one network.
 
     A and the I_i depend on alpha, the noise power, the tier densities,
-    powers and Nakagami shapes, and the kernel, but on no SINR threshold:
-    one object serves every point of a threshold sweep.
+    powers and Nakagami shapes, but on no SINR threshold: one object
+    serves every point of a threshold sweep.
     """
 
     a_constant: float
     script_i: tuple[float, ...]  # I_i per tier; tiers of equal shape share it
     network: tuple  # what they depend on, see _threshold_free
-    kernel: object  # the kernel integral the I_i were evaluated with
 
     def fits(self, params: NetworkParams) -> bool:
         """Whether these were built for `params`, whatever its thresholds."""
         return _threshold_free(params) == self.network
 
-    def require_fits(self, params: NetworkParams, kernel) -> None:
-        """Raise ValueError unless built for `params` with `kernel`."""
+    def require_fits(self, params: NetworkParams) -> None:
+        """Raise ValueError unless built for `params`."""
         if not self.fits(params):
             raise ValueError(
                 "derived constants were built for another alpha, noise power, "
                 "density, power or Nakagami shape than this network's"
             )
-        if kernel != self.kernel:
-            raise ValueError("derived constants were built with another kernel than this route's")
 
 
 def _threshold_free(params: NetworkParams) -> tuple:
@@ -167,9 +164,15 @@ def interference_constant(params: NetworkParams) -> float:
 
 
 def tier_script_I(params: NetworkParams, tier_index: int, kernel=None) -> float:
-    """Per-tier coverage kernel I_i; see `derived_constants`."""
+    """Per-tier coverage kernel I_i; see `derived_constants`.
+
+    `kernel` defaults to the PLA closed form; `pla.exact_gamma_kernel_integral`
+    evaluates the paper's triple sum without the approximation.
+    """
     if not (0 <= tier_index < params.n_tiers):
         raise IndexError(f"tier_index {tier_index} out of range for K={params.n_tiers}")
+    if kernel is None:
+        kernel = pla.approx_gamma_kernel_integral
     m_shape = params.tiers[tier_index].nakagami_m
     return _script_i_by_shape(params, interference_constant(params), (m_shape,), kernel)[m_shape]
 
@@ -183,8 +186,6 @@ def _script_i_by_shape(params: NetworkParams, a_const: float, shapes, kernel) ->
     the kernel is deterministic, so each exponent is evaluated once; every
     sum keeps its order of terms.
     """
-    if kernel is None:
-        kernel = pla.approx_gamma_kernel_integral
     a = params.alpha
     sigma2 = params.noise
     kernel_at: dict[float, float] = {}
@@ -227,21 +228,17 @@ def rate_constant(params: NetworkParams, tier_index: int) -> float:
     return math.log1p(beta) + (params.alpha / 2.0) * hyp2f1_rate(params.alpha, beta)
 
 
-def derived_constants(params: NetworkParams, kernel=None) -> DerivedConstants:
+def derived_constants(params: NetworkParams) -> DerivedConstants:
     """A once, I once per distinct Nakagami shape, the kernel once per distinct t-exponent.
 
-    `kernel` defaults to the PLA closed form, `pla.approx_gamma_kernel_integral`
-    as bound when called; passing `pla.exact_gamma_kernel_integral` yields
-    the quadrature reference.
+    The kernel is the PLA closed form, `pla.approx_gamma_kernel_integral`
+    as bound when called.
     """
-    if kernel is None:
-        kernel = pla.approx_gamma_kernel_integral
     a_const = interference_constant(params)
     shapes = [t.nakagami_m for t in params.tiers]
-    by_shape = _script_i_by_shape(params, a_const, shapes, kernel)
+    by_shape = _script_i_by_shape(params, a_const, shapes, pla.approx_gamma_kernel_integral)
     return DerivedConstants(
         a_constant=a_const,
         script_i=tuple(by_shape[m] for m in shapes),
         network=_threshold_free(params),
-        kernel=kernel,
     )

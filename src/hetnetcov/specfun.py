@@ -3,8 +3,8 @@
 Everything the closed-form coverage/rate expressions need: the lower
 incomplete gamma function, the Beta function, the particular Gauss
 hypergeometric value 2F1(1, 2/a; 1+2/a; -1/b) appearing in the per-tier
-rate constant, partial Bell polynomials, and the falling-product sequence
-D_t = prod_{q<t} (2/alpha - q).
+rate constant (these three from `scipy.special`), partial Bell
+polynomials, and the falling-product sequence D_t = prod_{q<t} (2/alpha - q).
 
 All functions are pure and thread-safe; memoisation is per-call only.
 """
@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from scipy import special
+
 __all__ = [
     "BellArguments",
     "lower_incomplete_gamma",
@@ -23,9 +25,6 @@ __all__ = [
     "partial_bell",
     "d_sequence",
 ]
-
-_EPS = 1e-16
-_MAX_ITER = 100_000
 
 
 @dataclass(frozen=True)
@@ -50,102 +49,30 @@ class BellArguments:
 def lower_incomplete_gamma(s: float, x: float) -> float:
     """gamma(s, x) = int_0^x t^(s-1) e^(-t) dt for s > 0, x >= 0.
 
-    Power series for x < s + 1, Lentz continued fraction otherwise;
-    both branches are good to ~1e-14 relative.
+    scipy's regularized `gammainc` times Gamma(s).
     """
     if not (s > 0):
         raise ValueError(f"lower_incomplete_gamma requires s > 0, got s={s}")
     if x < 0:
         raise ValueError(f"lower_incomplete_gamma requires x >= 0, got x={x}")
-    if x == 0.0:
-        return 0.0
-
-    lg = math.lgamma(s)
-    # exp(-x + s ln x) can underflow to 0 for huge x; gamma then saturates.
-    log_prefac = -x + s * math.log(x)
-
-    if x < s + 1.0:
-        # gamma(s,x) = x^s e^-x sum_n x^n / (s (s+1) ... (s+n))
-        ap = s
-        term = 1.0 / s
-        total = term
-        for _ in range(_MAX_ITER):
-            ap += 1.0
-            term *= x / ap
-            total += term
-            if abs(term) < abs(total) * _EPS:
-                return total * math.exp(log_prefac)
-        raise RuntimeError(f"series for gamma({s},{x}) did not converge")
-
-    # Continued fraction for the upper Gamma(s,x), modified Lentz.
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            q = math.exp(log_prefac - lg) * h  # regularized upper tail
-            return math.exp(lg) * (1.0 - q)
-    raise RuntimeError(f"continued fraction for gamma({s},{x}) did not converge")
+    return float(special.gammainc(s, x) * math.gamma(s))
 
 
 def beta_function(a: float, b: float) -> float:
-    """B(a, b) = Gamma(a) Gamma(b) / Gamma(a+b), via log-gamma."""
+    """B(a, b) = Gamma(a) Gamma(b) / Gamma(a+b)."""
     if not (a > 0 and b > 0):
         raise ValueError(f"beta_function requires positive arguments, got ({a}, {b})")
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    return float(special.beta(a, b))
 
 
 def hyp2f1_rate(alpha: float, beta_threshold: float) -> float:
-    """2F1(1, 2/alpha; 1 + 2/alpha; -1/beta) for alpha > 2, beta > 0.
-
-    With b = 2/alpha and c = b + 1 the series collapses to
-    sum_k b/(b+k) (-1/beta)^k.  That alternating series slows down as
-    beta -> 1, so for beta < 2 the Pfaff transformation
-        2F1(1, b; 1+b; -1/beta) = (beta/(1+beta))^b 2F1(b, b; 1+b; 1/(1+beta))
-    is used instead; its terms are positive and decay at least as 2^-k.
-    """
+    """2F1(1, 2/alpha; 1 + 2/alpha; -1/beta) for alpha > 2, beta > 0."""
     if not (alpha > 2):
         raise ValueError(f"hyp2f1_rate requires alpha > 2, got {alpha}")
     if not (beta_threshold > 0):
         raise ValueError(f"hyp2f1_rate requires beta > 0, got {beta_threshold}")
-
     b = 2.0 / alpha
-    if beta_threshold >= 2.0:
-        z = -1.0 / beta_threshold
-        total = 0.0
-        zk = 1.0
-        for k in range(_MAX_ITER):
-            term = b / (b + k) * zk
-            total += term
-            if abs(term) < 1e-15 * abs(total):
-                return total
-            zk *= z
-        raise RuntimeError("2F1 series did not converge")
-
-    w = 1.0 / (1.0 + beta_threshold)
-    pochhammer = 1.0  # (b)_k w^k / k!
-    total = 0.0
-    for k in range(_MAX_ITER):
-        term = b / (b + k) * pochhammer
-        total += term
-        if term < 1e-15 * total:
-            scale = (beta_threshold / (1.0 + beta_threshold)) ** b
-            return scale * total
-        pochhammer *= (b + k) / (k + 1.0) * w
-    raise RuntimeError("transformed 2F1 series did not converge")
+    return float(special.hyp2f1(1.0, b, 1.0 + b, -1.0 / beta_threshold))
 
 
 def partial_bell(l: int, r: int, args: BellArguments | Sequence[float]) -> float:

@@ -141,6 +141,10 @@ STRICT_CASES = {
     "tier-not-object": (("tiers", 0), 3, "'tiers[0]' must be a JSON object"),
     "sweep-not-object": (("sweep",), [], "'sweep' must be a JSON object"),
     "sim-not-object": (("sim",), 5, "'sim' must be a JSON object"),
+    "methods-number": (("sweep", "methods"), 5,
+                       "'sweep.methods' must be a JSON list of strings, got 5"),
+    "methods-string": (("sweep", "methods"), "closed",
+                       "'sweep.methods' must be a JSON list of strings, got \"closed\""),
 }
 
 
@@ -187,7 +191,7 @@ def counting(func, calls):
 
 
 class TestSharedConstants:
-    """The sweep builds the analytic constants once per kernel and noise."""
+    """The sweep builds the closed form's constants once per noise."""
 
     @pytest.mark.parametrize("rate", [False, True])
     @pytest.mark.parametrize("shapes", [(2, 3), (1, 1)])
@@ -202,7 +206,7 @@ class TestSharedConstants:
                 params = _params_at(config, row["sweep_db"])
                 if rate:
                     expected = {"closed": analysis.average_rate(params),
-                                "reference": analysis.rate_reference(params)}
+                                "reference": analysis.rate_exact(params)}
                     if "rayleigh" in methods:
                         expected["rayleigh"] = analysis.rate_rayleigh(params)
                 else:
@@ -212,18 +216,18 @@ class TestSharedConstants:
                         expected["rayleigh"] = analysis.coverage_rayleigh(params)
                 assert {m: row[m] for m in methods} == {m: r.value for m, r in expected.items()}
 
-    @pytest.mark.parametrize("variable, calls_per_sweep", [("beta1_db", 6), ("noise_db", 6 * 50)])
-    def test_exact_kernel_calls(self, tmp_path, monkeypatch, variable, calls_per_sweep):
-        # At M = (2, 3) and alpha = 3 the coverage sums need 6 distinct
-        # t-exponents; thresholds leave them unchanged, the noise does not.
-        config = network_config(tmp_path, variable, (2, 3), ("reference",), points=50)
+    @pytest.mark.parametrize("variable, points", [("beta1_db", 6), ("noise_db", 300)])
+    def test_exact_kernel_calls(self, tmp_path, monkeypatch, variable, points):
+        # The displacement-form reference takes one kernel quadrature per
+        # point, whatever the shapes and whichever variable is swept.
+        config = network_config(tmp_path, variable, (2, 3), ("reference",), points=points)
         calls = [0]
         monkeypatch.setattr(pla, "exact_gamma_kernel_integral",
                             counting(pla.exact_gamma_kernel_integral, calls))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", pla.PlaAccuracyWarning)
             run_sweep(config)
-        assert calls[0] == calls_per_sweep
+        assert calls[0] == points
 
     @pytest.mark.parametrize("rate", [False, True])
     def test_same_warnings_as_per_point_calls(self, rate):
@@ -243,7 +247,7 @@ class TestSharedConstants:
                 params = _params_at(config, float(value))
                 if rate:
                     analysis.average_rate(params), analysis.rate_rayleigh(params)
-                    analysis.rate_reference(params)
+                    analysis.rate_exact(params)
                 else:
                     analysis.coverage_probability(params), analysis.coverage_rayleigh(params)
                     analysis.coverage_reference(params)
@@ -383,6 +387,12 @@ class TestMain:
         assert main(["--config", path, "--radius-check"]) == 0
         assert calls[0] == passes
         assert f"radius-doubling coverage drift: {expected:.3e}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_thread_count_below_one_exit_code(self, tmp_path, capsys, threads):
+        path = write_config(tmp_path, base_config())
+        assert main(["--config", path, "--threads", threads]) == 1
+        assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "absent.json")]) == 1

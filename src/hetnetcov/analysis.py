@@ -24,6 +24,8 @@ __all__ = [
     "RateResult",
     "coverage_probability",
     "coverage_rayleigh",
+    "ReferenceKernel",
+    "reference_kernel",
     "coverage_reference",
     "conditional_ccdf",
     "average_rate",
@@ -104,7 +106,35 @@ def _fading_moments(params: NetworkParams) -> list[float]:
     return [math.gamma(t.nakagami_m + e) / math.gamma(t.nakagami_m) for t in params.tiers]
 
 
-def coverage_reference(params: NetworkParams) -> CoverageResult:
+@dataclass(frozen=True)
+class ReferenceKernel:
+    """The exact kernel K(sigma^2, a Gamma(1-d), 0) of `coverage_reference`.
+
+    Like `model.DerivedConstants` it involves no threshold: one object
+    serves every point of a threshold sweep.
+    """
+
+    value: float
+    network: tuple  # model._threshold_free of the network it was built for
+
+    def fits(self, params: NetworkParams) -> bool:
+        """Whether this was built for `params`, whatever its thresholds."""
+        return model._threshold_free(params) == self.network
+
+
+def reference_kernel(params: NetworkParams) -> ReferenceKernel:
+    """The one kernel quadrature of `coverage_reference`, for reuse across thresholds."""
+    model.require_valid(params)
+    e = 2.0 / params.alpha
+    a_total = math.pi * sum(t.density * t.power**e * g
+                            for t, g in zip(params.tiers, _fading_moments(params)))
+    k = pla.exact_gamma_kernel_integral(params.noise, a_total * math.gamma(1.0 - e),
+                                        0.0, params.alpha)
+    return ReferenceKernel(value=k, network=model._threshold_free(params))
+
+
+def coverage_reference(params: NetworkParams, *,
+                       kernel: ReferenceKernel | None = None) -> CoverageResult:
     """Exact coverage from the displacement theorem, with one kernel quadrature.
 
     The received powers P_i h |x|^(-alpha) of tier i form a Poisson process
@@ -119,16 +149,22 @@ def coverage_reference(params: NetworkParams) -> CoverageResult:
     with a = sum_i a_i and K the exact kernel integral at t-exponent 0.
     It shares neither the PLA nor the paper's triple sum with the closed
     form, so it is the yardstick for both; quadrature failures surface as
-    QuadratureError.
+    QuadratureError.  A `kernel` from `reference_kernel`, built at any
+    thresholds, is used instead of the quadrature; one built for another
+    network raises ValueError.
     """
-    model.require_valid(params)
+    if kernel is None:
+        kernel = reference_kernel(params)
+    else:
+        model.require_valid(params)
+        if not kernel.fits(params):
+            raise ValueError(
+                "reference kernel was built for another alpha, noise power, "
+                "density, power or Nakagami shape than this network's"
+            )
     e = 2.0 / params.alpha
-    moments = _fading_moments(params)
-    a_total = math.pi * sum(t.density * t.power**e * g for t, g in zip(params.tiers, moments))
-    k = pla.exact_gamma_kernel_integral(params.noise, a_total * math.gamma(1.0 - e),
-                                        0.0, params.alpha)
-    masses = _tier_weights(params, moments, scale=math.pi)  # a_i beta_i^(-d)
-    p = sum(masses) * (params.alpha / 2.0) / math.gamma(e) * k
+    masses = _tier_weights(params, _fading_moments(params), scale=math.pi)  # a_i beta_i^(-d)
+    p = sum(masses) * (params.alpha / 2.0) / math.gamma(e) * kernel.value
     return CoverageResult(value=_clamp_probability(p, "coverage reference"),
                           method=Method.QUADRATURE_REFERENCE)
 

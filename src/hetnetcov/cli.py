@@ -221,16 +221,20 @@ def _sweep(config: RunConfig, rate: bool, bits: bool,
     if "mc" in sweep.methods and sweep.variable != "nakagami_pair":
         trials = mcsim.simulate_trials(config.params, config.sim, threads=threads)
 
-    # The closed form's constants depend on no threshold either, so they
-    # are rebuilt only when the network they were built for changes: once
-    # for a threshold sweep, at every point of a noise or shape sweep.
-    constants = None
+    # The closed form's constants and the coverage reference's kernel
+    # depend on no threshold either, so they are rebuilt only when the
+    # network they were built for changes: once for a threshold sweep, at
+    # every point of a noise or shape sweep.
+    constants = ref_kernel = None
 
     rows: list[dict[str, float]] = []
     for value in values:
         params = _params_at(config, float(value))
         if "closed" in sweep.methods and (constants is None or not constants.fits(params)):
             constants = model.derived_constants(params)
+        if ("reference" in sweep.methods and not rate
+                and (ref_kernel is None or not ref_kernel.fits(params))):
+            ref_kernel = analysis.reference_kernel(params)
         row: dict[str, float] = {"sweep_db": float(value)}
         for method in sweep.methods:
             if method == "closed":
@@ -247,7 +251,7 @@ def _sweep(config: RunConfig, rate: bool, bits: bool,
             elif method == "reference":
                 row["reference"] = (
                     analysis.rate_exact(params).value / unit
-                    if rate else analysis.coverage_reference(params).value
+                    if rate else analysis.coverage_reference(params, kernel=ref_kernel).value
                 )
             elif method == "mc":
                 if trials is None:
@@ -296,7 +300,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="report rate in bits (default: nats)")
     parser.add_argument("--radius-check", action="store_true",
                         help="also report the radius-doubling truncation drift on stderr")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage error (or --help) and exits 2 on an
+        # error; 2 is reserved here for numerical failure.
+        return 1 if exc.code else 0
     if args.threads < 1:
         print(f"usage error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
         return 1

@@ -25,6 +25,7 @@ from hetnetcov.analysis import (
     rate_exact,
     rate_rayleigh,
     rate_reference,
+    reference_kernel,
 )
 from hetnetcov import pla
 from hetnetcov.model import (
@@ -281,7 +282,8 @@ class TestRate:
 
 
 class TestPrebuiltConstants:
-    """`constants=` reuses `model.derived_constants` across thresholds."""
+    """`constants=` reuses `model.derived_constants`, and `kernel=`
+    `reference_kernel`, across thresholds."""
 
     def test_equal_to_fresh_build_at_other_thresholds(self):
         built = make_network(shapes=(2, 3))
@@ -290,6 +292,7 @@ class TestPrebuiltConstants:
         assert coverage_probability(net, constants=constants) == coverage_probability(net)
         assert average_rate(net, constants=constants) == average_rate(net)
         assert rate_reference(net, constants=constants) == rate_reference(net)
+        assert coverage_reference(net, kernel=reference_kernel(built)) == coverage_reference(net)
 
     @pytest.mark.parametrize("other", [
         {"noise": 1e-3}, {"alpha": 3.5}, {"densities": (1.0, 6.0)},
@@ -301,6 +304,9 @@ class TestPrebuiltConstants:
         for route in (coverage_probability, average_rate, rate_reference):
             with pytest.raises(ValueError, match="another"):
                 route(net, constants=constants)
+        kernel = reference_kernel(make_network(**{"shapes": (2, 3), **other}))
+        with pytest.raises(ValueError, match="another"):
+            coverage_reference(net, kernel=kernel)
 
     def test_kernel_replaced_on_module_still_fits(self, monkeypatch):
         # A kernel rebound on the pla module (as a tracer does) is looked up

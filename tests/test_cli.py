@@ -219,7 +219,7 @@ class TestSharedConstants:
     @pytest.mark.parametrize("variable, points", [("beta1_db", 6), ("noise_db", 300)])
     def test_exact_kernel_calls(self, tmp_path, monkeypatch, variable, points):
         # The displacement-form reference takes one kernel quadrature per
-        # point, whatever the shapes and whichever variable is swept.
+        # network: once for a threshold sweep, at every point of a noise sweep.
         config = network_config(tmp_path, variable, (2, 3), ("reference",), points=points)
         calls = [0]
         monkeypatch.setattr(pla, "exact_gamma_kernel_integral",
@@ -227,7 +227,7 @@ class TestSharedConstants:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", pla.PlaAccuracyWarning)
             run_sweep(config)
-        assert calls[0] == points
+        assert calls[0] == (1 if variable == "beta1_db" else points)
 
     @pytest.mark.parametrize("rate", [False, True])
     def test_same_warnings_as_per_point_calls(self, rate):
@@ -393,6 +393,23 @@ class TestMain:
         path = write_config(tmp_path, base_config())
         assert main(["--config", path, "--threads", threads]) == 1
         assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--threads", "x"], "argument --threads: invalid int value: 'x'"),
+        (["--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: --config"),
+    ], ids=["threads-not-integer", "unknown-flag", "missing-config"])
+    def test_usage_error_exit_code(self, tmp_path, capsys, argv, message):
+        # argparse itself would exit 2, the code of a numerical failure.
+        config = [] if not argv else ["--config", write_config(tmp_path, base_config())]
+        assert main(config + argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: hetnetcov")
+        assert message in err
+
+    def test_help_exit_code(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: hetnetcov")
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "absent.json")]) == 1

@@ -255,9 +255,12 @@ class TestTruncation:
     def test_default_radius_targets_count(self):
         net = make_network()
         r = default_region_radius(net)
-        assert math.pi * r * r * 6.0 == pytest.approx(2000.0, rel=1e-12)
+        assert math.pi * r * r * 6.0 == pytest.approx(250.0, rel=1e-12)
 
-    def test_radius_doubling_drift_small(self):
-        net = make_network()
+    # The tail term is smallest against the noise at 1e3 (30 dB).
+    @pytest.mark.parametrize("noise", [1e-4, 1e3], ids=["noise1e-4", "noise1e3"])
+    @pytest.mark.parametrize("shapes", [(1, 1), (2, 3)], ids=["M11", "M23"])
+    def test_radius_doubling_drift_small(self, shapes, noise):
+        net = make_network(shapes=shapes, noise=noise)
         sim = sim_config(n_geometry=500, n_fading=10)
         assert radius_doubling_drift(net, sim) < 1e-3

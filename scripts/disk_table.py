@@ -11,7 +11,7 @@ powers 25 and 1; beta_1 = 5 dB, beta_2 = 1 dB), it prints one markdown row:
     handed over with `trials=`), whose resolution is 1/trials.
 
 Both noise powers share one pass per disk.  The last line checks the
-default disk (`mcsim.engine._DEFAULT_TARGET_COUNT`): every drift at most
+default disk (`mcsim._DEFAULT_TARGET_COUNT`): every drift at most
 a tenth of acceptance criterion 7's 1e-3, and every SE equal to the
 largest disk's at two significant digits; the exit status is 1 if not.
 
@@ -27,7 +27,7 @@ from dataclasses import replace
 
 from hetnetcov import analysis, mcsim
 from hetnetcov.cli import db_to_linear
-from hetnetcov.mcsim.engine import _DEFAULT_TARGET_COUNT
+from hetnetcov.mcsim import _DEFAULT_TARGET_COUNT
 from hetnetcov.model import NetworkParams, TierParams
 
 COUNTS = (125.0, 250.0, 500.0, 1000.0, 2000.0)

@@ -41,7 +41,6 @@ from .pla import (
     pla_coefficients,
 )
 from .specfun import (
-    BellArguments,
     beta_function,
     d_sequence,
     hyp2f1_rate,

@@ -78,6 +78,12 @@ def _tier_weights(params: NetworkParams, factors, scale: float = 1.0,
     ]
 
 
+def _conditional_ccdf(params: NetworkParams, factors):
+    """y -> P(X > y | coverage) = sum_i w_i(y) / sum_i w_i(0), w_i from `_tier_weights`."""
+    den = sum(_tier_weights(params, factors))
+    return lambda y: sum(_tier_weights(params, factors, y=y)) / den
+
+
 def _constants_for(params: NetworkParams, constants: DerivedConstants | None) -> DerivedConstants:
     """`constants` if given (checked against `params`), else built."""
     if constants is None:
@@ -214,8 +220,7 @@ def conditional_ccdf(params: NetworkParams, y: float) -> float:
     model.require_valid(params)
     if y < 0:
         raise ValueError(f"conditional_ccdf requires y >= 0, got {y}")
-    script_i = model.derived_constants(params).script_i
-    return sum(_tier_weights(params, script_i, y=y)) / sum(_tier_weights(params, script_i))
+    return _conditional_ccdf(params, model.derived_constants(params).script_i)(y)
 
 
 def _mean_rate_constant(params: NetworkParams, factors) -> float:
@@ -267,20 +272,7 @@ def rate_reference(params: NetworkParams, rel_tol: float = 1e-8, *,
     exactly.  It integrates the PLA closed form's CCDF, with `constants`
     as in `coverage_probability`; `rate_exact` is the exact rate.
     """
-    script_i = _constants_for(params, constants).script_i
-    e = 2.0 / params.alpha
-    # lambda_i P_i^(2/a) I_i: the threshold-free part of each tier's weight,
-    # taken out of the integrand.
-    coef = [
-        t.density * t.power**e * si for t, si in zip(params.tiers, script_i)
-    ]
-    den = sum(c * t.threshold**-e for c, t in zip(coef, params.tiers))
-
-    def ccdf(y: float) -> float:
-        return sum(
-            c * max(y, t.threshold) ** -e for c, t in zip(coef, params.tiers)
-        ) / den
-
+    ccdf = _conditional_ccdf(params, _constants_for(params, constants).script_i)
     thresholds = sorted({t.threshold for t in params.tiers})
 
     total = 0.0

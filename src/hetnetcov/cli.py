@@ -177,6 +177,8 @@ def load_config(path: str) -> RunConfig:
     n_geometry = _optional_integer(sm, "n_geometry", "sim", 1000)
     n_fading = _optional_integer(sm, "n_fading", "sim", 100)
     seed = _optional_integer(sm, "seed", "sim", 0)
+    if seed < 0:
+        raise ConfigError(f"'sim.seed' must be non-negative, got {seed}")
     region_radius = (_require_number(sm, "region_radius", "sim")
                      if sm.get("region_radius") is not None else None)
     try:
@@ -308,6 +310,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if exc.code else 0
     if args.threads < 1:
         print(f"usage error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
+        return 1
+    if args.seed is not None and args.seed < 0:
+        print(f"usage error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
         return 1
 
     try:

@@ -15,8 +15,7 @@ enlarged disk sees the same fading at its inner points.
 
 Interference from beyond the disk is folded in as its expectation over
 the outside process (`tail_mean_interference`); its fluctuation is
-negligible for the disk sizes used here and the compensation can be
-switched off via SimConfig.
+negligible for the disk sizes used here.
 
 Coverage and rate depend on a trial only through each tier's largest
 received power and the total received power.  One pass (`simulate_trials`)
@@ -38,8 +37,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .. import model
-from ..model import NetworkParams
+from . import model
+from .model import NetworkParams
 
 __all__ = [
     "SimConfig",
@@ -76,11 +75,16 @@ class SimConfig:
     n_fading: int
     seed: int
     region_radius: float | None = None  # None: derived from the densities
-    tail_compensation: bool = True
 
     def __post_init__(self):
+        for name in ("n_geometry", "n_fading", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:  # bool is an int subclass
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_geometry < 1 or self.n_fading < 1:
             raise ValueError("n_geometry and n_fading must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.region_radius is not None and not (self.region_radius > 0):
             raise ValueError(f"region_radius must be positive, got {self.region_radius}")
         if self.n_geometry * self.n_fading < 1000:
@@ -95,7 +99,6 @@ class Realization:
     """Per-tier BS distances from the origin; angles are irrelevant at the origin."""
 
     distances: tuple[np.ndarray, ...]
-    region_radius: float
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,7 @@ class Trials:
                received power P d^-alpha h (0 where the tier has no BS);
                row K is the total received power over every BS in the disk.
     tail     : mean interference from beyond the disk, added to every
-               denominator (0 with tail compensation off).
+               denominator.
 
     Neither thresholds nor the noise power enter, so one pass serves any
     threshold or noise sweep point (`tier_max_sinr`).
@@ -164,7 +167,7 @@ def sample_geometry(params: NetworkParams, sim: SimConfig, stream_index: int) ->
             gaps = -np.log(rng.random(max(16, chunk // 4)))
             arrivals = np.concatenate([arrivals, arrivals[-1] + np.cumsum(gaps) / rate])
         per_tier.append(np.sqrt(arrivals[arrivals < r2_max]))
-    return Realization(distances=tuple(per_tier), region_radius=radius)
+    return Realization(distances=tuple(per_tier))
 
 
 def sample_fading(
@@ -214,34 +217,21 @@ def snapshot_sinrs(
     ]
 
 
-def _run_geometries(params: NetworkParams, sim: SimConfig, per_geometry, out: np.ndarray, threads: int):
-    """Fill out[g] = per_geometry(g) for every geometry, optionally threaded."""
-    def work(g: int) -> None:
-        out[g] = per_geometry(g)
-
-    if threads <= 1:
-        for g in range(sim.n_geometry):
-            work(g)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(sim.n_geometry)))
-
-
 def simulate_trials(params: NetworkParams, sim: SimConfig, threads: int = 1) -> Trials:
     """One simulation pass: per-tier max and total received power per trial."""
     model.require_valid(params)
     radius = _resolve_radius(params, sim)
-    tail = tail_mean_interference(params, radius) if sim.tail_compensation else 0.0
+    tail = tail_mean_interference(params, radius)
     n_tiers = params.n_tiers
 
-    out = np.empty((sim.n_geometry, n_tiers + 1, sim.n_fading))
+    out = np.zeros((sim.n_geometry, n_tiers + 1, sim.n_fading))
 
-    def one(g: int) -> np.ndarray:
+    def fill(g: int) -> None:
         realization = sample_geometry(params, sim, g)
         counts = [len(d) for d in realization.distances]
         # Scaled in place to the received powers P d^-alpha h.
         received = sample_fading(params, sim, g, counts)
-        res = np.zeros((n_tiers + 1, sim.n_fading))
+        res = out[g]
         start = 0
         for k, (tier, d) in enumerate(zip(params.tiers, realization.distances)):
             if len(d):
@@ -250,9 +240,13 @@ def simulate_trials(params: NetworkParams, sim: SimConfig, threads: int = 1) -> 
                 rows.max(axis=0, out=res[k])
             start += len(d)
         received.sum(axis=0, out=res[n_tiers])
-        return res
 
-    _run_geometries(params, sim, one, out, threads)
+    if threads <= 1:
+        for g in range(sim.n_geometry):
+            fill(g)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(fill, range(sim.n_geometry)))
     return Trials(received=out, tail=tail)
 
 

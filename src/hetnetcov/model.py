@@ -130,7 +130,8 @@ def validate(params: NetworkParams) -> list[str]:
                 f"(got {tier.threshold}); the coverage union bound is exact "
                 "only under beta_i > 1"
             )
-        if not (isinstance(tier.nakagami_m, int) and tier.nakagami_m >= 1):
+        # type() rather than isinstance: bool is an int subclass.
+        if not (type(tier.nakagami_m) is int and tier.nakagami_m >= 1):
             errors.append(f"tier {i}: nakagami_m must be an integer >= 1 (got {tier.nakagami_m})")
         elif tier.nakagami_m > MAX_NAKAGAMI_M:
             errors.append(

@@ -12,38 +12,17 @@ All functions are pure and thread-safe; memoisation is per-call only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from scipy import special
 
 __all__ = [
-    "BellArguments",
     "lower_incomplete_gamma",
     "beta_function",
     "hyp2f1_rate",
     "partial_bell",
     "d_sequence",
 ]
-
-
-@dataclass(frozen=True)
-class BellArguments:
-    """Argument vector (x_1 ... x_{l-r+1}) for the partial Bell polynomial B_{l,r}."""
-
-    values: tuple[float, ...]
-    l: int
-    r: int
-
-    def __post_init__(self):
-        if self.r < 0 or self.r > self.l:
-            raise ValueError(f"need 0 <= r <= l, got l={self.l}, r={self.r}")
-        expected = self.l - self.r + 1
-        if len(self.values) != expected:
-            raise ValueError(
-                f"B_{{{self.l},{self.r}}} takes exactly {expected} arguments, "
-                f"got {len(self.values)}"
-            )
 
 
 def lower_incomplete_gamma(s: float, x: float) -> float:
@@ -75,7 +54,7 @@ def hyp2f1_rate(alpha: float, beta_threshold: float) -> float:
     return float(special.hyp2f1(1.0, b, 1.0 + b, -1.0 / beta_threshold))
 
 
-def partial_bell(l: int, r: int, args: BellArguments | Sequence[float]) -> float:
+def partial_bell(l: int, r: int, args: Sequence[float]) -> float:
     """Partial (incomplete) Bell polynomial B_{l,r}(x_1, ..., x_{l-r+1}).
 
     Evaluated through the standard recurrence
@@ -83,16 +62,13 @@ def partial_bell(l: int, r: int, args: BellArguments | Sequence[float]) -> float
     memoised per call.  The brute-force partition enumeration lives in the
     test suite as an independent oracle.
     """
-    if isinstance(args, BellArguments):
-        if (args.l, args.r) != (l, r):
-            raise ValueError(f"BellArguments built for ({args.l},{args.r}), asked ({l},{r})")
-        x = args.values
-    else:
-        x = tuple(float(v) for v in args)
-        if l == 0 and r == 0 and not x:
-            return 1.0
-        # run the shared validation
-        BellArguments(values=x, l=l, r=r)
+    x = tuple(float(v) for v in args)
+    if l == 0 and r == 0 and not x:
+        return 1.0
+    if r < 0 or r > l:
+        raise ValueError(f"need 0 <= r <= l, got l={l}, r={r}")
+    if len(x) != l - r + 1:
+        raise ValueError(f"B_{{{l},{r}}} takes exactly {l - r + 1} arguments, got {len(x)}")
 
     cache: dict[tuple[int, int], float] = {}
 

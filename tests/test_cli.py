@@ -131,6 +131,7 @@ STRICT_CASES = {
                          "'sim.n_geometry' must be an integer, got 200.0"),
     "n_fading-bool": (("sim", "n_fading"), True, "'sim.n_fading' must be an integer, got true"),
     "seed-string": (("sim", "seed"), "11", "'sim.seed' must be an integer, got \"11\""),
+    "seed-negative": (("sim", "seed"), -3, "'sim.seed' must be non-negative, got -3"),
     "n_geometry-zero": (("sim", "n_geometry"), 0, "n_geometry and n_fading must be positive"),
     "alpha-string": (("alpha",), "3", "'alpha' must be a number, got \"3\""),
     "power-bool": (("tiers", 0, "power"), True, "'tiers[0].power' must be a number, got true"),
@@ -383,7 +384,6 @@ class TestMain:
         calls = [0]
         counted = counting(mcsim.simulate_trials, calls)
         monkeypatch.setattr(mcsim, "simulate_trials", counted)
-        monkeypatch.setattr(mcsim.engine, "simulate_trials", counted)
         assert main(["--config", path, "--radius-check"]) == 0
         assert calls[0] == passes
         assert f"radius-doubling coverage drift: {expected:.3e}\n" in capsys.readouterr().err
@@ -393,6 +393,11 @@ class TestMain:
         path = write_config(tmp_path, base_config())
         assert main(["--config", path, "--threads", threads]) == 1
         assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
+
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config())
+        assert main(["--config", path, "--seed", "-1"]) == 1
+        assert "usage error: --seed must be non-negative, got -1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
         (["--threads", "x"], "argument --threads: invalid int value: 'x'"),

@@ -8,6 +8,7 @@ radius-doubling self-check.
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from hetnetcov.mcsim import (
     tail_mean_interference,
     tier_max_sinr,
 )
-from hetnetcov.mcsim.engine import _FADING_STREAM, _stream
+from hetnetcov.mcsim import _FADING_STREAM, _stream
 from hetnetcov.model import MAX_NAKAGAMI_M, NetworkParams, TierParams
 
 
@@ -134,20 +135,25 @@ class TestGeometry:
 
 class TestKernels:
     def test_tier_max_matches_snapshot_oracle(self):
+        # The oracle knows no tail; the pass's tail mean enters it as noise.
         net = make_network(shapes=(2, 1))
-        sim = sim_config(n_fading=11, region_radius=3.0, tail_compensation=False)
-        tier_max = tier_max_sinr(simulate_trials(net, sim), net.noise)
+        sim = sim_config(n_fading=11, region_radius=3.0)
+        trials = simulate_trials(net, sim)
+        tier_max = tier_max_sinr(trials, net.noise)
+        oracle_net = replace(net, noise=net.noise + trials.tail)
         for g in range(2):
             rz = sample_geometry(net, sim, g)
             counts = [len(d) for d in rz.distances]
             h = np.split(sample_fading(net, sim, g, counts), np.cumsum(counts)[:-1])
             for f in range(sim.n_fading):
-                sinrs = snapshot_sinrs(net, rz, [x[:, f] for x in h])
+                sinrs = snapshot_sinrs(oracle_net, rz, [x[:, f] for x in h])
                 for tier in range(2):
                     best = max(s for t, s in sinrs if t == tier)
                     assert tier_max[g, tier, f] == pytest.approx(best, rel=1e-12)
 
-    @pytest.mark.parametrize("tail", [True, False])
+    # The tail mean is always added: `tail` has the one value True, so each
+    # case id names the mode it checks.
+    @pytest.mark.parametrize("tail", [True])
     @pytest.mark.parametrize("noise", [1e-4, 1e3])
     @pytest.mark.parametrize("shapes", [(1, 1), (2, 3)])
     @pytest.mark.parametrize("n_tiers", [1, 2, 3])
@@ -162,10 +168,9 @@ class TestKernels:
             thresholds=(1.2589,) * n_tiers,
             shapes=tuple(shapes[k % 2] for k in range(n_tiers)),
         )
-        sim = sim_config(n_geometry=20, n_fading=50, region_radius=3.0,
-                         tail_compensation=tail)
+        sim = sim_config(n_geometry=20, n_fading=50, region_radius=3.0)
         trials = simulate_trials(net, sim)
-        denom_const = noise + (tail_mean_interference(net, 3.0) if tail else 0.0)
+        denom_const = noise + tail_mean_interference(net, 3.0)
         expected = np.zeros((sim.n_geometry, n_tiers, sim.n_fading))
         for g in range(sim.n_geometry):
             rz = sample_geometry(net, sim, g)
@@ -179,7 +184,7 @@ class TestKernels:
                 if len(r):
                     expected[g, k] = (r / (total - r)).max(axis=0)
         np.testing.assert_array_equal(tier_max_sinr(trials, noise), expected)
-        assert trials.tail == (tail_mean_interference(net, 3.0) if tail else 0.0)
+        assert trials.tail == tail_mean_interference(net, 3.0)
 
 
 class TestUnionSemantics:
@@ -236,6 +241,19 @@ class TestEstimates:
     def test_small_trial_warning(self):
         with pytest.warns(UserWarning, match="noisy"):
             SimConfig(n_geometry=10, n_fading=10, seed=1)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_geometry", True, "n_geometry must be an integer, got True"),
+        ("n_fading", 100.0, "n_fading must be an integer, got 100.0"),
+        ("seed", False, "seed must be an integer, got False"),
+        ("seed", -3, "seed must be non-negative, got -3"),
+    ])
+    def test_invalid_counts_and_seed_rejected(self, field, value, message):
+        # True would otherwise run one geometry, and numpy's error for a
+        # negative seed names no field.
+        kw = {"n_geometry": 100, "n_fading": 100, "seed": 1, field: value}
+        with pytest.raises(ValueError, match=message):
+            SimConfig(**kw)
 
     def test_estimate_fields(self):
         est = mc_coverage(make_network(), sim_config(n_geometry=100, n_fading=10))

@@ -81,6 +81,12 @@ class TestValidate:
         assert len(errors) == 1
         assert "integer" in errors[0]
 
+    def test_bool_shape_rejected(self):
+        # bool is an int subclass; True must not pass as M = 1.
+        errors = validate(make_network(shapes=(True, 1)))
+        assert len(errors) == 1
+        assert "tier 0" in errors[0] and "integer" in errors[0]
+
 
 class TestInterferenceConstant:
     def test_single_tier_rayleigh_closed_value(self):

@@ -5,7 +5,6 @@ import pytest
 from scipy import integrate
 
 from hetnetcov.specfun import (
-    BellArguments,
     beta_function,
     d_sequence,
     hyp2f1_rate,
@@ -187,8 +186,6 @@ class TestPartialBell:
             partial_bell(3, -1, [1.0] * 5)
         with pytest.raises(ValueError):
             partial_bell(3, 2, [1.0])  # needs exactly 2 arguments
-        with pytest.raises(ValueError):
-            BellArguments(values=(1.0, 1.0), l=4, r=2)  # needs 3
 
 
 class TestDSequence:

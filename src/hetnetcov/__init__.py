@@ -40,12 +40,5 @@ from .pla import (
     exact_gamma_kernel_integral,
     pla_coefficients,
 )
-from .specfun import (
-    beta_function,
-    d_sequence,
-    hyp2f1_rate,
-    lower_incomplete_gamma,
-    partial_bell,
-)
 
 __version__ = "0.1.0"

@@ -56,9 +56,14 @@ class RateResult:
     value: float
     method: Method
 
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ArithmeticError(f"{self.method.value} rate is {self.value}, not finite")
+
 
 def _clamp_probability(p: float, context: str) -> float:
-    if p < -_CLAMP_TOL or p > 1.0 + _CLAMP_TOL:
+    # Written so that NaN, for which every comparison is false, fails too.
+    if not -_CLAMP_TOL <= p <= 1.0 + _CLAMP_TOL:
         raise ArithmeticError(f"{context} produced probability {p}, outside [0,1]")
     return min(max(p, 0.0), 1.0)
 

@@ -35,10 +35,6 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     variable: str  # one of SWEEP_VARIABLES
@@ -84,11 +80,27 @@ def _require_integer(mapping: dict, key: str, path: str) -> int:
 
 
 def _require_number(mapping: dict, key: str, path: str) -> float:
-    """A JSON number field; bools, strings and null are rejected, not coerced."""
+    """A finite JSON number field; bools, strings, null, NaN and Infinity are
+    rejected, not coerced."""
     value = _require(mapping, key, path)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{_field(path, key)} must be a number, got {json.dumps(value)}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{_field(path, key)} must be finite, got {json.dumps(value)}")
     return float(value)
+
+
+def _overflow(field: str, db: float) -> ConfigError:
+    return ConfigError(f"{field} is {db} dB, too large for a float in linear scale")
+
+
+def _require_db(mapping: dict, key: str, path: str) -> float:
+    """A dB number field, in linear scale."""
+    db = _require_number(mapping, key, path)
+    try:
+        return db_to_linear(db)
+    except OverflowError:
+        raise _overflow(_field(path, key), db) from None
 
 
 def _optional_integer(mapping: dict, key: str, path: str, default: int) -> int:
@@ -120,7 +132,7 @@ def load_config(path: str) -> RunConfig:
 
     _reject_unknown(raw, ("alpha", "noise_db", "tiers", "sweep", "sim"), "")
     alpha = _require_number(raw, "alpha", "")
-    noise = db_to_linear(_require_number(raw, "noise_db", ""))
+    noise = _require_db(raw, "noise_db", "")
 
     tiers = []
     tier_list = _require(raw, "tiers", "")
@@ -132,7 +144,7 @@ def load_config(path: str) -> RunConfig:
             TierParams(
                 density=_require_number(t, "lambda", f"tiers[{i}]"),
                 power=_require_number(t, "power", f"tiers[{i}]"),
-                threshold=db_to_linear(_require_number(t, "beta_db", f"tiers[{i}]")),
+                threshold=_require_db(t, "beta_db", f"tiers[{i}]"),
                 nakagami_m=_require_integer(t, "m", f"tiers[{i}]"),
             )
         )
@@ -177,16 +189,30 @@ def load_config(path: str) -> RunConfig:
     n_geometry = _optional_integer(sm, "n_geometry", "sim", 1000)
     n_fading = _optional_integer(sm, "n_fading", "sim", 100)
     seed = _optional_integer(sm, "seed", "sim", 0)
-    if seed < 0:
-        raise ConfigError(f"'sim.seed' must be non-negative, got {seed}")
     region_radius = (_require_number(sm, "region_radius", "sim")
                      if sm.get("region_radius") is not None else None)
-    try:
-        sim = mcsim.SimConfig(n_geometry=n_geometry, n_fading=n_fading, seed=seed,
-                              region_radius=region_radius)
-    except ValueError as exc:
-        raise ConfigError(f"sim: {exc}") from exc
-    return RunConfig(params=params, sweep=sweep, sim=sim)
+    # SimConfig checks these too, but its messages cannot name the field.
+    for key, value in (("n_geometry", n_geometry), ("n_fading", n_fading),
+                       ("region_radius", region_radius)):
+        if value is not None and not value > 0:
+            raise ConfigError(f"'sim.{key}' must be positive, got {value}")
+    if seed < 0:
+        raise ConfigError(f"'sim.seed' must be non-negative, got {seed}")
+    sim = mcsim.SimConfig(n_geometry=n_geometry, n_fading=n_fading, seed=seed,
+                          region_radius=region_radius)
+    config = RunConfig(params=params, sweep=sweep, sim=sim)
+    # Validity is monotone in the threshold and the noise power, and holds
+    # on an interval of shapes, so the sweep's two ends cover every point.
+    for key in ("start", "stop"):
+        end = getattr(sweep, key)
+        value = float(np.rint(end)) if variable == "nakagami_pair" else end
+        try:
+            violations = validate(_params_at(config, value))
+        except OverflowError:
+            raise _overflow(f"'sweep.{key}'", end) from None
+        if violations:
+            raise ConfigError(f"at 'sweep.{key}' = {end}: " + "; ".join(violations))
+    return config
 
 
 def _params_at(config: RunConfig, value: float) -> NetworkParams:

@@ -52,6 +52,8 @@ __all__ = [
     "snapshot_sinrs",
     "simulate_trials",
     "tier_max_sinr",
+    "coverage_from_tier_max",
+    "rate_from_tier_max",
     "mc_coverage",
     "mc_conditional_rate",
     "radius_doubling_drift",

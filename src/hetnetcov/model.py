@@ -10,8 +10,8 @@ closed-form coverage/rate expressions need three derived quantities:
   integrals; depends on the tier only through its Nakagami shape),
 * the per-tier rate constant A_i = ln(1+beta_i) + (alpha/2) 2F1(...).
 
-A and the I_i involve no threshold; `derived_constants` builds them once
-as a `DerivedConstants`, which every threshold of a sweep can share.
+A and the I_i involve no threshold; `derived_constants` builds the I_i
+once as a `DerivedConstants`, which every threshold of a sweep can share.
 
 Thresholds and powers are linear-scale throughout; dB conversion is the
 CLI's job.
@@ -23,8 +23,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
+from scipy import special
+
 from . import pla
-from .specfun import beta_function, d_sequence, hyp2f1_rate, partial_bell
 
 __all__ = [
     "TierParams",
@@ -36,6 +37,8 @@ __all__ = [
     "require_valid",
     "interference_constant",
     "tier_script_I",
+    "bell_table",
+    "hyp2f1_rate",
     "rate_constant",
     "derived_constants",
 ]
@@ -79,12 +82,11 @@ class NetworkParams:
 class DerivedConstants:
     """The threshold-free constants of the PLA closed forms, for one network.
 
-    A and the I_i depend on alpha, the noise power, the tier densities,
-    powers and Nakagami shapes, but on no SINR threshold: one object
-    serves every point of a threshold sweep.
+    The I_i depend on alpha, the noise power, the tier densities, powers
+    and Nakagami shapes, but on no SINR threshold: one object serves every
+    point of a threshold sweep.
     """
 
-    a_constant: float
     script_i: tuple[float, ...]  # I_i per tier; tiers of equal shape share it
     network: tuple  # what they depend on, see _threshold_free
 
@@ -158,7 +160,7 @@ def interference_constant(params: NetworkParams) -> float:
             inner += (
                 math.comb(tier.nakagami_m, p)
                 * (2.0 * math.pi / a)
-                * beta_function(tier.nakagami_m - p + 2.0 / a, p - 2.0 / a)
+                * float(special.beta(tier.nakagami_m - p + 2.0 / a, p - 2.0 / a))
             )
         total += tier.density * tier.power ** (2.0 / a) * inner
     return total
@@ -178,11 +180,32 @@ def tier_script_I(params: NetworkParams, tier_index: int, kernel=None) -> float:
     return _script_i_by_shape(params, interference_constant(params), (m_shape,), kernel)[m_shape]
 
 
+def bell_table(x: list[float]) -> list[list[float]]:
+    """Partial Bell polynomials B_{l,r}(x_1, ..., x_{l-r+1}) as table[l][r], 0 <= r <= l <= len(x).
+
+    Row by row through the recurrence
+        B_{l,r} = sum_{j=1}^{l-r+1} C(l-1, j-1) x_j B_{l-j, r-1},
+    with B_{0,0} = 1 and B_{l,0} = 0 for l > 0.  The brute-force partition
+    enumeration lives in the test suite as an independent oracle.
+    """
+    table = [[1.0]]
+    for l in range(1, len(x) + 1):
+        row = [0.0]
+        for r in range(1, l + 1):
+            total = 0.0
+            for j in range(1, l - r + 2):
+                total += math.comb(l - 1, j - 1) * x[j - 1] * table[l - j][r - 1]
+            row.append(total)
+        table.append(row)
+    return table
+
+
 def _script_i_by_shape(params: NetworkParams, a_const: float, shapes, kernel) -> dict[int, float]:
     """I for each Nakagami shape in `shapes`, one kernel call per distinct t-exponent.
 
-    Triple sum over (k, l, r) of alternating terms, each carrying a kernel
-    integral with U = sigma^2, V = A, and t-exponent r + (alpha/2)(k-l).
+    Triple sum over (k, l, r) of alternating terms, each carrying a partial
+    Bell polynomial of D_t = prod_{q<t} (2/alpha - q) and a kernel integral
+    with U = sigma^2, V = A, and t-exponent r + (alpha/2)(k-l).
     Shapes share exponents (those of M are a subset of those of M+1), and
     the kernel is deterministic, so each exponent is evaluated once; every
     sum keeps its order of terms.
@@ -194,14 +217,19 @@ def _script_i_by_shape(params: NetworkParams, a_const: float, shapes, kernel) ->
     for m_shape in shapes:
         if m_shape in by_shape:
             continue
-        d_vals = [d_sequence(a, t) for t in range(1, m_shape + 1)]
+        # l < M reads D_1..D_{M-1} only.
+        d_t, d_vals = 1.0, []
+        for q in range(m_shape - 1):
+            d_t *= 2.0 / a - q
+            d_vals.append(d_t)
+        bell_of = bell_table(d_vals)
         total = 0.0
         max_term = 0.0
         for k in range(m_shape):
             for l in range(k + 1):
                 outer = math.comb(k, l) * sigma2 ** (k - l) * (-1.0) ** l / math.factorial(k)
                 for r in range(l + 1):
-                    bell = partial_bell(l, r, d_vals[: l - r + 1])
+                    bell = bell_of[l][r]
                     if bell == 0.0:
                         continue
                     power = r + (a / 2.0) * (k - l)
@@ -222,6 +250,16 @@ def _script_i_by_shape(params: NetworkParams, a_const: float, shapes, kernel) ->
     return by_shape
 
 
+def hyp2f1_rate(alpha: float, beta_threshold: float) -> float:
+    """2F1(1, 2/alpha; 1 + 2/alpha; -1/beta) for alpha > 2, beta > 0."""
+    if not (alpha > 2):
+        raise ValueError(f"hyp2f1_rate requires alpha > 2, got {alpha}")
+    if not (beta_threshold > 0):
+        raise ValueError(f"hyp2f1_rate requires beta > 0, got {beta_threshold}")
+    b = 2.0 / alpha
+    return float(special.hyp2f1(1.0, b, 1.0 + b, -1.0 / beta_threshold))
+
+
 def rate_constant(params: NetworkParams, tier_index: int) -> float:
     """A_i = ln(1 + beta_i) + (alpha/2) 2F1(1, 2/a; 1+2/a; -1/beta_i)."""
     require_valid(params)
@@ -239,7 +277,6 @@ def derived_constants(params: NetworkParams) -> DerivedConstants:
     shapes = [t.nakagami_m for t in params.tiers]
     by_shape = _script_i_by_shape(params, a_const, shapes, pla.approx_gamma_kernel_integral)
     return DerivedConstants(
-        a_constant=a_const,
         script_i=tuple(by_shape[m] for m in shapes),
         network=_threshold_free(params),
     )

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 from scipy import integrate, special
 
-from .specfun import lower_incomplete_gamma
-
 __all__ = [
     "PLA_WARN_BOUND",
     "PlaAccuracyWarning",
@@ -38,6 +36,7 @@ __all__ = [
     "approx_kernel_error_bound",
     "check_kernel_regime",
     "exact_gamma_kernel_integral",
+    "lower_incomplete_gamma",
 ]
 
 # exp(-746) underflows in float64; nothing representable lies beyond this.
@@ -154,6 +153,18 @@ def check_kernel_regime(u: float, v: float, power: float, alpha: float) -> float
     bound = approx_kernel_error_bound(u, v, power, alpha)
     _warn_outside_regime(bound, u, v, power, alpha)
     return bound
+
+
+def lower_incomplete_gamma(s: float, x: float) -> float:
+    """gamma(s, x) = int_0^x t^(s-1) e^(-t) dt for s > 0, x >= 0.
+
+    scipy's regularized `gammainc` times Gamma(s).
+    """
+    if not (s > 0):
+        raise ValueError(f"lower_incomplete_gamma requires s > 0, got s={s}")
+    if x < 0:
+        raise ValueError(f"lower_incomplete_gamma requires x >= 0, got x={x}")
+    return float(special.gammainc(s, x) * math.gamma(s))
 
 
 def _scaled_bracket(u: float, v: float, power: float, coeff: PlaCoefficients):

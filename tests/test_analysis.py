@@ -155,6 +155,16 @@ class TestCoverage:
         with pytest.raises(ArithmeticError, match="outside"):
             coverage_probability(net)
 
+    @pytest.mark.filterwarnings("ignore")
+    def test_non_finite_rejected(self):
+        # Just above alpha = 2 and at a noise power near the float floor the
+        # closed forms' constants come out NaN; NaN fails both comparisons
+        # of a range check, so it must be caught explicitly.
+        net = make_network(alpha=2.000000001, noise=1e-299, thresholds=(3.1623, 1.2589))
+        for route in (coverage_probability, coverage_rayleigh, average_rate, rate_reference):
+            with pytest.raises(ArithmeticError, match="nan"):
+                route(net)
+
 
 def displacement_masses(params):
     """a_i = pi lambda_i P_i^(2/a) Gamma(M_i + 2/a) / Gamma(M_i)."""

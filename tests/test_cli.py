@@ -3,6 +3,7 @@ reproducibility across runs and thread counts, and exit codes."""
 
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -13,7 +14,6 @@ from hetnetcov.cli import (
     ConfigError,
     _params_at,
     db_to_linear,
-    linear_to_db,
     load_config,
     main,
     run_sweep,
@@ -43,10 +43,6 @@ def write_config(tmp_path, cfg, name="run.json"):
 
 
 class TestDbConversion:
-    def test_round_trip(self):
-        for db in (-40.0, -3.0, 0.0, 1.0, 20.0):
-            assert linear_to_db(db_to_linear(db)) == pytest.approx(db, abs=1e-12)
-
     def test_known_values(self):
         assert db_to_linear(0.0) == 1.0
         assert db_to_linear(10.0) == pytest.approx(10.0)
@@ -110,6 +106,19 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="start"):
             load_config(write_config(tmp_path, cfg))
 
+    @pytest.mark.parametrize("variable, start, stop, key", [
+        ("noise_db", -20.0, 4000.0, "'sweep.stop' is 4000.0 dB, too large for a float"),
+        ("nakagami_pair", 1.0, 17.0, "at 'sweep.stop' = 17.0: tier 0: nakagami_m 17 exceeds"),
+        ("nakagami_pair", 0.4, 3.0, "at 'sweep.start' = 0.4: tier 0: nakagami_m must be"),
+    ])
+    def test_sweep_ends_validated(self, tmp_path, variable, start, stop, key):
+        # Every sweep variable is checked at both ends, on load.
+        cfg = base_config()
+        cfg["sweep"] = {"variable": variable, "start": start, "stop": stop,
+                        "points": 3, "methods": ["closed"]}
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            load_config(write_config(tmp_path, cfg))
+
 
     def test_sim_defaults_and_region_radius(self, tmp_path):
         cfg = base_config(sim={"region_radius": 12.5})
@@ -132,10 +141,21 @@ STRICT_CASES = {
     "n_fading-bool": (("sim", "n_fading"), True, "'sim.n_fading' must be an integer, got true"),
     "seed-string": (("sim", "seed"), "11", "'sim.seed' must be an integer, got \"11\""),
     "seed-negative": (("sim", "seed"), -3, "'sim.seed' must be non-negative, got -3"),
-    "n_geometry-zero": (("sim", "n_geometry"), 0, "n_geometry and n_fading must be positive"),
+    "n_geometry-zero": (("sim", "n_geometry"), 0, "'sim.n_geometry' must be positive, got 0"),
+    "n_fading-zero": (("sim", "n_fading"), 0, "'sim.n_fading' must be positive, got 0"),
+    "region_radius-negative": (("sim", "region_radius"), -1,
+                               "'sim.region_radius' must be positive, got -1.0"),
     "alpha-string": (("alpha",), "3", "'alpha' must be a number, got \"3\""),
     "power-bool": (("tiers", 0, "power"), True, "'tiers[0].power' must be a number, got true"),
     "stop-null": (("sweep", "stop"), None, "'sweep.stop' must be a number, got null"),
+    "stop-infinite": (("sweep", "stop"), math.inf, "'sweep.stop' must be finite, got Infinity"),
+    "lambda-nan": (("tiers", 1, "lambda"), math.nan, "'tiers[1].lambda' must be finite, got NaN"),
+    "noise_db-overflow": (("noise_db",), 4000, "'noise_db' is 4000.0 dB, too large for a float"),
+    "beta_db-overflow": (("tiers", 0, "beta_db"), 4000,
+                         "'tiers[0].beta_db' is 4000.0 dB, too large for a float"),
+    "stop-overflow": (("sweep", "stop"), 4000.0, "'sweep.stop' is 4000.0 dB, too large for a float"),
+    "start-invalid": (("sweep", "start"), -3.0,
+                      "at 'sweep.start' = -3.0: tier 0: SINR threshold must exceed 1"),
     "region_radius-string": (("sim", "region_radius"), "big",
                              "'sim.region_radius' must be a number, got \"big\""),
     "tiers-not-list": (("tiers",), {"lambda": 1.0}, "'tiers' must be a JSON list"),
@@ -357,6 +377,19 @@ class TestMain:
         path = write_config(tmp_path, cfg)
         assert main(["--config", path]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", [False, True])
+    def test_non_finite_result_exit_code(self, tmp_path, capsys, rate):
+        # Here the closed form's constants come out NaN; no CSV is written.
+        cfg = base_config(alpha=2.000000001, noise_db=-2990.0)
+        cfg["sweep"]["methods"] = ["closed"]
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["--config", path] + (["--rate"] if rate else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical failure" in captured.err and "nan" in captured.err
 
     @pytest.mark.parametrize("shape, shown", [(2.7, "2.7"), (2.0, "2.0"), ("2", '"2"'),
                                               (True, "true")])

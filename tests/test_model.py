@@ -212,7 +212,6 @@ class TestDerivedConstants:
     def test_consistent_with_components(self):
         net = make_network(shapes=(2, 1))
         dc = derived_constants(net)
-        assert dc.a_constant == interference_constant(net)
         assert dc.script_i == tuple(tier_script_I(net, i) for i in range(2))
         # The rate built on the object is the per-tier rate constants'
         # mean, weighted by lambda_i P_i^(2/a) beta_i^(-2/a) I_i.

@@ -1,16 +1,16 @@
+"""The special functions of the closed forms, each against an independent
+oracle: the PLA kernel's lower incomplete gamma, the rate constant's 2F1,
+and the partial Bell polynomials of the coverage kernel's triple sum."""
+
 import itertools
 import math
+import random
 
 import pytest
 from scipy import integrate
 
-from hetnetcov.specfun import (
-    beta_function,
-    d_sequence,
-    hyp2f1_rate,
-    lower_incomplete_gamma,
-    partial_bell,
-)
+from hetnetcov.model import bell_table, hyp2f1_rate
+from hetnetcov.pla import lower_incomplete_gamma
 
 
 def gamma_quadrature(s, x):
@@ -43,6 +43,11 @@ def bell_bruteforce(l, r, x):
             term *= (x[t] / math.factorial(t + 1)) ** j
         total += term
     return total
+
+
+def partial_bell(l, r, x):
+    """B_{l,r}(x_1, ..., x_{l-r+1}), read from the table `bell_table` builds."""
+    return bell_table(list(x) + [0.0] * r)[l][r]
 
 
 class TestLowerIncompleteGamma:
@@ -88,27 +93,6 @@ class TestLowerIncompleteGamma:
             lower_incomplete_gamma(1.0, -0.1)
 
 
-class TestBetaFunction:
-    def test_uniform_normalizer(self):
-        assert beta_function(1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
-
-    def test_halves(self):
-        assert beta_function(0.5, 0.5) == pytest.approx(math.pi, rel=1e-12)
-
-    def test_reflection(self):
-        assert beta_function(2 / 3, 1 / 3) == pytest.approx(2 * math.pi / math.sqrt(3), rel=1e-12)
-
-    def test_symmetry_and_unit_second_arg(self):
-        for a, b in [(0.3, 2.7), (1.5, 4.0), (0.9, 0.04)]:
-            assert beta_function(a, b) == pytest.approx(beta_function(b, a), rel=1e-14)
-            assert beta_function(a, 1.0) == pytest.approx(1.0 / a, rel=1e-13)
-
-    def test_domain_errors(self):
-        for a, b in [(0.0, 1.0), (1.0, 0.0), (-1.0, 2.0)]:
-            with pytest.raises(ValueError):
-                beta_function(a, b)
-
-
 class TestHyp2f1Rate:
     def test_arctan_identity(self):
         # z * 2F1(1, 1/2; 3/2; -z^2) = arctan z at z = 1
@@ -148,8 +132,6 @@ class TestPartialBell:
         assert partial_bell(3, 2, [0.5, -0.25]) == pytest.approx(-0.375, rel=1e-14)
 
     def test_bruteforce_equivalence(self):
-        import random
-
         rng = random.Random(20240817)
         for l in range(9):
             for r in range(l + 1):
@@ -158,10 +140,20 @@ class TestPartialBell:
                     bell_bruteforce(l, r, x), rel=1e-10, abs=1e-12
                 )
 
+    def test_whole_table(self):
+        # The model reads every entry of one table, built once per shape.
+        rng = random.Random(20261018)
+        x = [rng.uniform(-2, 2) for _ in range(8)]
+        table = bell_table(x)
+        assert [len(row) for row in table] == list(range(1, 10))
+        for l in range(9):
+            for r in range(l + 1):
+                assert table[l][r] == pytest.approx(
+                    bell_bruteforce(l, r, x), rel=1e-10, abs=1e-12
+                )
+
     def test_scaling_law(self):
         # B_{l,r}(a b x1, a b^2 x2, ...) = a^r b^l B_{l,r}(x1, x2, ...)
-        import random
-
         rng = random.Random(7)
         for _ in range(30):
             l = rng.randint(0, 8)
@@ -178,30 +170,3 @@ class TestPartialBell:
         for l, expected in enumerate(bell_numbers):
             total = sum(partial_bell(l, r, [1.0] * (l - r + 1)) for r in range(l + 1))
             assert total == pytest.approx(expected, rel=1e-12)
-
-    def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            partial_bell(3, 4, [1.0])
-        with pytest.raises(ValueError):
-            partial_bell(3, -1, [1.0] * 5)
-        with pytest.raises(ValueError):
-            partial_bell(3, 2, [1.0])  # needs exactly 2 arguments
-
-
-class TestDSequence:
-    def test_first_values(self):
-        assert d_sequence(4.0, 1) == pytest.approx(0.5)
-        assert d_sequence(4.0, 2) == pytest.approx(-0.25)
-        assert d_sequence(3.0, 3) == pytest.approx((2 / 3) * (2 / 3 - 1) * (2 / 3 - 2), rel=1e-14)
-
-    def test_sign_alternates_after_first(self):
-        for alpha in [2.5, 3.0, 6.0]:
-            assert d_sequence(alpha, 1) > 0
-            for t in range(2, 8):
-                assert d_sequence(alpha, t) * (-1) ** (t - 1) > 0
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            d_sequence(2.0, 1)
-        with pytest.raises(ValueError):
-            d_sequence(3.0, 0)

@@ -4,6 +4,11 @@ Closed forms (PLA-based), the Rayleigh specialisations, and exact
 references from the displacement theorem that bypass both the
 piecewise-linear step and the paper's triple sum.  Rates are in nats per
 channel use.
+
+The threshold-free objects a sweep shares, `model.derived_constants` and
+`reference_kernel`, each have an `_at` form that builds them for every
+noise power of a sweep as one array evaluation; the single-network form
+is its length-1 case, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ __all__ = [
     "coverage_rayleigh",
     "ReferenceKernel",
     "reference_kernel",
+    "reference_kernels_at",
     "coverage_reference",
     "conditional_ccdf",
     "average_rate",
@@ -134,14 +140,27 @@ class ReferenceKernel:
 
 
 def reference_kernel(params: NetworkParams) -> ReferenceKernel:
-    """The one kernel quadrature of `coverage_reference`, for reuse across thresholds."""
-    model.require_valid(params)
+    """The one kernel quadrature of `coverage_reference`, for reuse across thresholds.
+
+    The length-1 case of `reference_kernels_at`.
+    """
+    return reference_kernels_at(params, [params.noise])[0]
+
+
+def reference_kernels_at(params: NetworkParams, noises) -> list[ReferenceKernel]:
+    """`reference_kernel` of `params` at each noise power in `noises`, in one quadrature.
+
+    One `pla.exact_zero_power_kernel` call evaluates K(sigma^2, a Gamma(1-d), 0)
+    for the whole array.  `params` must be valid, but its own noise power is
+    not used.  Element j equals `reference_kernel` at noises[j], bit for bit.
+    """
+    noises = model._noise_array(params, noises)
     e = 2.0 / params.alpha
     a_total = math.pi * sum(t.density * t.power**e * g
                             for t, g in zip(params.tiers, _fading_moments(params)))
-    k = pla.exact_gamma_kernel_integral(params.noise, a_total * math.gamma(1.0 - e),
-                                        0.0, params.alpha)
-    return ReferenceKernel(value=k, network=model._threshold_free(params))
+    values = pla.exact_zero_power_kernel(noises, a_total * math.gamma(1.0 - e), params.alpha)
+    return [ReferenceKernel(value=float(k), network=model._threshold_free(params, float(noise)))
+            for k, noise in zip(values, noises)]
 
 
 def coverage_reference(params: NetworkParams, *,

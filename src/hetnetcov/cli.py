@@ -95,12 +95,15 @@ def _overflow(field: str, db: float) -> ConfigError:
 
 
 def _require_db(mapping: dict, key: str, path: str) -> float:
-    """A dB number field, in linear scale."""
+    """A dB number field, in linear scale, neither overflowing nor underflowing to 0."""
     db = _require_number(mapping, key, path)
     try:
-        return db_to_linear(db)
+        linear = db_to_linear(db)
     except OverflowError:
         raise _overflow(_field(path, key), db) from None
+    if linear == 0.0:
+        raise ConfigError(f"{_field(path, key)} is {db} dB, too small for a float in linear scale")
+    return linear
 
 
 def _optional_integer(mapping: dict, key: str, path: str, default: int) -> int:
@@ -250,19 +253,17 @@ def _sweep(config: RunConfig, rate: bool, bits: bool,
         trials = mcsim.simulate_trials(config.params, config.sim, threads=threads)
 
     # The closed form's constants and the coverage reference's kernel
-    # depend on no threshold either, so they are rebuilt only when the
-    # network they were built for changes: once for a threshold sweep, at
-    # every point of a noise or shape sweep.
-    constants = ref_kernel = None
+    # depend on no threshold either: one object per point, built once per
+    # sweep over its distinct noise powers (see _per_point).
+    points = [_params_at(config, float(value)) for value in values]
+    all_constants = ref_kernels = [None] * len(points)
+    if "closed" in sweep.methods:
+        all_constants = _per_point(config, points, model.derived_constants_at)
+    if "reference" in sweep.methods and not rate:
+        ref_kernels = _per_point(config, points, analysis.reference_kernels_at)
 
     rows: list[dict[str, float]] = []
-    for value in values:
-        params = _params_at(config, float(value))
-        if "closed" in sweep.methods and (constants is None or not constants.fits(params)):
-            constants = model.derived_constants(params)
-        if ("reference" in sweep.methods and not rate
-                and (ref_kernel is None or not ref_kernel.fits(params))):
-            ref_kernel = analysis.reference_kernel(params)
+    for value, params, constants, ref_kernel in zip(values, points, all_constants, ref_kernels):
         row: dict[str, float] = {"sweep_db": float(value)}
         for method in sweep.methods:
             if method == "closed":
@@ -294,6 +295,20 @@ def _sweep(config: RunConfig, rate: bool, bits: bool,
                 row["mc_se"] = est.std_error / unit if rate else est.std_error
         rows.append(row)
     return rows, trials
+
+
+def _per_point(config: RunConfig, points: list[NetworkParams], build_at) -> list:
+    """`build_at(params, noises)`'s object for each sweep point.
+
+    A threshold or noise sweep changes only the thresholds and the noise,
+    so one call builds every point's object, over the sweep's distinct
+    noise powers.  A nakagami_pair point is another network, built alone.
+    """
+    if config.sweep.variable == "nakagami_pair":
+        return [build_at(params, [params.noise])[0] for params in points]
+    noises = list(dict.fromkeys(params.noise for params in points))
+    built = dict(zip(noises, build_at(config.params, noises)))
+    return [built[params.noise] for params in points]
 
 
 def _mc_point(params: NetworkParams, tier_max: np.ndarray, rate: bool) -> mcsim.Estimate:

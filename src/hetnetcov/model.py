@@ -12,6 +12,8 @@ closed-form coverage/rate expressions need three derived quantities:
 
 A and the I_i involve no threshold; `derived_constants` builds the I_i
 once as a `DerivedConstants`, which every threshold of a sweep can share.
+`derived_constants_at` builds them for every noise power of a sweep at
+once, as arrays over the noise; `derived_constants` is its length-1 case.
 
 Thresholds and powers are linear-scale throughout; dB conversion is the
 CLI's job.
@@ -23,6 +25,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
 from scipy import special
 
 from . import pla
@@ -41,6 +44,7 @@ __all__ = [
     "hyp2f1_rate",
     "rate_constant",
     "derived_constants",
+    "derived_constants_at",
 ]
 
 # Beyond this shape the alternating sum behind I_i loses too many digits
@@ -103,13 +107,29 @@ class DerivedConstants:
             )
 
 
-def _threshold_free(params: NetworkParams) -> tuple:
-    """(alpha, noise, ((density, power, shape) per tier)): all but the thresholds."""
+def _threshold_free(params: NetworkParams, noise: float | None = None) -> tuple:
+    """(alpha, noise, ((density, power, shape) per tier)): all but the thresholds.
+
+    `noise`, if given, stands in for params.noise.
+    """
     return (
         params.alpha,
-        params.noise,
+        params.noise if noise is None else noise,
         tuple((t.density, t.power, t.nakagami_m) for t in params.tiers),
     )
+
+
+def _noise_array(params: NetworkParams, noises) -> np.ndarray:
+    """`noises` as a 1-d float array, after checking `params` and every noise power."""
+    require_valid(params)
+    noises = np.atleast_1d(np.asarray(noises, dtype=float))
+    if noises.ndim != 1:
+        raise ValueError(f"noise powers must be a 1-d sequence, got shape {noises.shape}")
+    bad = ~(noises > 0)
+    if bad.any():
+        raise ValueError("invalid network parameters: noise power must be positive "
+                         f"(got {float(noises[bad][0])})")
+    return noises
 
 
 def validate(params: NetworkParams) -> list[str]:
@@ -170,14 +190,22 @@ def tier_script_I(params: NetworkParams, tier_index: int, kernel=None) -> float:
     """Per-tier coverage kernel I_i; see `derived_constants`.
 
     `kernel` defaults to the PLA closed form; `pla.exact_gamma_kernel_integral`
-    evaluates the paper's triple sum without the approximation.
+    evaluates the paper's triple sum without the approximation.  It is
+    called as kernel(noise, A, power, alpha) with the float noise power, and
+    the sum runs as `derived_constants_at`'s at length 1, so the default
+    gives `derived_constants`'s I_i bit for bit.
     """
     if not (0 <= tier_index < params.n_tiers):
         raise IndexError(f"tier_index {tier_index} out of range for K={params.n_tiers}")
     if kernel is None:
         kernel = pla.approx_gamma_kernel_integral
     m_shape = params.tiers[tier_index].nakagami_m
-    return _script_i_by_shape(params, interference_constant(params), (m_shape,), kernel)[m_shape]
+    a_const = interference_constant(params)
+    by_shape = _script_i_by_shape(
+        params.alpha, np.array([params.noise]), a_const, (m_shape,),
+        lambda power: kernel(params.noise, a_const, power, params.alpha),
+    )
+    return float(by_shape[m_shape][0])
 
 
 def bell_table(x: list[float]) -> list[list[float]]:
@@ -200,20 +228,21 @@ def bell_table(x: list[float]) -> list[list[float]]:
     return table
 
 
-def _script_i_by_shape(params: NetworkParams, a_const: float, shapes, kernel) -> dict[int, float]:
-    """I for each Nakagami shape in `shapes`, one kernel call per distinct t-exponent.
+def _script_i_by_shape(a: float, sigma2: np.ndarray, a_const: float, shapes,
+                       kernel) -> dict[int, np.ndarray]:
+    """I for each Nakagami shape in `shapes` at each noise power in `sigma2`.
 
     Triple sum over (k, l, r) of alternating terms, each carrying a partial
     Bell polynomial of D_t = prod_{q<t} (2/alpha - q) and a kernel integral
-    with U = sigma^2, V = A, and t-exponent r + (alpha/2)(k-l).
+    with U = sigma^2, V = A, and t-exponent r + (alpha/2)(k-l);
+    `kernel(power)` returns that integral at every noise power.
     Shapes share exponents (those of M are a subset of those of M+1), and
     the kernel is deterministic, so each exponent is evaluated once; every
-    sum keeps its order of terms.
+    sum keeps its order of terms, and each noise power's arithmetic is
+    elementwise, so it does not depend on the other noise powers.
     """
-    a = params.alpha
-    sigma2 = params.noise
-    kernel_at: dict[float, float] = {}
-    by_shape: dict[int, float] = {}
+    kernel_at: dict[float, np.ndarray] = {}
+    by_shape: dict[int, np.ndarray] = {}
     for m_shape in shapes:
         if m_shape in by_shape:
             continue
@@ -223,8 +252,8 @@ def _script_i_by_shape(params: NetworkParams, a_const: float, shapes, kernel) ->
             d_t *= 2.0 / a - q
             d_vals.append(d_t)
         bell_of = bell_table(d_vals)
-        total = 0.0
-        max_term = 0.0
+        total = np.zeros(sigma2.size)
+        max_term = np.zeros(sigma2.size)
         for k in range(m_shape):
             for l in range(k + 1):
                 outer = math.comb(k, l) * sigma2 ** (k - l) * (-1.0) ** l / math.factorial(k)
@@ -234,15 +263,15 @@ def _script_i_by_shape(params: NetworkParams, a_const: float, shapes, kernel) ->
                         continue
                     power = r + (a / 2.0) * (k - l)
                     if power not in kernel_at:
-                        kernel_at[power] = kernel(sigma2, a_const, power, a)
+                        kernel_at[power] = kernel(power)
                     term = outer * (-a_const) ** r * bell * kernel_at[power]
                     total += term
-                    max_term = max(max_term, abs(term))
+                    max_term = np.maximum(max_term, np.abs(term))
 
-        if total != 0.0 and max_term > 1e6 * abs(total):
+        for j in np.flatnonzero((total != 0.0) & (max_term > 1e6 * np.abs(total))):
             warnings.warn(
                 f"I for Nakagami shape {m_shape}: intermediate terms up to "
-                f"{max_term:.3e} against a result of {total:.3e}; significant cancellation",
+                f"{max_term[j]:.3e} against a result of {total[j]:.3e}; significant cancellation",
                 CancellationWarning,
                 stacklevel=3,
             )
@@ -271,12 +300,31 @@ def derived_constants(params: NetworkParams) -> DerivedConstants:
     """A once, I once per distinct Nakagami shape, the kernel once per distinct t-exponent.
 
     The kernel is the PLA closed form, `pla.approx_gamma_kernel_integral`
-    as bound when called.
+    as bound when called.  The length-1 case of `derived_constants_at`.
     """
+    return derived_constants_at(params, [params.noise])[0]
+
+
+def derived_constants_at(params: NetworkParams, noises) -> list[DerivedConstants]:
+    """`derived_constants` of `params` at each noise power in `noises`, built as arrays.
+
+    The triple sum runs once on the array of noise powers, with one
+    `pla.approx_gamma_kernel_integral` call per distinct t-exponent for the
+    whole array.  `params` must be valid, but its own noise power is not
+    used.  Element j equals `derived_constants` at noises[j], bit for bit,
+    and each point raises its own PlaAccuracyWarning or CancellationWarning.
+    """
+    noises = _noise_array(params, noises)
     a_const = interference_constant(params)
     shapes = [t.nakagami_m for t in params.tiers]
-    by_shape = _script_i_by_shape(params, a_const, shapes, pla.approx_gamma_kernel_integral)
-    return DerivedConstants(
-        script_i=tuple(by_shape[m] for m in shapes),
-        network=_threshold_free(params),
+    by_shape = _script_i_by_shape(
+        params.alpha, noises, a_const, shapes,
+        lambda power: pla.approx_gamma_kernel_integral(noises, a_const, power, params.alpha),
     )
+    return [
+        DerivedConstants(
+            script_i=tuple(float(by_shape[m][j]) for m in shapes),
+            network=_threshold_free(params, float(noise)),
+        )
+        for j, noise in enumerate(noises)
+    ]

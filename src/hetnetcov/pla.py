@@ -8,12 +8,20 @@ shows up in every term of the coverage sum.  Replacing exp(-x^(alpha/2))
 by a three-piece linear surrogate (1 below x1, m x + c between the knots,
 0 above x2) turns each term into a short combination of lower incomplete
 gamma functions.  `exact_gamma_kernel_integral` is the adaptive-quadrature
-reference used to measure the approximation loss.
+reference used to measure the approximation loss at any power, and
+`exact_zero_power_kernel` the exact power-0 kernel of the coverage
+reference, by the trapezoid rule.
 
 The surrogate is accurate only where the integrand mass sits near the
 origin.  `approx_kernel_error_bound` bounds its relative error a priori, in
 closed form, and `approx_gamma_kernel_integral` raises `PlaAccuracyWarning`
 whenever that bound exceeds `PLA_WARN_BOUND`.
+
+The PLA kernel, its bound and the power-0 kernel take U as a float or as a
+1-d array, such as a sweep's noise powers, and evaluate a float as an
+array of length 1: numpy's elementwise operations give the same bits for
+an element whatever the array's length, so a value alone equals, bit for
+bit, the same value computed inside a sweep.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
 from scipy import integrate, special
 
 __all__ = [
@@ -36,6 +45,7 @@ __all__ = [
     "approx_kernel_error_bound",
     "check_kernel_regime",
     "exact_gamma_kernel_integral",
+    "exact_zero_power_kernel",
     "lower_incomplete_gamma",
 ]
 
@@ -95,22 +105,23 @@ def pla_surrogate(x: float, coeff: PlaCoefficients) -> float:
     return coeff.m * x + coeff.c
 
 
-def approx_gamma_kernel_integral(u: float, v: float, power: float, alpha: float) -> float:
+def approx_gamma_kernel_integral(u, v: float, power: float, alpha: float):
     """Closed-form approximation of int_0^inf e^(-v t - u t^(alpha/2)) t^power dt.
 
     `power` is the (real, >= 0) exponent of t; the classical statement with
-    integrand t^(n/2) corresponds to power = n/2.  Raises PlaAccuracyWarning
-    when `approx_kernel_error_bound` exceeds PLA_WARN_BOUND; the returned
-    value is the same either way.
+    integrand t^(n/2) corresponds to power = n/2.  `u` is a float, or a 1-d
+    array for which an array is returned.  Raises PlaAccuracyWarning, once
+    per point, where `approx_kernel_error_bound` exceeds PLA_WARN_BOUND; the
+    returned value is the same either way.
     """
-    _check_kernel_args(u, v, power, alpha)
+    us = _kernel_args(u, v, power, alpha)
     coeff = pla_coefficients(alpha)
-    w, bracket = _scaled_bracket(u, v, power, coeff)
-    _warn_outside_regime(_error_bound(w, bracket, power, coeff), u, v, power, alpha)
-    return bracket / v ** (power + 1.0)
+    w, bracket = _scaled_bracket(us, v, power, coeff)
+    _warn_outside_regime(_error_bound(w, bracket, power, coeff), us, v, power, alpha)
+    return _shaped_like(u, bracket / v ** (power + 1.0))
 
 
-def approx_kernel_error_bound(u: float, v: float, power: float, alpha: float) -> float:
+def approx_kernel_error_bound(u, v: float, power: float, alpha: float):
     """A-priori bound on |approx - exact| / exact for the kernel integral.
 
     Substituting x = u^(2/alpha) t scales out u: the relative error depends
@@ -136,81 +147,95 @@ def approx_kernel_error_bound(u: float, v: float, power: float, alpha: float) ->
     read as infinite when B_left >= A_hat.  Both B are incomplete gammas and
     A_hat is the closed form itself: no quadrature and no fitted constant.
     The bound is tight as w -> inf, where the overshoot near the origin
-    dominates, and loose at small w.
+    dominates, and loose at small w.  `u` as in `approx_gamma_kernel_integral`.
     """
-    _check_kernel_args(u, v, power, alpha)
+    us = _kernel_args(u, v, power, alpha)
     coeff = pla_coefficients(alpha)
-    w, bracket = _scaled_bracket(u, v, power, coeff)
-    return _error_bound(w, bracket, power, coeff)
+    w, bracket = _scaled_bracket(us, v, power, coeff)
+    return _shaped_like(u, _error_bound(w, bracket, power, coeff))
 
 
-def check_kernel_regime(u: float, v: float, power: float, alpha: float) -> float:
+def check_kernel_regime(u, v: float, power: float, alpha: float):
     """Return `approx_kernel_error_bound`, raising PlaAccuracyWarning above PLA_WARN_BOUND.
 
     For closed forms that expand the PLA kernel inline instead of calling
     `approx_gamma_kernel_integral`.
     """
     bound = approx_kernel_error_bound(u, v, power, alpha)
-    _warn_outside_regime(bound, u, v, power, alpha)
+    _warn_outside_regime(np.atleast_1d(bound), np.atleast_1d(u), v, power, alpha)
     return bound
 
 
-def lower_incomplete_gamma(s: float, x: float) -> float:
+def lower_incomplete_gamma(s: float, x):
     """gamma(s, x) = int_0^x t^(s-1) e^(-t) dt for s > 0, x >= 0.
 
-    scipy's regularized `gammainc` times Gamma(s).
+    scipy's regularized `gammainc` times Gamma(s); `x` may be an array.
     """
     if not (s > 0):
         raise ValueError(f"lower_incomplete_gamma requires s > 0, got s={s}")
-    if x < 0:
+    if np.less(x, 0).any():
         raise ValueError(f"lower_incomplete_gamma requires x >= 0, got x={x}")
-    return float(special.gammainc(s, x) * math.gamma(s))
+    value = _lower_gamma(s, x)
+    return value if np.ndim(x) else float(value)
 
 
-def _scaled_bracket(u: float, v: float, power: float, coeff: PlaCoefficients):
+def _lower_gamma(s: float, x):
+    """`lower_incomplete_gamma` without its domain checks."""
+    return special.gammainc(s, x) * math.gamma(s)
+
+
+def _scaled_bracket(u: np.ndarray, v: float, power: float, coeff: PlaCoefficients):
     """(w, bracket): the closed form is bracket / v^(power+1), or bracket / w^(power+1) scaled."""
-    alpha = coeff.alpha
-    w = v / u ** (2.0 / alpha)  # scaled knot argument
+    u_scale = u ** (2.0 / coeff.alpha)
+    w = v / u_scale  # scaled knot argument
 
-    g1_x1 = lower_incomplete_gamma(power + 1.0, w * coeff.x1)
-    g1_x2 = lower_incomplete_gamma(power + 1.0, w * coeff.x2)
-    g2_x1 = lower_incomplete_gamma(power + 2.0, w * coeff.x1)
-    g2_x2 = lower_incomplete_gamma(power + 2.0, w * coeff.x2)
+    g1_x1 = _lower_gamma(power + 1.0, w * coeff.x1)
+    g1_x2 = _lower_gamma(power + 1.0, w * coeff.x2)
+    g2_x1 = _lower_gamma(power + 2.0, w * coeff.x1)
+    g2_x2 = _lower_gamma(power + 2.0, w * coeff.x2)
 
     bracket = (
         g1_x1
         + coeff.c * (g1_x2 - g1_x1)
-        + (u ** (2.0 / alpha) / v) * coeff.m * (g2_x2 - g2_x1)
+        + (u_scale / v) * coeff.m * (g2_x2 - g2_x1)
     )
     return w, bracket
 
 
-def _error_bound(w: float, bracket: float, power: float, coeff: PlaCoefficients) -> float:
-    """The bound of `approx_kernel_error_bound`, with B_left and B_right taken relative to A_hat."""
-    if not bracket > 0.0:
-        return math.inf
+def _error_bound(w: np.ndarray, bracket: np.ndarray, power: float,
+                 coeff: PlaCoefficients) -> np.ndarray:
+    """The bound of `approx_kernel_error_bound`, with B_left and B_right taken relative to A_hat.
+
+    An overflow or a division by zero gives inf or nan, as in Python float
+    arithmetic, without a RuntimeWarning.
+    """
     half_alpha = coeff.alpha / 2.0
     x0 = coeff.x0
     kappa = half_alpha * x0 ** (half_alpha - 1.0)
     # B_left / A_hat and B_right / A_hat, with A_hat = bracket / w^(p+1)
     s_left = power + half_alpha + 1.0
-    left = special.gammainc(s_left, w * x0) * math.gamma(s_left) / (bracket * w**half_alpha)
-    if left >= 1.0:
-        return math.inf
-    right = (
-        special.gammaincc(power + 1.0, (w + kappa) * x0) * math.gamma(power + 1.0)
-        * math.exp(kappa * x0 - x0**half_alpha) * (w / (w + kappa)) ** (power + 1.0)
-        / bracket
-    )
-    return max(right / (1.0 + right), left / (1.0 - left))
+    with np.errstate(all="ignore"):
+        left = special.gammainc(s_left, w * x0) * math.gamma(s_left) / (bracket * w**half_alpha)
+        right = (
+            special.gammaincc(power + 1.0, (w + kappa) * x0) * math.gamma(power + 1.0)
+            * math.exp(kappa * x0 - x0**half_alpha) * (w / (w + kappa)) ** (power + 1.0)
+            / bracket
+        )
+        unbounded = ~(bracket > 0.0) | (left >= 1.0)
+        right, left = right / (1.0 + right), left / (1.0 - left)
+    # max(right, left) as Python's max takes it: `right` unless `left` is larger.
+    return np.where(unbounded, np.inf, np.where(left > right, left, right))
 
 
-def _warn_outside_regime(bound: float, u: float, v: float, power: float, alpha: float) -> None:
-    if bound > PLA_WARN_BOUND:
+def _warn_outside_regime(bound: np.ndarray, u: np.ndarray, v: float, power: float,
+                         alpha: float) -> None:
+    """One PlaAccuracyWarning per point whose bound exceeds PLA_WARN_BOUND."""
+    for i in np.flatnonzero(bound > PLA_WARN_BOUND):
+        ui = float(u[i])
         warnings.warn(
-            f"PLA kernel error bound {bound:.1%} exceeds {PLA_WARN_BOUND:.0%} at "
-            f"U={u:.6g}, V={v:.6g}, power={power:g}, alpha={alpha:g} "
-            f"(w = V/U^(2/alpha) = {v / u ** (2.0 / alpha):.4g}); the closed form "
+            f"PLA kernel error bound {float(bound[i]):.1%} exceeds {PLA_WARN_BOUND:.0%} at "
+            f"U={ui:.6g}, V={v:.6g}, power={power:g}, alpha={alpha:g} "
+            f"(w = V/U^(2/alpha) = {v / ui ** (2.0 / alpha):.4g}); the closed form "
             "may be far from the exact integral",
             PlaAccuracyWarning,
             stacklevel=3,
@@ -226,7 +251,7 @@ def exact_gamma_kernel_integral(
     underflow bound, so no representable tail mass is discarded.  Raises
     QuadratureError if the estimated error exceeds `rel_tol` relative.
     """
-    _check_kernel_args(u, v, power, alpha)
+    _kernel_args(u, v, power, alpha)
 
     half_alpha = alpha / 2.0
 
@@ -257,6 +282,115 @@ def exact_gamma_kernel_integral(
     return result
 
 
+# The trapezoid rule of `exact_zero_power_kernel`: its range in z, the
+# relative gap at which two step sizes agree (a tenth of the 1e-10 that
+# `exact_gamma_kernel_integral` asks by default), the nodes summed pairwise
+# as one block, the most halvings of the step, and the most (point, node)
+# values evaluated at once (16,384 floats, 128 kB).
+_Z_LO, _Z_HI = -40.0, 4.0
+_AGREE = 1e-11
+_BLOCK = 32
+_MAX_HALVINGS = 10
+_CHUNK = 16384
+
+
+def exact_zero_power_kernel(u, v: float, alpha: float):
+    """int_0^inf e^(-v t - u t^(alpha/2)) dt, by the trapezoid rule on a log scale.
+
+    The exact kernel at power 0, the one `coverage_reference` needs, for a
+    float `u` or a 1-d array of them (a noise sweep) in one evaluation.
+    Substituting t = tau e^z with tau = 1 / (v + G u^(2/alpha)) and
+    G = Gamma(1 + 2/alpha) gives
+
+        K = tau int_R f(z) dz,   f(z) = exp(z - a e^z - (s e^z)^(alpha/2)),
+
+    with a = v tau and s = u^(2/alpha) tau, so that a + G s = 1 and the
+    mass of f sits near z = 0 whatever u and v.  f is smooth and decays
+    like e^z to the left and doubly exponentially to the right, so the
+    trapezoid rule converges geometrically in 1/h.  Truncation to
+    [_Z_LO, _Z_HI] = [-40, 4] loses less than 1e-16 of the integral I of f:
+
+    * I >= exp(-1 - e^gamma) > 0.06, gamma Euler's constant: for
+      y = e^z in [0, 1], a y <= 1 and (s y)^(alpha/2) <= G^(-alpha/2) < e^gamma,
+      since ln Gamma(1 + d) >= -gamma d.
+    * Left: f <= e^z, so below z = -40 lies at most e^-40 < 7e-17 I.
+    * Right: a e^z + (s e^z)^(alpha/2) >= e^z - 1.  If s e^z >= 1 the
+      second term is at least s e^z >= G s e^z = (1 - a) e^z; otherwise
+      (1 - a) e^z < G <= 1.  So f <= exp(1 + z - e^z), and above z = 4 lies
+      at most e exp(-e^4) < 1e-22 I.
+
+    The step starts at 1/alpha (the edge of exp(-(s e^z)^(alpha/2)) is
+    about 2/alpha wide) and halves, reusing every node, until two
+    consecutive sums at a point agree to _AGREE relative; the finer one is
+    that point's value.  Each point sums its nodes in blocks of _BLOCK,
+    pairwise within a block and in order across blocks, and stops at its
+    own level, so its value is the same, bit for bit, whatever points are
+    evaluated with it.  Raises QuadratureError where a point has not
+    converged after _MAX_HALVINGS halvings, or its value is not finite and
+    positive.
+    """
+    us = _kernel_args(u, v, 0.0, alpha)
+    half_alpha = alpha / 2.0
+    tau = 1.0 / (v + math.gamma(1.0 + 2.0 / alpha) * us ** (2.0 / alpha))
+    a = v * tau
+    s_power = us * tau**half_alpha  # s^(alpha/2)
+    step = 1.0 / alpha
+    # Whole blocks of nodes, the last at or beyond _Z_HI.
+    n_nodes = _BLOCK * math.ceil((1.0 + (_Z_HI - _Z_LO) / step) / _BLOCK)
+    nodes = _Z_LO + step * np.arange(n_nodes)
+    sums = np.zeros(us.size)
+    value = np.empty(us.size)
+    todo = np.arange(us.size)  # the points not yet converged
+    for halving in range(_MAX_HALVINGS + 1):
+        if not todo.size:
+            break
+        if halving:
+            # The new nodes are the midpoints of the previous level's.
+            step /= 2.0
+            nodes = _Z_LO + step * np.arange(1, 2 * n_nodes, 2)
+            n_nodes *= 2
+        sums[todo] = _node_sums(nodes, a[todo], s_power[todo], half_alpha, sums[todo])
+        estimate = step * sums[todo]
+        if halving:
+            done = np.abs(estimate - previous) <= _AGREE * estimate
+            value[todo[done]] = estimate[done]
+            todo, estimate = todo[~done], estimate[~done]
+        previous = estimate
+    if todo.size:  # nan never agrees with itself, so a nan integrand lands here too
+        raise QuadratureError(
+            f"kernel quadrature (u={float(us[todo[0]])}, v={v}, power=0, alpha={alpha}) "
+            f"did not converge after {_MAX_HALVINGS} halvings of the step"
+        )
+    kernel = tau * value
+    bad = ~((kernel > 0.0) & (kernel < math.inf))
+    if bad.any():
+        raise QuadratureError(
+            f"kernel quadrature (u={float(us[bad][0])}, v={v}, power=0, alpha={alpha}) "
+            f"gave {float(kernel[bad][0])}"
+        )
+    return _shaped_like(u, kernel)
+
+
+def _node_sums(nodes: np.ndarray, a: np.ndarray, s_power: np.ndarray, half_alpha: float,
+               start: np.ndarray) -> np.ndarray:
+    """start + the sum of f over `nodes`, per point, f as in `exact_zero_power_kernel`."""
+    e_z = np.exp(nodes)
+    with np.errstate(over="ignore"):  # e^(alpha z / 2) -> inf makes f 0
+        e_edge = np.exp(half_alpha * nodes)
+    per_chunk = _BLOCK * max(1, _CHUNK // (_BLOCK * a.size))
+    total = start
+    for lo in range(0, nodes.size, per_chunk):
+        part = slice(lo, lo + per_chunk)
+        f = np.multiply.outer(a, e_z[part])
+        f += np.multiply.outer(s_power, e_edge[part])
+        np.subtract(nodes[part], f, out=f)
+        np.exp(f, out=f)
+        blocks = f.reshape(a.size, -1, _BLOCK).sum(axis=2)
+        # cumsum adds strictly left to right: ((total + b1) + b2) + ...
+        total = np.cumsum(np.column_stack([total, blocks]), axis=1)[:, -1]
+    return total
+
+
 def _underflow_point(u: float, v: float, half_alpha: float) -> float:
     """Solve v t + u t^(alpha/2) = underflow bound by bisection; the upper end.
 
@@ -277,12 +411,23 @@ def _underflow_point(u: float, v: float, half_alpha: float) -> float:
     return hi
 
 
-def _check_kernel_args(u: float, v: float, power: float, alpha: float) -> None:
-    if not (u > 0):
-        raise ValueError(f"kernel integral requires U > 0, got {u}")
+def _kernel_args(u, v: float, power: float, alpha: float) -> np.ndarray:
+    """`u` as a 1-d float array, once every argument is in the kernel's domain."""
+    us = np.array(u, dtype=float, ndmin=1)
+    if us.ndim != 1:
+        raise ValueError(f"kernel integral requires U to be a float or a 1-d array, "
+                         f"got shape {us.shape}")
+    if not (us > 0).all():
+        raise ValueError(f"kernel integral requires U > 0, got {float(us[~(us > 0)][0])}")
     if not (v > 0):
         raise ValueError(f"kernel integral requires V > 0, got {v}")
     if power < 0:
         raise ValueError(f"kernel integral requires power >= 0, got {power}")
     if not (alpha > 2):
         raise ValueError(f"kernel integral requires alpha > 2, got {alpha}")
+    return us
+
+
+def _shaped_like(u, values: np.ndarray):
+    """`values` for an array `u`, its one element as a float for a float `u`."""
+    return values if np.ndim(u) else float(values[0])

@@ -26,6 +26,7 @@ from hetnetcov.analysis import (
     rate_rayleigh,
     rate_reference,
     reference_kernel,
+    reference_kernels_at,
 )
 from hetnetcov import pla
 from hetnetcov.model import (
@@ -323,8 +324,22 @@ class TestPrebuiltConstants:
         # when called, by the build and by the reference alike.
         net = make_network(shapes=(2, 3))
         closed, reference = coverage_probability(net), coverage_reference(net)
-        for name in ("approx_gamma_kernel_integral", "exact_gamma_kernel_integral"):
+        for name in ("approx_gamma_kernel_integral", "exact_zero_power_kernel"):
             original = getattr(pla, name)
             monkeypatch.setattr(pla, name, lambda *args, kernel=original: kernel(*args))
         assert coverage_probability(net, constants=derived_constants(net)) == closed
         assert coverage_reference(net) == reference
+
+    @pytest.mark.parametrize("shapes", [(1, 1), (2, 3), (16, 1)])
+    def test_reference_kernels_at_equal_length_one_builds(self, shapes):
+        # One quadrature over a sweep's noise powers gives each noise the
+        # bits of its own `reference_kernel`, so the coverage too.
+        net = make_network(shapes=shapes)
+        noises = [10.0 ** (db / 10.0) for db in range(-60, 61, 5)]
+        kernels = reference_kernels_at(net, noises)
+        for noise, kernel in zip(noises, kernels):
+            at = replace(net, noise=noise)
+            assert kernel == reference_kernel(at)
+            assert coverage_reference(at, kernel=kernel) == coverage_reference(at)
+        with pytest.raises(ValueError, match="noise power must be positive"):
+            reference_kernels_at(net, [1e-3, -1.0])

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from hetnetcov import analysis, mcsim, pla
+from hetnetcov import analysis, mcsim, model, pla
 from hetnetcov.cli import (
     ConfigError,
     _params_at,
@@ -154,6 +154,9 @@ STRICT_CASES = {
     "beta_db-overflow": (("tiers", 0, "beta_db"), 4000,
                          "'tiers[0].beta_db' is 4000.0 dB, too large for a float"),
     "stop-overflow": (("sweep", "stop"), 4000.0, "'sweep.stop' is 4000.0 dB, too large for a float"),
+    "noise_db-underflow": (("noise_db",), -4000, "'noise_db' is -4000.0 dB, too small for a float"),
+    "beta_db-underflow": (("tiers", 1, "beta_db"), -4000,
+                          "'tiers[1].beta_db' is -4000.0 dB, too small for a float"),
     "start-invalid": (("sweep", "start"), -3.0,
                       "at 'sweep.start' = -3.0: tier 0: SINR threshold must exceed 1"),
     "region_radius-string": (("sim", "region_radius"), "big",
@@ -240,15 +243,53 @@ class TestSharedConstants:
     @pytest.mark.parametrize("variable, points", [("beta1_db", 6), ("noise_db", 300)])
     def test_exact_kernel_calls(self, tmp_path, monkeypatch, variable, points):
         # The displacement-form reference takes one kernel quadrature per
-        # network: once for a threshold sweep, at every point of a noise sweep.
+        # sweep: a threshold sweep's one noise power and a noise sweep's
+        # every noise power are one array evaluation.
         config = network_config(tmp_path, variable, (2, 3), ("reference",), points=points)
         calls = [0]
-        monkeypatch.setattr(pla, "exact_gamma_kernel_integral",
-                            counting(pla.exact_gamma_kernel_integral, calls))
+        monkeypatch.setattr(pla, "exact_zero_power_kernel",
+                            counting(pla.exact_zero_power_kernel, calls))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", pla.PlaAccuracyWarning)
             run_sweep(config)
-        assert calls[0] == (1 if variable == "beta1_db" else points)
+        assert calls[0] == 1
+
+    @pytest.mark.parametrize("rate", [False, True])
+    @pytest.mark.parametrize("shapes, points", [((2, 3), 500), ((16, 1), 100)],
+                             ids=["m2_3-500", "m16_1-100"])
+    def test_dense_noise_sweep_equals_per_point_calls(self, tmp_path, shapes, points, rate):
+        # The sweep builds its constants and reference kernel once, as
+        # arrays over its noise powers; every row and every distinct warning
+        # (PlaAccuracyWarning, and CancellationWarning where the triple sum
+        # cancels) must be those of per-point public calls.
+        config = network_config(tmp_path, "noise_db", shapes, ("closed", "reference"),
+                                points=points)
+
+        def recorded(run):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = run()
+            return result, {(w.category, str(w.message)) for w in caught}
+
+        def per_point():
+            rows = []
+            for value in config.sweep.values():
+                params = _params_at(config, float(value))
+                if rate:
+                    routes = (analysis.average_rate(params), analysis.rate_exact(params))
+                else:
+                    routes = (analysis.coverage_probability(params),
+                              analysis.coverage_reference(params))
+                rows.append({"closed": routes[0].value, "reference": routes[1].value})
+            return rows
+
+        rows, swept = recorded(lambda: run_sweep(config, rate=rate))
+        expected, alone = recorded(per_point)
+        assert [{m: row[m] for m in ("closed", "reference")} for row in rows] == expected
+        assert swept == alone
+        assert {category for category, _ in swept} <= {pla.PlaAccuracyWarning,
+                                                        model.CancellationWarning}
+        assert any(category is pla.PlaAccuracyWarning for category, _ in swept)
 
     @pytest.mark.parametrize("rate", [False, True])
     def test_same_warnings_as_per_point_calls(self, rate):

@@ -8,7 +8,10 @@ Oracles:
 """
 
 import math
+import warnings
+from dataclasses import replace
 
+import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
@@ -17,9 +20,11 @@ from hetnetcov import pla
 from hetnetcov.analysis import average_rate
 from hetnetcov.model import (
     MAX_NAKAGAMI_M,
+    CancellationWarning,
     NetworkParams,
     TierParams,
     derived_constants,
+    derived_constants_at,
     interference_constant,
     rate_constant,
     require_valid,
@@ -254,3 +259,70 @@ class TestDerivedConstants:
         derived_constants(make_network())
         tier_script_I(make_network(), 0)
         assert calls == [0.0, 0.0]
+
+
+def recorded_warnings(run):
+    """(result of run(), the messages of every warning it raised, in order)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run()
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestDerivedConstantsAt:
+    """One array build over a sweep's noise powers, equal to the per-noise builds."""
+
+    # -40..40 dB: from the figure regime into the PLA's noise-limited one.
+    NOISES = 10.0 ** np.linspace(-4.0, 4.0, 41)
+
+    @pytest.mark.parametrize("shapes", [(1, 1), (2, 3), (16, 1)])
+    def test_equal_to_length_one_builds(self, shapes):
+        net = make_network(shapes=shapes)
+        batched, swept = recorded_warnings(lambda: derived_constants_at(net, self.NOISES))
+        singles, alone = recorded_warnings(
+            lambda: [derived_constants(replace(net, noise=float(n))) for n in self.NOISES])
+        assert batched == singles
+        assert sorted(swept) == sorted(alone)
+        assert any(c is pla.PlaAccuracyWarning for c, _ in swept)
+        assert all(c.fits(replace(net, noise=float(n))) for c, n in zip(batched, self.NOISES))
+
+    def test_one_kernel_call_per_exponent_for_all_noises(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pla, "approx_gamma_kernel_integral",
+                            counting(pla.approx_gamma_kernel_integral, calls))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", pla.PlaAccuracyWarning)
+            derived_constants_at(make_network(shapes=(2, 3)), self.NOISES)
+        assert sorted(calls) == [0.0, 1.0, 1.5, 2.0, 2.5, 3.0]
+
+    def test_cancellation_warned_per_point(self, monkeypatch):
+        # No network tried so far makes the triple sum cancel (M = 16 and
+        # 300 random networks over 160 dB of noise), so a kernel is
+        # substituted that makes it cancel at every other noise power.
+        # At M = 2, I = K(0) + sigma^2 K(a/2) + (2A/a) K(1).
+        net = make_network(shapes=(2, 1))
+        a_const, alpha = interference_constant(net), net.alpha
+        noises = self.NOISES[::4]
+        eps = np.where(np.arange(noises.size) % 2 == 0, 1e-9, 1.0)
+
+        def kernel(u, v, power, a):
+            u = np.atleast_1d(u)
+            if power == 0.0:
+                return -(u + 2.0 * a_const / alpha) * (1.0 - eps[np.searchsorted(noises, u)])
+            return np.ones_like(u)
+
+        monkeypatch.setattr(pla, "approx_gamma_kernel_integral", kernel)
+        _, swept = recorded_warnings(lambda: derived_constants_at(net, noises))
+        _, alone = recorded_warnings(
+            lambda: [derived_constants(replace(net, noise=float(n))) for n in noises])
+        assert [c for c, _ in swept] == [CancellationWarning] * int((eps < 1.0).sum())
+        assert swept == alone
+
+    def test_noise_powers_validated(self):
+        net = make_network()
+        with pytest.raises(ValueError, match=r"noise power must be positive \(got 0.0\)"):
+            derived_constants_at(net, [1e-3, 0.0])
+        with pytest.raises(ValueError, match="1-d"):
+            derived_constants_at(net, [[1e-3]])
+        with pytest.raises(ValueError, match="alpha"):
+            derived_constants_at(make_network(alpha=2.0), [1e-3])

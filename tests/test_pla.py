@@ -2,6 +2,7 @@ import math
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
 from scipy import integrate
 
@@ -13,6 +14,7 @@ from hetnetcov.pla import (
     approx_kernel_error_bound,
     check_kernel_regime,
     exact_gamma_kernel_integral,
+    exact_zero_power_kernel,
     pla_coefficients,
     pla_surrogate,
 )
@@ -184,6 +186,105 @@ class TestExactKernelIntegral:
                     assert pla._underflow_point(u, v, alpha / 2.0) == full_bisection(
                         u, v, alpha / 2.0
                     ), (u, v, alpha)
+
+
+def mpmath_zero_power_kernel(u, v, alpha):
+    """int_0^inf exp(-v t - u t^(alpha/2)) dt at 30 digits, with t = x / (v + u^(2/alpha))."""
+    with mpmath.workdps(30):
+        u, v, alpha = mpmath.mpf(u), mpmath.mpf(v), mpmath.mpf(alpha)
+        c = v + u ** (2 / alpha)
+        integral = mpmath.quad(lambda x: mpmath.exp(-v / c * x - u * (x / c) ** (alpha / 2)),
+                               [0, 1, 10, 100, mpmath.inf])
+        return float(integral / c)
+
+
+class TestExactZeroPowerKernel:
+    def test_against_mpmath(self):
+        # A seeded grid over alpha in [2.05, 8], U in [1e-12, 1e12] and
+        # V in [1e-3, 1e3], with the eight corners.
+        rng = np.random.default_rng(20161604)
+        grid = [(a, u, v) for a in (2.05, 8.0) for u in (1e-12, 1e12) for v in (1e-3, 1e3)]
+        grid += zip(rng.uniform(2.05, 8.0, 40), 10.0 ** rng.uniform(-12, 12, 40),
+                    10.0 ** rng.uniform(-3, 3, 40))
+        for alpha, u, v in grid:
+            expected = mpmath_zero_power_kernel(u, v, alpha)
+            assert exact_zero_power_kernel(u, v, alpha) == pytest.approx(
+                expected, rel=REFERENCE_REL_TOL), (alpha, u, v)
+
+    def test_erfc_spot_value(self):
+        expected = math.exp(0.25) * (math.sqrt(math.pi) / 2) * math.erfc(0.5)
+        assert exact_zero_power_kernel(1.0, 1.0, 4.0) == pytest.approx(expected, rel=1e-12)
+
+    def test_non_finite_integrand_raises(self):
+        # An infinite V or U makes the integrand nan: no two step sizes agree.
+        with pytest.raises(QuadratureError, match="did not converge"):
+            exact_zero_power_kernel(1.0, math.inf, 3.0)
+        # One such point fails the whole array, and is named.
+        with pytest.raises(QuadratureError, match="u=inf"):
+            exact_zero_power_kernel(np.array([1.0, math.inf, 2.0]), 1.0, 3.0)
+
+    def test_unconverged_step_raises(self, monkeypatch):
+        # At (1, 1, alpha = 4) the first halving does not yet agree to
+        # 1e-11; with no second one allowed the quadrature must raise
+        # rather than return the unconverged sum.
+        monkeypatch.setattr(pla, "_MAX_HALVINGS", 1)
+        with pytest.raises(QuadratureError, match="after 1 halvings"):
+            exact_zero_power_kernel(1.0, 1.0, 4.0)
+        monkeypatch.setattr(pla, "_MAX_HALVINGS", 2)
+        assert exact_zero_power_kernel(1.0, 1.0, 4.0) > 0.0
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError, match="U > 0, got -1.0"):
+            exact_zero_power_kernel(np.array([1.0, -1.0]), 1.0, 3.0)
+        with pytest.raises(ValueError, match="1-d"):
+            exact_zero_power_kernel(np.ones((2, 2)), 1.0, 3.0)
+        with pytest.raises(ValueError):
+            exact_zero_power_kernel(1.0, 1.0, 2.0)
+
+
+class TestArrayU:
+    """An array of U gives, element by element, the bits of the float calls."""
+
+    # From the figure regime to where the PLA warns, and across 1e-12..1e12.
+    U = 10.0 ** np.linspace(-12, 12, 97)
+
+    @pytest.mark.parametrize("alpha", [2.05, 3.0, 4.5, 8.0])
+    def test_zero_power_kernel(self, alpha):
+        batched = exact_zero_power_kernel(self.U, 30.0, alpha)
+        assert isinstance(batched, np.ndarray)
+        assert batched.tolist() == [exact_zero_power_kernel(u, 30.0, alpha) for u in self.U]
+
+    @pytest.mark.parametrize("power", [0.0, 1.5, 4.0])
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 6.0])
+    def test_approx_kernel_and_bound(self, alpha, power):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PlaAccuracyWarning)
+            values = approx_gamma_kernel_integral(self.U, 30.0, power, alpha)
+            singles = [approx_gamma_kernel_integral(u, 30.0, power, alpha) for u in self.U]
+        assert values.tolist() == singles
+        assert all(isinstance(x, float) for x in singles)
+        bounds = approx_kernel_error_bound(self.U, 30.0, power, alpha)
+        assert bounds.tolist() == [approx_kernel_error_bound(u, 30.0, power, alpha)
+                                   for u in self.U]
+
+    def test_one_warning_per_flagged_point(self):
+        def messages(run):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run()
+            return [str(w.message) for w in caught if w.category is PlaAccuracyWarning]
+
+        swept = messages(lambda: approx_gamma_kernel_integral(self.U, 30.0, 1.5, 3.0))
+        alone = messages(lambda: [approx_gamma_kernel_integral(u, 30.0, 1.5, 3.0)
+                                  for u in self.U])
+        flagged = approx_kernel_error_bound(self.U, 30.0, 1.5, 3.0) > pla.PLA_WARN_BOUND
+        assert 0 < flagged.sum() < len(self.U)
+        assert swept == alone
+        assert len(swept) == flagged.sum()
+
+    def test_array_domain_error_names_the_value(self):
+        with pytest.raises(ValueError, match="U > 0, got 0.0"):
+            approx_gamma_kernel_integral(np.array([1.0, 0.0]), 1.0, 0.0, 3.0)
 
 
 class TestApproxVersusExact:

@@ -152,9 +152,6 @@ def load_config(path: str) -> RunConfig:
             )
         )
     params = NetworkParams(alpha=alpha, noise=noise, tiers=tuple(tiers))
-    violations = validate(params)
-    if violations:
-        raise ConfigError("; ".join(violations))
 
     sw = _require(raw, "sweep", "")
     _reject_unknown(sw, ("variable", "start", "stop", "points", "methods"), "sweep")
@@ -204,17 +201,26 @@ def load_config(path: str) -> RunConfig:
     sim = mcsim.SimConfig(n_geometry=n_geometry, n_fading=n_fading, seed=seed,
                           region_radius=region_radius)
     config = RunConfig(params=params, sweep=sweep, sim=sim)
-    # Validity is monotone in the threshold and the noise power, and holds
-    # on an interval of shapes, so the sweep's two ends cover every point.
+    # The sweep replaces one field of the network at every point, so the
+    # network is validated with that field taken from the sweep's two ends,
+    # never at the config's own value of it.  Validity is monotone in the
+    # threshold and the noise power, and holds on an interval of shapes, so
+    # the two ends cover every point.  A violation found at both ends is not
+    # the sweep's and is reported without naming an end.
+    found = {}
     for key in ("start", "stop"):
         end = getattr(sweep, key)
         value = float(np.rint(end)) if variable == "nakagami_pair" else end
         try:
-            violations = validate(_params_at(config, value))
+            found[key] = validate(_params_at(config, value))
         except OverflowError:
             raise _overflow(f"'sweep.{key}'", end) from None
+    common = [v for v in found["start"] if v in found["stop"]]
+    if common:
+        raise ConfigError("; ".join(common))
+    for key, violations in found.items():
         if violations:
-            raise ConfigError(f"at 'sweep.{key}' = {end}: " + "; ".join(violations))
+            raise ConfigError(f"at 'sweep.{key}' = {getattr(sweep, key)}: " + "; ".join(violations))
     return config
 
 
@@ -247,15 +253,16 @@ def _sweep(config: RunConfig, rate: bool, bits: bool,
     # noise power, so one pass serves a threshold or noise sweep; only a
     # change of the fading law (nakagami_pair) needs a pass per point.
     # The per-tier SINRs depend on the noise only, so a threshold sweep
-    # derives them once.
+    # derives them once.  What every point shares is built on the first
+    # point's network: the config's own value of the swept field is unused.
+    points = [_params_at(config, float(value)) for value in values]
     trials = tier_max = tier_max_noise = None
     if "mc" in sweep.methods and sweep.variable != "nakagami_pair":
-        trials = mcsim.simulate_trials(config.params, config.sim, threads=threads)
+        trials = mcsim.simulate_trials(points[0], config.sim, threads=threads)
 
     # The closed form's constants and the coverage reference's kernel
     # depend on no threshold either: one object per point, built once per
     # sweep over its distinct noise powers (see _per_point).
-    points = [_params_at(config, float(value)) for value in values]
     all_constants = ref_kernels = [None] * len(points)
     if "closed" in sweep.methods:
         all_constants = _per_point(config, points, model.derived_constants_at)
@@ -307,7 +314,7 @@ def _per_point(config: RunConfig, points: list[NetworkParams], build_at) -> list
     if config.sweep.variable == "nakagami_pair":
         return [build_at(params, [params.noise])[0] for params in points]
     noises = list(dict.fromkeys(params.noise for params in points))
-    built = dict(zip(noises, build_at(config.params, noises)))
+    built = dict(zip(noises, build_at(points[0], noises)))
     return [built[params.noise] for params in points]
 
 

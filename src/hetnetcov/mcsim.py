@@ -6,12 +6,12 @@ as the arrival times of a rate lambda*pi process, which (a) reproduces the
 disk PPP exactly (Poisson count, d = R sqrt(u) distance law) and (b) keeps
 the near-field points identical when the radius is enlarged, so the
 radius-doubling self-check measures truncation bias rather than resampling
-noise.  Fading power is Gamma(M, 1), drawn by `Generator.standard_gamma`
-(Marsaglia-Tsang for M >= 2, the ziggurat exponential for M = 1) into one
-(BS, draw) block per geometry.  A draw uses a varying number of stream
-values, but each tier's stream fills its rows sequentially, BS-major, so
-the draws of the first n BSs do not depend on how many BSs follow: the
-enlarged disk sees the same fading at its inner points.
+noise.  Fading power is Gamma(M, 1) with integer M, drawn as
+-ln prod_{j<M} U_j from M uniforms U_j on (0, 1] into one (BS, draw) block
+per geometry.  Each BS takes exactly M * n_fading consecutive values of its
+tier's stream, BS-major, so the draws of the first n BSs do not depend on
+how many BSs follow: the enlarged disk sees the same fading at its inner
+points.
 
 Interference from beyond the disk is folded in as its expectation over
 the outside process (`tail_mean_interference`); its fluctuation is
@@ -64,8 +64,9 @@ _FADING_STREAM = 1
 
 # Expected number of BSs inside the default observation disk.  Chosen from
 # the disk table in README (scripts/disk_table.py): at 250 the radius-doubling
-# drift stays under 1e-4 and the SE matches a 2,000-BS disk's, while the
-# fading sampler, whose cost grows with the BS count, runs 4-7x faster.
+# drift stays under 2e-4, a fifth of acceptance criterion 7's bound, and the
+# SE matches a 2,000-BS disk's, while a pass, whose cost grows with the BS
+# count, runs 3-7x faster.
 _DEFAULT_TARGET_COUNT = 250.0
 
 
@@ -178,18 +179,28 @@ def sample_fading(
     """(sum(counts), n_fading) block of Gamma(M_i, 1) fading power draws.
 
     Rows run in tier order, then BS order: tier i owns the `counts[i]` rows
-    after those of the tiers before it.  Each tier's rows are filled in
-    place from its own stream by `Generator.standard_gamma`, one draw at a
-    time, BS-major.  Rejection steps make the number of stream values per
-    draw vary, but the fill is sequential, so the draws of the first n BSs
-    do not depend on how many BSs follow them (needed by the radius-doubling
+    after those of the tiers before it.  For integer M, Gamma(M, 1) is
+    -ln prod_{j<M} U_j with U_j independent uniforms on (0, 1].  Each tier
+    draws one (BS, M, n_fading) array of `Generator.random` values from its
+    own stream, BS-major, and takes U = 1 - value, so no factor is 0.  BS b
+    of a tier thus uses exactly the M * n_fading stream values after the
+    first b * M * n_fading, and the draws of the first n BSs do not depend
+    on how many BSs follow them (needed by the radius-doubling
     common-random-numbers check).
     """
+    model.require_valid(params)
     block = np.empty((sum(counts), sim.n_fading))
     start = 0
     for tier_index, (tier, n_bs) in enumerate(zip(params.tiers, counts)):
         rng = _stream(sim.seed, stream_index, tier_index, _FADING_STREAM)
-        rng.standard_gamma(tier.nakagami_m, out=block[start:start + n_bs])
+        rows = block[start:start + n_bs]
+        u = rng.random((n_bs, tier.nakagami_m, sim.n_fading))
+        np.subtract(1.0, u, out=u)
+        rows[...] = u[:, 0]
+        for j in range(1, tier.nakagami_m):
+            rows *= u[:, j]
+        np.log(rows, out=rows)
+        np.negative(rows, out=rows)
         start += n_bs
     return block
 

@@ -62,10 +62,39 @@ class TestLoadConfig:
         assert config.params.tiers[0].threshold == pytest.approx(db_to_linear(5.0))
 
     def test_threshold_at_most_zero_db_rejected(self, tmp_path):
+        # Tier 1: the beta1_db sweep replaces tier 0's threshold.
         cfg = base_config()
-        cfg["tiers"][0]["beta_db"] = -1.0
-        with pytest.raises(ConfigError, match="exceed 1"):
+        cfg["tiers"][1]["beta_db"] = -1.0
+        with pytest.raises(ConfigError, match="^tier 1: SINR threshold must exceed 1"):
             load_config(write_config(tmp_path, cfg))
+
+    def test_beta1_sweep_ignores_config_threshold(self, tmp_path, capsys):
+        # The sweep sets tier 0's threshold at every point, so the config's
+        # own value is neither validated nor used.
+        with open("configs/fig1_coverage.json") as fh:
+            cfg = json.load(fh)
+        cfg["tiers"][0]["beta_db"] = 0.0
+        config = load_config(write_config(tmp_path, cfg))
+        assert config.params.tiers[0].threshold == 1.0
+        outputs = []
+        for beta_db in (0.0, 5.0):
+            cfg = base_config()
+            cfg["sweep"]["methods"] = ["closed", "reference", "mc"]
+            cfg["tiers"][0]["beta_db"] = beta_db
+            assert main(["--config", write_config(tmp_path, cfg)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        # The radius check alone measures at the config's own network.
+        cfg["tiers"][0]["beta_db"] = 0.0
+        assert main(["--config", write_config(tmp_path, cfg), "--radius-check"]) == 1
+        assert "validation error" in capsys.readouterr().err
+
+    def test_beta1_sweep_start_validated(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["sweep"]["start"] = 0.0
+        assert main(["--config", write_config(tmp_path, cfg)]) == 1
+        assert ("config error: at 'sweep.start' = 0.0: tier 0: SINR threshold must exceed 1"
+                in capsys.readouterr().err)
 
     def test_missing_field_named(self, tmp_path):
         cfg = base_config()
@@ -414,7 +443,7 @@ class TestMain:
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = base_config()
-        cfg["tiers"][0]["beta_db"] = -3.0
+        cfg["tiers"][1]["beta_db"] = -3.0
         path = write_config(tmp_path, cfg)
         assert main(["--config", path]) == 1
         assert "config error" in capsys.readouterr().err

@@ -92,9 +92,6 @@ class TestGeometry:
 
     def test_fading_prefix_property(self):
         # The first n BSs of a tier draw the same fading whatever follows.
-        # The prefixes hold 800 and 1200 Gamma draws per tier, enough for
-        # Marsaglia-Tsang to reject inside them, so a draw's use of the
-        # stream varies and only the sequential fill keeps the property.
         sim = sim_config()
         small, large = [40, 60], [90, 150]
         for shapes in ((2, 1), (3, 16)):
@@ -103,27 +100,27 @@ class TestGeometry:
             h_large = np.split(sample_fading(net, sim, 3, large), [large[0]])
             for hs, hl in zip(h_small, h_large):
                 np.testing.assert_array_equal(hs, hl[: hs.shape[0]])
-            # A Marsaglia-Tsang draw takes at least two stream values (a
-            # normal and a uniform); a prefix that took exactly 2 per draw
-            # had no rejection.
-            for tier, (m, n_bs) in enumerate(zip(shapes, small)):
-                if m == 1:
-                    continue
-                drawn = _stream(sim.seed, 3, tier, _FADING_STREAM)
-                drawn.standard_gamma(m, size=(n_bs, sim.n_fading))
-                fixed = _stream(sim.seed, 3, tier, _FADING_STREAM).bit_generator
-                fixed.advance(2 * n_bs * sim.n_fading)
-                assert drawn.bit_generator.state != fixed.state
+            # Each BS uses exactly M * F stream values: BS b of a tier is
+            # -ln prod (1 - U) over the M * F values after the first b * M * F.
+            for tier, (m, h) in enumerate(zip(shapes, h_large)):
+                for b in (0, 1, len(h) - 1):
+                    rng = _stream(sim.seed, 3, tier, _FADING_STREAM)
+                    rng.bit_generator.advance(b * m * sim.n_fading)
+                    factors = 1.0 - rng.random((m, sim.n_fading))
+                    product = factors[0]
+                    for factor in factors[1:]:
+                        product = product * factor
+                    np.testing.assert_array_equal(h[b], -np.log(product))
 
     def test_fading_moments(self):
         # Gamma(M, 1): mean M, variance M.
-        net = make_network(shapes=(3, 1))
         sim = sim_config(n_geometry=1, n_fading=20000)
-        h = sample_fading(net, sim, 0, counts=[5, 5])[:5]
-        assert h.mean() == pytest.approx(3.0, rel=0.02)
-        assert h.var() == pytest.approx(3.0, rel=0.05)
+        for m in (3, MAX_NAKAGAMI_M):
+            h = sample_fading(make_network(shapes=(m, 1)), sim, 0, counts=[5, 5])[:5]
+            assert h.mean() == pytest.approx(m, rel=0.02)
+            assert h.var() == pytest.approx(m, rel=0.05)
 
-    @pytest.mark.parametrize("m", [1, 2, 3, MAX_NAKAGAMI_M])
+    @pytest.mark.parametrize("m", range(1, MAX_NAKAGAMI_M + 1))
     def test_fading_law(self, m):
         # Every supported shape draws Gamma(M, 1) and only finite values.
         net = make_network(densities=(1.0,), powers=(1.0,), thresholds=(2.0,),
@@ -131,6 +128,14 @@ class TestGeometry:
         h = sample_fading(net, sim_config(n_fading=100), 0, counts=[200])
         assert np.isfinite(h).all()
         assert stats.kstest(h.ravel(), stats.gamma(m).cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("m", [2.5, MAX_NAKAGAMI_M + 1])
+    def test_fading_rejects_invalid_shape(self, m):
+        # The product-of-uniforms law holds for integer M only; a fractional
+        # shape is an error, not a draw from another law.
+        net = make_network(shapes=(1, m))
+        with pytest.raises(ValueError, match="tier 1: nakagami_m"):
+            sample_fading(net, sim_config(), 0, counts=[3, 3])
 
 
 class TestKernels:

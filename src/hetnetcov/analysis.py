@@ -150,7 +150,7 @@ def reference_kernel(params: NetworkParams) -> ReferenceKernel:
 def reference_kernels_at(params: NetworkParams, noises) -> list[ReferenceKernel]:
     """`reference_kernel` of `params` at each noise power in `noises`, in one quadrature.
 
-    One `pla.exact_zero_power_kernel` call evaluates K(sigma^2, a Gamma(1-d), 0)
+    One `pla.exact_gamma_kernel_integral` call evaluates K(sigma^2, a Gamma(1-d), 0)
     for the whole array.  `params` must be valid, but its own noise power is
     not used.  Element j equals `reference_kernel` at noises[j], bit for bit.
     """
@@ -158,7 +158,8 @@ def reference_kernels_at(params: NetworkParams, noises) -> list[ReferenceKernel]
     e = 2.0 / params.alpha
     a_total = math.pi * sum(t.density * t.power**e * g
                             for t, g in zip(params.tiers, _fading_moments(params)))
-    values = pla.exact_zero_power_kernel(noises, a_total * math.gamma(1.0 - e), params.alpha)
+    values = pla.exact_gamma_kernel_integral(
+        noises, a_total * math.gamma(1.0 - e), 0.0, params.alpha)
     return [ReferenceKernel(value=float(k), network=model._threshold_free(params, float(noise)))
             for k, noise in zip(values, noises)]
 

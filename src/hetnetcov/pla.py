@@ -7,17 +7,17 @@ The canonical integral
 shows up in every term of the coverage sum.  Replacing exp(-x^(alpha/2))
 by a three-piece linear surrogate (1 below x1, m x + c between the knots,
 0 above x2) turns each term into a short combination of lower incomplete
-gamma functions.  `exact_gamma_kernel_integral` is the adaptive-quadrature
-reference used to measure the approximation loss at any power, and
-`exact_zero_power_kernel` the exact power-0 kernel of the coverage
-reference, by the trapezoid rule.
+gamma functions.  `exact_gamma_kernel_integral` evaluates the integral
+itself, by the trapezoid rule on a log scale: at power 0 it is the kernel
+of the coverage reference, and at any power it measures the
+approximation loss.
 
 The surrogate is accurate only where the integrand mass sits near the
 origin.  `approx_kernel_error_bound` bounds its relative error a priori, in
 closed form, and `approx_gamma_kernel_integral` raises `PlaAccuracyWarning`
 whenever that bound exceeds `PLA_WARN_BOUND`.
 
-The PLA kernel, its bound and the power-0 kernel take U as a float or as a
+The PLA kernel, its bound and the exact kernel take U as a float or as a
 1-d array, such as a sweep's noise powers, and evaluate a float as an
 array of length 1: numpy's elementwise operations give the same bits for
 an element whatever the array's length, so a value alone equals, bit for
@@ -32,7 +32,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 __all__ = [
     "PLA_WARN_BOUND",
@@ -45,12 +45,8 @@ __all__ = [
     "approx_kernel_error_bound",
     "check_kernel_regime",
     "exact_gamma_kernel_integral",
-    "exact_zero_power_kernel",
     "lower_incomplete_gamma",
 ]
-
-# exp(-746) underflows in float64; nothing representable lies beyond this.
-_EXP_UNDERFLOW = 745.0
 
 # A closed-form kernel whose a-priori relative error bound exceeds this
 # raises PlaAccuracyWarning.
@@ -58,7 +54,7 @@ PLA_WARN_BOUND = 0.05
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """A quadrature did not converge, or gave a value that is not finite and positive."""
 
 
 class PlaAccuracyWarning(UserWarning):
@@ -242,51 +238,11 @@ def _warn_outside_regime(bound: np.ndarray, u: np.ndarray, v: float, power: floa
         )
 
 
-def exact_gamma_kernel_integral(
-    u: float, v: float, power: float, alpha: float, rel_tol: float = 1e-10
-) -> float:
-    """Adaptive quadrature of int_0^inf e^(-v t - u t^(alpha/2)) t^power dt.
-
-    The upper limit is truncated where the exponent reaches the float64
-    underflow bound, so no representable tail mass is discarded.  Raises
-    QuadratureError if the estimated error exceeds `rel_tol` relative.
-    """
-    _kernel_args(u, v, power, alpha)
-
-    half_alpha = alpha / 2.0
-
-    def integrand(t: float) -> float:
-        if t <= 0.0:
-            return 1.0 if power == 0 else 0.0
-        e = -v * t - u * t ** half_alpha + power * math.log(t)
-        return math.exp(e) if e > -_EXP_UNDERFLOW else 0.0
-
-    t_max = _underflow_point(u, v, half_alpha)
-
-    # Interior maximum of the full integrand, handed to quad as a breakpoint.
-    points = []
-    if power > 0:
-        t_peak = power / v  # peak of t^p e^(-vt); good enough as a hint
-        if 0.0 < t_peak < t_max:
-            points.append(t_peak)
-
-    result, abserr = integrate.quad(
-        integrand, 0.0, t_max, points=points or None, limit=500,
-        epsabs=0.0, epsrel=rel_tol * 0.1,
-    )
-    if result <= 0.0 or abserr > rel_tol * abs(result):
-        raise QuadratureError(
-            f"kernel quadrature (u={u}, v={v}, power={power}, alpha={alpha}) "
-            f"did not converge: result={result}, abserr={abserr}"
-        )
-    return result
-
-
-# The trapezoid rule of `exact_zero_power_kernel`: its range in z, the
-# relative gap at which two step sizes agree (a tenth of the 1e-10 that
-# `exact_gamma_kernel_integral` asks by default), the nodes summed pairwise
-# as one block, the most halvings of the step, and the most (point, node)
-# values evaluated at once (16,384 floats, 128 kB).
+# The trapezoid rule of `exact_gamma_kernel_integral`: the ends of its range
+# in z at power 0, the relative gap at which two step sizes agree (the
+# kernel's tolerance), the nodes summed pairwise as one block, the most
+# halvings of the step, and the most (point, node) values evaluated at once
+# (16,384 floats, 128 kB).
 _Z_LO, _Z_HI = -40.0, 4.0
 _AGREE = 1e-11
 _BLOCK = 32
@@ -294,30 +250,40 @@ _MAX_HALVINGS = 10
 _CHUNK = 16384
 
 
-def exact_zero_power_kernel(u, v: float, alpha: float):
-    """int_0^inf e^(-v t - u t^(alpha/2)) dt, by the trapezoid rule on a log scale.
+def exact_gamma_kernel_integral(u, v: float, power: float, alpha: float):
+    """int_0^inf e^(-v t - u t^(alpha/2)) t^power dt, by the trapezoid rule on a log scale.
 
-    The exact kernel at power 0, the one `coverage_reference` needs, for a
-    float `u` or a 1-d array of them (a noise sweep) in one evaluation.
-    Substituting t = tau e^z with tau = 1 / (v + G u^(2/alpha)) and
-    G = Gamma(1 + 2/alpha) gives
+    The exact counterpart of `approx_gamma_kernel_integral`, with its
+    arguments: `u` is a float, or a 1-d array (a noise sweep) evaluated in
+    one pass.  With P = power + 1, substituting t = tau e^z with
+    tau = 1 / (v + G u^(2/alpha)) and G = Gamma(1 + 2/alpha) gives
 
-        K = tau int_R f(z) dz,   f(z) = exp(z - a e^z - (s e^z)^(alpha/2)),
+        K = tau^P int_R f(z) dz,   f(z) = exp(P z - a e^z - (s e^z)^(alpha/2)),
 
     with a = v tau and s = u^(2/alpha) tau, so that a + G s = 1 and the
-    mass of f sits near z = 0 whatever u and v.  f is smooth and decays
-    like e^z to the left and doubly exponentially to the right, so the
-    trapezoid rule converges geometrically in 1/h.  Truncation to
-    [_Z_LO, _Z_HI] = [-40, 4] loses less than 1e-16 of the integral I of f:
+    peak of f lies near or left of z = ln P whatever u and v.  f is smooth
+    and decays like e^(P z) to the left and doubly exponentially to the
+    right, so the trapezoid rule converges geometrically in 1/h.  Truncation to
+    [_Z_LO / P, ln P + _Z_HI] = [-40/P, ln P + 4] loses less than 1e-16 of
+    the integral I of f:
 
-    * I >= exp(-1 - e^gamma) > 0.06, gamma Euler's constant: for
+    * I >= exp(-1 - e^gamma) / P > 0.06 / P, gamma Euler's constant: for
       y = e^z in [0, 1], a y <= 1 and (s y)^(alpha/2) <= G^(-alpha/2) < e^gamma,
-      since ln Gamma(1 + d) >= -gamma d.
-    * Left: f <= e^z, so below z = -40 lies at most e^-40 < 7e-17 I.
+      since ln Gamma(1 + d) >= -gamma d; and e^(P z) integrates to 1/P
+      over z <= 0.
+    * Left: f <= e^(P z), so below z = -40/P lies at most e^-40 / P < 7e-17 I.
     * Right: a e^z + (s e^z)^(alpha/2) >= e^z - 1.  If s e^z >= 1 the
       second term is at least s e^z >= G s e^z = (1 - a) e^z; otherwise
-      (1 - a) e^z < G <= 1.  So f <= exp(1 + z - e^z), and above z = 4 lies
-      at most e exp(-e^4) < 1e-22 I.
+      (1 - a) e^z < G <= 1.  So f <= exp(1 + P z - e^z), and above
+      z = ln Y, Y = P e^4, lies at most e Gamma(P, Y).  ln y is concave, so
+      y^(P-1) <= Y^(P-1) e^((P-1)(y - Y)/Y), and
+      Gamma(P, Y) <= Y^P e^-Y / (Y - P + 1) < Y^P e^-Y / (P (e^4 - 1)).
+      The tail is thus below e / (0.06 (e^4 - 1)) exp(P (ln P + 4 - e^4)) I.
+      That exponent decreases in P while ln P < e^4 - 5, from 4 - e^4 < -50
+      at P = 1, so the tail is below 1e-22 I.
+
+    At power 0 the range is [-40, 4], and the two tails are below
+    e^-40 < 7e-17 I and e exp(-e^4) < 1e-22 I.
 
     The step starts at 1/alpha (the edge of exp(-(s e^z)^(alpha/2)) is
     about 2/alpha wide) and halves, reusing every node, until two
@@ -325,19 +291,23 @@ def exact_zero_power_kernel(u, v: float, alpha: float):
     that point's value.  Each point sums its nodes in blocks of _BLOCK,
     pairwise within a block and in order across blocks, and stops at its
     own level, so its value is the same, bit for bit, whatever points are
-    evaluated with it.  Raises QuadratureError where a point has not
-    converged after _MAX_HALVINGS halvings, or its value is not finite and
-    positive.
+    evaluated with it.  The kernel is formed as (tau value^(1/P))^P, so that
+    tau^P, which can underflow alone, does not make a representable kernel 0.
+    Raises QuadratureError where a point has not converged after
+    _MAX_HALVINGS halvings, or its kernel is not finite and positive, as
+    where it underflows float64.
     """
-    us = _kernel_args(u, v, 0.0, alpha)
+    us = _kernel_args(u, v, power, alpha)
+    weight = power + 1.0  # P
     half_alpha = alpha / 2.0
     tau = 1.0 / (v + math.gamma(1.0 + 2.0 / alpha) * us ** (2.0 / alpha))
     a = v * tau
     s_power = us * tau**half_alpha  # s^(alpha/2)
+    z_lo = _Z_LO / weight
     step = 1.0 / alpha
-    # Whole blocks of nodes, the last at or beyond _Z_HI.
-    n_nodes = _BLOCK * math.ceil((1.0 + (_Z_HI - _Z_LO) / step) / _BLOCK)
-    nodes = _Z_LO + step * np.arange(n_nodes)
+    # Whole blocks of nodes, the last at or beyond ln P + _Z_HI.
+    n_nodes = _BLOCK * math.ceil((1.0 + (math.log(weight) + _Z_HI - z_lo) / step) / _BLOCK)
+    nodes = z_lo + step * np.arange(n_nodes)
     sums = np.zeros(us.size)
     value = np.empty(us.size)
     todo = np.arange(us.size)  # the points not yet converged
@@ -347,9 +317,9 @@ def exact_zero_power_kernel(u, v: float, alpha: float):
         if halving:
             # The new nodes are the midpoints of the previous level's.
             step /= 2.0
-            nodes = _Z_LO + step * np.arange(1, 2 * n_nodes, 2)
+            nodes = z_lo + step * np.arange(1, 2 * n_nodes, 2)
             n_nodes *= 2
-        sums[todo] = _node_sums(nodes, a[todo], s_power[todo], half_alpha, sums[todo])
+        sums[todo] = _node_sums(nodes, weight, a[todo], s_power[todo], half_alpha, sums[todo])
         estimate = step * sums[todo]
         if halving:
             done = np.abs(estimate - previous) <= _AGREE * estimate
@@ -358,58 +328,38 @@ def exact_zero_power_kernel(u, v: float, alpha: float):
         previous = estimate
     if todo.size:  # nan never agrees with itself, so a nan integrand lands here too
         raise QuadratureError(
-            f"kernel quadrature (u={float(us[todo[0]])}, v={v}, power=0, alpha={alpha}) "
+            f"kernel quadrature (u={float(us[todo[0]])}, v={v}, power={power}, alpha={alpha}) "
             f"did not converge after {_MAX_HALVINGS} halvings of the step"
         )
-    kernel = tau * value
+    kernel = (tau * value ** (1.0 / weight)) ** weight
     bad = ~((kernel > 0.0) & (kernel < math.inf))
     if bad.any():
         raise QuadratureError(
-            f"kernel quadrature (u={float(us[bad][0])}, v={v}, power=0, alpha={alpha}) "
+            f"kernel quadrature (u={float(us[bad][0])}, v={v}, power={power}, alpha={alpha}) "
             f"gave {float(kernel[bad][0])}"
         )
     return _shaped_like(u, kernel)
 
 
-def _node_sums(nodes: np.ndarray, a: np.ndarray, s_power: np.ndarray, half_alpha: float,
-               start: np.ndarray) -> np.ndarray:
-    """start + the sum of f over `nodes`, per point, f as in `exact_zero_power_kernel`."""
+def _node_sums(nodes: np.ndarray, weight: float, a: np.ndarray, s_power: np.ndarray,
+               half_alpha: float, start: np.ndarray) -> np.ndarray:
+    """start + the sum of f over `nodes`, per point, f as in `exact_gamma_kernel_integral`."""
     e_z = np.exp(nodes)
     with np.errstate(over="ignore"):  # e^(alpha z / 2) -> inf makes f 0
         e_edge = np.exp(half_alpha * nodes)
+    linear = weight * nodes  # P z; the nodes themselves, bit for bit, at power 0
     per_chunk = _BLOCK * max(1, _CHUNK // (_BLOCK * a.size))
     total = start
     for lo in range(0, nodes.size, per_chunk):
         part = slice(lo, lo + per_chunk)
         f = np.multiply.outer(a, e_z[part])
         f += np.multiply.outer(s_power, e_edge[part])
-        np.subtract(nodes[part], f, out=f)
+        np.subtract(linear[part], f, out=f)
         np.exp(f, out=f)
         blocks = f.reshape(a.size, -1, _BLOCK).sum(axis=2)
         # cumsum adds strictly left to right: ((total + b1) + b2) + ...
         total = np.cumsum(np.column_stack([total, blocks]), axis=1)[:, -1]
     return total
-
-
-def _underflow_point(u: float, v: float, half_alpha: float) -> float:
-    """Solve v t + u t^(alpha/2) = underflow bound by bisection; the upper end.
-
-    Up to 200 halvings; the loop stops early once the midpoint equals an
-    end, since from then on no halving changes either end.
-    """
-    lo, hi = 0.0, 1.0
-    while v * hi + u * hi ** half_alpha < _EXP_UNDERFLOW:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if v * mid + u * mid ** half_alpha < _EXP_UNDERFLOW:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
 
 def _kernel_args(u, v: float, power: float, alpha: float) -> np.ndarray:
     """`u` as a 1-d float array, once every argument is in the kernel's domain."""
@@ -421,8 +371,8 @@ def _kernel_args(u, v: float, power: float, alpha: float) -> np.ndarray:
         raise ValueError(f"kernel integral requires U > 0, got {float(us[~(us > 0)][0])}")
     if not (v > 0):
         raise ValueError(f"kernel integral requires V > 0, got {v}")
-    if power < 0:
-        raise ValueError(f"kernel integral requires power >= 0, got {power}")
+    if not (0 <= power < math.inf):
+        raise ValueError(f"kernel integral requires a finite power >= 0, got {power}")
     if not (alpha > 2):
         raise ValueError(f"kernel integral requires alpha > 2, got {alpha}")
     return us

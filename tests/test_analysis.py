@@ -180,9 +180,9 @@ class TestDisplacementReference:
 
     def test_triple_sum_on_exact_kernel(self):
         # sum_i pi lambda_i P_i^(2/a) beta_i^(-2/a) I_i with the I_i of the
-        # paper's Bell-polynomial sum, evaluated on the quadrature kernel.
-        # Measured worst gap: 1.2e-12, at alpha = 2.5, sigma^2 = 1e-2 and
-        # shapes (1, 16); the kernel quadrature itself is good to 1e-10.
+        # paper's Bell-polynomial sum, evaluated on the exact kernel.
+        # Measured worst gap: 3.6e-15, at alpha = 2.5, sigma^2 = 1e2 and
+        # shapes (1, 16); the kernel's own tolerance is 1e-11.
         worst = 0.0
         for alpha in (2.5, 3.0, 4.0):
             e = 2.0 / alpha
@@ -324,7 +324,7 @@ class TestPrebuiltConstants:
         # when called, by the build and by the reference alike.
         net = make_network(shapes=(2, 3))
         closed, reference = coverage_probability(net), coverage_reference(net)
-        for name in ("approx_gamma_kernel_integral", "exact_zero_power_kernel"):
+        for name in ("approx_gamma_kernel_integral", "exact_gamma_kernel_integral"):
             original = getattr(pla, name)
             monkeypatch.setattr(pla, name, lambda *args, kernel=original: kernel(*args))
         assert coverage_probability(net, constants=derived_constants(net)) == closed

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from hetnetcov import analysis, mcsim, model, pla
+from hetnetcov import analysis, mcsim, pla
 from hetnetcov.cli import (
     ConfigError,
     _params_at,
@@ -276,8 +276,8 @@ class TestSharedConstants:
         # every noise power are one array evaluation.
         config = network_config(tmp_path, variable, (2, 3), ("reference",), points=points)
         calls = [0]
-        monkeypatch.setattr(pla, "exact_zero_power_kernel",
-                            counting(pla.exact_zero_power_kernel, calls))
+        monkeypatch.setattr(pla, "exact_gamma_kernel_integral",
+                            counting(pla.exact_gamma_kernel_integral, calls))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", pla.PlaAccuracyWarning)
             run_sweep(config)
@@ -288,9 +288,8 @@ class TestSharedConstants:
                              ids=["m2_3-500", "m16_1-100"])
     def test_dense_noise_sweep_equals_per_point_calls(self, tmp_path, shapes, points, rate):
         # The sweep builds its constants and reference kernel once, as
-        # arrays over its noise powers; every row and every distinct warning
-        # (PlaAccuracyWarning, and CancellationWarning where the triple sum
-        # cancels) must be those of per-point public calls.
+        # arrays over its noise powers; every row and every distinct
+        # PlaAccuracyWarning must be those of per-point public calls.
         config = network_config(tmp_path, "noise_db", shapes, ("closed", "reference"),
                                 points=points)
 
@@ -316,8 +315,7 @@ class TestSharedConstants:
         expected, alone = recorded(per_point)
         assert [{m: row[m] for m in ("closed", "reference")} for row in rows] == expected
         assert swept == alone
-        assert {category for category, _ in swept} <= {pla.PlaAccuracyWarning,
-                                                        model.CancellationWarning}
+        assert {category for category, _ in swept} <= {pla.PlaAccuracyWarning}
         assert any(category is pla.PlaAccuracyWarning for category, _ in swept)
 
     @pytest.mark.parametrize("rate", [False, True])

@@ -14,13 +14,13 @@ from hetnetcov.pla import (
     approx_kernel_error_bound,
     check_kernel_regime,
     exact_gamma_kernel_integral,
-    exact_zero_power_kernel,
     pla_coefficients,
     pla_surrogate,
 )
 
 
-# Default rel_tol of exact_gamma_kernel_integral: errors below it are not resolved.
+# Ten times the exact kernel's own tolerance, pla._AGREE: errors below it are
+# not resolved.
 REFERENCE_REL_TOL = 1e-10
 
 
@@ -131,97 +131,114 @@ class TestApproxKernelIntegral:
                     (1.0, 1.0, -0.5, 3.0), (1.0, 1.0, 0.0, 2.0)]:
             with pytest.raises(ValueError):
                 approx_gamma_kernel_integral(*bad)
+        for power in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"finite power >= 0, got {power}"):
+                approx_gamma_kernel_integral(1.0, 1.0, power, 3.0)
+            with pytest.raises(ValueError, match=f"finite power >= 0, got {power}"):
+                approx_kernel_error_bound(1.0, 1.0, power, 3.0)
+
+
+def mpmath_kernel(u, v, power, alpha):
+    """int_0^inf exp(-v t - u t^(alpha/2)) t^power dt at 30 digits, in z = ln t.
+
+    The integrand exp(H(z)), H(z) = P z - v e^z - u e^(alpha z / 2) with
+    P = power + 1, is log-concave with its peak at the root z* of
+    H'(z) = 0, found by bisection, and width w = (-H''(z*))^(-1/2).  The
+    breakpoints sit at z* and 16 widths either side, and the left end 80/P
+    further out, where e^(P z) has dropped by e^-80.  The integrand is
+    divided by its peak value, since mpmath's quadrature stops on an
+    absolute error: fixed breakpoints [0, 1, 10, 100, inf] in t gave
+    1.8e-178 against 6.03e-174 at (alpha = 8, U = 1e12, V = 1e3, p = 60).
+    """
+    with mpmath.workdps(30):
+        u, v, alpha, weight = (mpmath.mpf(x) for x in (u, v, alpha, power + 1.0))
+
+        def log_integrand(z):
+            return weight * z - v * mpmath.exp(z) - u * mpmath.exp(alpha * z / 2)
+
+        def slope(z):
+            return weight - v * mpmath.exp(z) - alpha / 2 * u * mpmath.exp(alpha * z / 2)
+
+        lo, hi = mpmath.mpf(-1), mpmath.mpf(1)
+        while slope(lo) < 0:
+            lo *= 2
+        while slope(hi) > 0:
+            hi *= 2
+        for _ in range(100):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+        peak = lo
+        width = 1 / mpmath.sqrt(v * mpmath.exp(peak)
+                                + (alpha / 2) ** 2 * u * mpmath.exp(alpha * peak / 2))
+        top = log_integrand(peak)
+        integral = mpmath.quad(lambda z: mpmath.exp(log_integrand(z) - top),
+                               [peak - 16 * width - 80 / weight, peak, peak + 16 * width],
+                               method="gauss-legendre")
+        return float(mpmath.exp(top) * integral)
 
 
 class TestExactKernelIntegral:
+    def test_against_mpmath(self):
+        # A seeded grid over alpha in [2.05, 8], U in [1e-12, 1e12] and
+        # V in [1e-3, 1e3]: the eight corners at power 0 and at the largest
+        # exponent of M = 16, 7.5 alpha (60 at alpha = 8), 40 points at
+        # power 0 and 40 at an exponent of M <= 16 drawn at their alpha.
+        rng = np.random.default_rng(20161604)
+        grid = [(a, u, v, p) for a in (2.05, 8.0) for u in (1e-12, 1e12) for v in (1e-3, 1e3)
+                for p in (0.0, 7.5 * a)]
+        grid += zip(rng.uniform(2.05, 8.0, 40), 10.0 ** rng.uniform(-12, 12, 40),
+                    10.0 ** rng.uniform(-3, 3, 40), [0.0] * 40)
+        for alpha, u, v in zip(rng.uniform(2.05, 8.0, 40), 10.0 ** rng.uniform(-12, 12, 40),
+                               10.0 ** rng.uniform(-3, 3, 40)):
+            exponents = sorted({r + (alpha / 2.0) * (k - l)
+                                for k in range(16) for l in range(k + 1) for r in range(l + 1)})
+            grid.append((alpha, u, v, rng.choice(exponents)))
+        assert max(p for *_, p in grid) == 60.0
+        for alpha, u, v, power in grid:
+            expected = mpmath_kernel(u, v, power, alpha)
+            assert exact_gamma_kernel_integral(u, v, power, alpha) == pytest.approx(
+                expected, rel=REFERENCE_REL_TOL), (alpha, u, v, power)
+
     def test_erfc_spot_value(self):
         expected = math.exp(0.25) * (math.sqrt(math.pi) / 2) * math.erfc(0.5)
         assert exact_gamma_kernel_integral(1.0, 1.0, 0.0, 4.0) == pytest.approx(
-            expected, rel=1e-10
-        )
+            expected, rel=1e-12)
         assert expected == pytest.approx(0.545641, abs=1e-6)
 
     def test_gamma_limit(self):
         # U -> 0 with t^1: Gamma(2)/V^2 = 1
         assert exact_gamma_kernel_integral(1e-12, 1.0, 1.0, 3.0) == pytest.approx(
-            1.0, rel=1e-6
-        )
+            1.0, rel=1e-6)
 
     def test_tanh_sinh_cross_check(self):
         u, v, power, alpha = 2.0, 3.0, 0.5, 2.5
-        adaptive = exact_gamma_kernel_integral(u, v, power, alpha)
         ts = float(
             mpmath.quad(
                 lambda t: mpmath.exp(-v * t - u * t ** (alpha / 2)) * t**power,
                 [0, mpmath.inf],
             )
         )
-        assert adaptive == pytest.approx(ts, rel=1e-9)
+        assert exact_gamma_kernel_integral(u, v, power, alpha) == pytest.approx(ts, rel=1e-9)
 
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            exact_gamma_kernel_integral(1.0, -1.0, 0.0, 3.0)
+    def test_underflow_raises(self):
+        # The integral is about 1e-630 here: not a float64.
+        with pytest.raises(QuadratureError, match="gave 0.0"):
+            exact_gamma_kernel_integral(1e12, 1.0, 60.0, 2.05)
 
-    def test_truncation_point_equals_full_bisection(self):
-        # The bisection stops once its midpoint equals an end; that must
-        # give the t_max of all 200 halvings, bit for bit.  The grid runs
-        # from U, V = 1e-300 (many doublings) to 1e300 (more halvings than
-        # 200 can resolve, so the early stop never fires).
-        def full_bisection(u, v, half_alpha):
-            lo, hi = 0.0, 1.0
-            while v * hi + u * hi ** half_alpha < 745.0:
-                hi *= 2.0
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if v * mid + u * mid ** half_alpha < 745.0:
-                    lo = mid
-                else:
-                    hi = mid
-            return hi
-
-        scales = (1e-300, 1e-30, 1e-6, 1e-2, 0.7, 1.0, 3.0, 745.0, 1e4, 1e12, 1e300)
-        for alpha in (2.01, 2.5, 3.0, 3.7, 4.0, 6.0):
-            for u in scales:
-                for v in scales:
-                    assert pla._underflow_point(u, v, alpha / 2.0) == full_bisection(
-                        u, v, alpha / 2.0
-                    ), (u, v, alpha)
-
-
-def mpmath_zero_power_kernel(u, v, alpha):
-    """int_0^inf exp(-v t - u t^(alpha/2)) dt at 30 digits, with t = x / (v + u^(2/alpha))."""
-    with mpmath.workdps(30):
-        u, v, alpha = mpmath.mpf(u), mpmath.mpf(v), mpmath.mpf(alpha)
-        c = v + u ** (2 / alpha)
-        integral = mpmath.quad(lambda x: mpmath.exp(-v / c * x - u * (x / c) ** (alpha / 2)),
-                               [0, 1, 10, 100, mpmath.inf])
-        return float(integral / c)
-
-
-class TestExactZeroPowerKernel:
-    def test_against_mpmath(self):
-        # A seeded grid over alpha in [2.05, 8], U in [1e-12, 1e12] and
-        # V in [1e-3, 1e3], with the eight corners.
-        rng = np.random.default_rng(20161604)
-        grid = [(a, u, v) for a in (2.05, 8.0) for u in (1e-12, 1e12) for v in (1e-3, 1e3)]
-        grid += zip(rng.uniform(2.05, 8.0, 40), 10.0 ** rng.uniform(-12, 12, 40),
-                    10.0 ** rng.uniform(-3, 3, 40))
-        for alpha, u, v in grid:
-            expected = mpmath_zero_power_kernel(u, v, alpha)
-            assert exact_zero_power_kernel(u, v, alpha) == pytest.approx(
-                expected, rel=REFERENCE_REL_TOL), (alpha, u, v)
-
-    def test_erfc_spot_value(self):
-        expected = math.exp(0.25) * (math.sqrt(math.pi) / 2) * math.erfc(0.5)
-        assert exact_zero_power_kernel(1.0, 1.0, 4.0) == pytest.approx(expected, rel=1e-12)
+    def test_tau_power_underflow_alone_is_not_zero(self):
+        # tau^61 = 1e-366 underflows, the kernel Gamma(61) / V^61 = 8.3e-285
+        # does not.
+        expected = math.exp(math.lgamma(61.0) - 61.0 * math.log(1e6))
+        assert exact_gamma_kernel_integral(1e-12, 1e6, 60.0, 8.0) == pytest.approx(
+            expected, rel=1e-12)
 
     def test_non_finite_integrand_raises(self):
         # An infinite V or U makes the integrand nan: no two step sizes agree.
         with pytest.raises(QuadratureError, match="did not converge"):
-            exact_zero_power_kernel(1.0, math.inf, 3.0)
+            exact_gamma_kernel_integral(1.0, math.inf, 0.0, 3.0)
         # One such point fails the whole array, and is named.
         with pytest.raises(QuadratureError, match="u=inf"):
-            exact_zero_power_kernel(np.array([1.0, math.inf, 2.0]), 1.0, 3.0)
+            exact_gamma_kernel_integral(np.array([1.0, math.inf, 2.0]), 1.0, 1.5, 3.0)
 
     def test_unconverged_step_raises(self, monkeypatch):
         # At (1, 1, alpha = 4) the first halving does not yet agree to
@@ -229,17 +246,21 @@ class TestExactZeroPowerKernel:
         # rather than return the unconverged sum.
         monkeypatch.setattr(pla, "_MAX_HALVINGS", 1)
         with pytest.raises(QuadratureError, match="after 1 halvings"):
-            exact_zero_power_kernel(1.0, 1.0, 4.0)
+            exact_gamma_kernel_integral(1.0, 1.0, 0.0, 4.0)
         monkeypatch.setattr(pla, "_MAX_HALVINGS", 2)
-        assert exact_zero_power_kernel(1.0, 1.0, 4.0) > 0.0
+        assert exact_gamma_kernel_integral(1.0, 1.0, 0.0, 4.0) > 0.0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="U > 0, got -1.0"):
-            exact_zero_power_kernel(np.array([1.0, -1.0]), 1.0, 3.0)
+            exact_gamma_kernel_integral(np.array([1.0, -1.0]), 1.0, 0.0, 3.0)
         with pytest.raises(ValueError, match="1-d"):
-            exact_zero_power_kernel(np.ones((2, 2)), 1.0, 3.0)
-        with pytest.raises(ValueError):
-            exact_zero_power_kernel(1.0, 1.0, 2.0)
+            exact_gamma_kernel_integral(np.ones((2, 2)), 1.0, 0.0, 3.0)
+        for bad in [(1.0, -1.0, 0.0, 3.0), (1.0, 1.0, 0.0, 2.0), (1.0, 1.0, -0.5, 3.0)]:
+            with pytest.raises(ValueError):
+                exact_gamma_kernel_integral(*bad)
+        for power in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"finite power >= 0, got {power}"):
+                exact_gamma_kernel_integral(1.0, 1.0, power, 3.0)
 
 
 class TestArrayU:
@@ -248,11 +269,13 @@ class TestArrayU:
     # From the figure regime to where the PLA warns, and across 1e-12..1e12.
     U = 10.0 ** np.linspace(-12, 12, 97)
 
+    @pytest.mark.parametrize("power", [0.0, 1.5, 4.0])
     @pytest.mark.parametrize("alpha", [2.05, 3.0, 4.5, 8.0])
-    def test_zero_power_kernel(self, alpha):
-        batched = exact_zero_power_kernel(self.U, 30.0, alpha)
+    def test_exact_kernel(self, alpha, power):
+        batched = exact_gamma_kernel_integral(self.U, 30.0, power, alpha)
         assert isinstance(batched, np.ndarray)
-        assert batched.tolist() == [exact_zero_power_kernel(u, 30.0, alpha) for u in self.U]
+        assert batched.tolist() == [exact_gamma_kernel_integral(u, 30.0, power, alpha)
+                                    for u in self.U]
 
     @pytest.mark.parametrize("power", [0.0, 1.5, 4.0])
     @pytest.mark.parametrize("alpha", [2.5, 3.0, 6.0])

@@ -200,10 +200,14 @@ class TestExactKernelIntegral:
                 expected, rel=REFERENCE_REL_TOL), (alpha, u, v, power)
 
     def test_erfc_spot_value(self):
-        expected = math.exp(0.25) * (math.sqrt(math.pi) / 2) * math.erfc(0.5)
-        assert exact_gamma_kernel_integral(1.0, 1.0, 0.0, 4.0) == pytest.approx(
+        # At alpha = 4 the derivative of exp(-t - t^2) is -(1 + 2t) times
+        # itself, so int t exp(-t - t^2) dt = (1 - I0) / 2, with I0 the
+        # power-0 kernel in erfc form.
+        zero_power = math.exp(0.25) * (math.sqrt(math.pi) / 2) * math.erfc(0.5)
+        expected = (1.0 - zero_power) / 2.0
+        assert exact_gamma_kernel_integral(1.0, 1.0, 1.0, 4.0) == pytest.approx(
             expected, rel=1e-12)
-        assert expected == pytest.approx(0.545641, abs=1e-6)
+        assert expected == pytest.approx(0.227179, abs=1e-6)
 
     def test_gamma_limit(self):
         # U -> 0 with t^1: Gamma(2)/V^2 = 1
@@ -251,16 +255,30 @@ class TestExactKernelIntegral:
         assert exact_gamma_kernel_integral(1.0, 1.0, 0.0, 4.0) > 0.0
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError, match="U > 0, got -1.0"):
-            exact_gamma_kernel_integral(np.array([1.0, -1.0]), 1.0, 0.0, 3.0)
-        with pytest.raises(ValueError, match="1-d"):
-            exact_gamma_kernel_integral(np.ones((2, 2)), 1.0, 0.0, 3.0)
-        for bad in [(1.0, -1.0, 0.0, 3.0), (1.0, 1.0, 0.0, 2.0), (1.0, 1.0, -0.5, 3.0)]:
+        for bad in [(1.0, -1.0, 1.5, 3.0), (1.0, 1.0, 1.5, 2.0), (1.0, 1.0, -0.5, 3.0)]:
             with pytest.raises(ValueError):
                 exact_gamma_kernel_integral(*bad)
         for power in (math.nan, math.inf):
             with pytest.raises(ValueError, match=f"finite power >= 0, got {power}"):
                 exact_gamma_kernel_integral(1.0, 1.0, power, 3.0)
+
+
+class TestExactZeroPowerKernel:
+    """The exact kernel at power 0, the only power the CLI's reference asks for."""
+
+    def test_erfc_spot_value(self):
+        expected = math.exp(0.25) * (math.sqrt(math.pi) / 2) * math.erfc(0.5)
+        assert exact_gamma_kernel_integral(1.0, 1.0, 0.0, 4.0) == pytest.approx(
+            expected, rel=1e-12)
+        assert expected == pytest.approx(0.545641, abs=1e-6)
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError, match="U > 0, got -1.0"):
+            exact_gamma_kernel_integral(np.array([1.0, -1.0]), 1.0, 0.0, 3.0)
+        with pytest.raises(ValueError, match="1-d"):
+            exact_gamma_kernel_integral(np.ones((2, 2)), 1.0, 0.0, 3.0)
+        with pytest.raises(ValueError):
+            exact_gamma_kernel_integral(1.0, 1.0, 0.0, 2.0)
 
 
 class TestArrayU:

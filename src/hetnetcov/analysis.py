@@ -5,10 +5,16 @@ references from the displacement theorem that bypass both the
 piecewise-linear step and the paper's triple sum.  Rates are in nats per
 channel use.
 
-The threshold-free objects a sweep shares, `model.derived_constants` and
-`reference_kernel`, each have an `_at` form that builds them for every
-noise power of a sweep as one array evaluation; the single-network form
-is its length-1 case, so both give the same bits.
+Each route behind a CLI column (the closed, Rayleigh and reference forms of
+coverage and of rate) has an `_at` form that evaluates it at the n
+points of a sweep as arrays: `params` fixes alpha and each tier's density,
+power and Nakagami shape, and the points give an (n, K) array of
+thresholds and an (n,) array of noise powers.  The threshold-free objects
+(`model.derived_constants`, `reference_kernel`) are built once per distinct
+noise power, as one array evaluation.  The single-network route is the
+length-1 case of its `_at` form, on the same code, so element j of an
+`_at` result equals, bit for bit, the route called on the network of
+point j.
 """
 
 from __future__ import annotations
@@ -16,7 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
+import numpy as np
 from scipy import integrate
 
 from . import model, pla
@@ -28,15 +36,21 @@ __all__ = [
     "CoverageResult",
     "RateResult",
     "coverage_probability",
+    "coverage_probability_at",
     "coverage_rayleigh",
+    "coverage_rayleigh_at",
     "ReferenceKernel",
     "reference_kernel",
     "reference_kernels_at",
     "coverage_reference",
+    "coverage_reference_at",
     "conditional_ccdf",
     "average_rate",
+    "average_rate_at",
     "rate_rayleigh",
+    "rate_rayleigh_at",
     "rate_exact",
+    "rate_exact_at",
     "rate_reference",
 ]
 
@@ -63,36 +77,65 @@ class RateResult:
     method: Method
 
     def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ArithmeticError(f"{self.method.value} rate is {self.value}, not finite")
+        _finite_rates(np.array([self.value]), self.method)
 
 
-def _clamp_probability(p: float, context: str) -> float:
+def _finite_rates(values: np.ndarray, method: Method) -> np.ndarray:
+    """`values`, unless one of them is not finite."""
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ArithmeticError(f"{method.value} rate is {float(bad[0])}, not finite")
+    return values
+
+
+def _clamp_probability(p: np.ndarray, context: str) -> np.ndarray:
     # Written so that NaN, for which every comparison is false, fails too.
-    if not -_CLAMP_TOL <= p <= 1.0 + _CLAMP_TOL:
-        raise ArithmeticError(f"{context} produced probability {p}, outside [0,1]")
-    return min(max(p, 0.0), 1.0)
+    bad = ~((-_CLAMP_TOL <= p) & (p <= 1.0 + _CLAMP_TOL))
+    if bad.any():
+        raise ArithmeticError(f"{context} produced probability {float(p[bad][0])}, "
+                              "outside [0,1]")
+    return np.clip(p, 0.0, 1.0)
 
 
-def _tier_weights(params: NetworkParams, factors, scale: float = 1.0,
-                  y: float = 0.0) -> list[float]:
-    """scale lambda_i P_i^(2/a) max(y, beta_i)^(-2/a) f_i for each tier.
+def _own_point(params: NetworkParams) -> tuple[list, list]:
+    """The thresholds and noise power of `params`, as the one point of an `_at` form."""
+    return [[t.threshold for t in params.tiers]], [params.noise]
 
-    f_i is the closed form's I_i or, for the exact forms, E[h_i^(2/a)].
-    With y = 0 (below every threshold) these are the tiers' coverage
-    masses; scale = pi makes them the tiers' coverage terms.
+
+def _own_thresholds(params: NetworkParams) -> np.ndarray:
+    """The (K, 1) thresholds of `params`, once it is checked."""
+    return model._points(params, *_own_point(params))[0]
+
+
+def _per_noise(build, noises: np.ndarray) -> np.ndarray:
+    """build(distinct noise powers), one column per point: one build per distinct noise power."""
+    distinct, at = np.unique(noises, return_inverse=True)
+    return build(distinct)[..., at]
+
+
+def _tier_weights(params: NetworkParams, thresholds: np.ndarray, factors,
+                  scale: float = 1.0, y: float = 0.0) -> list[np.ndarray]:
+    """scale lambda_i P_i^(2/a) max(y, beta_i)^(-2/a) f_i for each tier, at each point.
+
+    `thresholds` is (K, n), and factors[i] is a float or an (n,) array: the
+    closed form's I_i or, for the exact forms, E[h_i^(2/a)].  With y = 0
+    (below every threshold) these are the tiers' coverage masses;
+    scale = pi makes them the tiers' coverage terms.
     """
     e = 2.0 / params.alpha
     return [
-        scale * t.density * t.power**e * max(y, t.threshold) ** -e * f
-        for t, f in zip(params.tiers, factors)
+        scale * t.density * t.power**e * np.maximum(y, beta) ** -e * f
+        for t, beta, f in zip(params.tiers, thresholds, factors)
     ]
 
 
-def _conditional_ccdf(params: NetworkParams, factors):
-    """y -> P(X > y | coverage) = sum_i w_i(y) / sum_i w_i(0), w_i from `_tier_weights`."""
-    den = sum(_tier_weights(params, factors))
-    return lambda y: sum(_tier_weights(params, factors, y=y)) / den
+def _conditional_ccdf(params: NetworkParams, thresholds: np.ndarray, factors):
+    """y -> P(X > y | coverage) = sum_i w_i(y) / sum_i w_i(0), w_i from `_tier_weights`.
+
+    For the one point of a (K, 1) `thresholds`.
+    """
+    den = sum(_tier_weights(params, thresholds, factors))
+    return lambda y: (sum(_tier_weights(params, thresholds, factors, y=y)) / den).item()
 
 
 def _constants_for(params: NetworkParams, constants: DerivedConstants | None) -> DerivedConstants:
@@ -104,17 +147,35 @@ def _constants_for(params: NetworkParams, constants: DerivedConstants | None) ->
     return constants
 
 
+def _coverage_closed(params: NetworkParams, thresholds: np.ndarray, script_i) -> np.ndarray:
+    p = sum(_tier_weights(params, thresholds, script_i, scale=math.pi))
+    return _clamp_probability(p, "coverage")
+
+
 def coverage_probability(params: NetworkParams, *,
                          constants: DerivedConstants | None = None) -> CoverageResult:
     """P_c = sum_i pi lambda_i P_i^(2/a) beta_i^(-2/a) I_i (PLA closed form).
 
     `constants` from `model.derived_constants`, built at any thresholds,
     are used instead of being rebuilt; constants built for another network
-    raise ValueError.
+    raise ValueError.  The length-1 case of `coverage_probability_at`.
     """
     script_i = _constants_for(params, constants).script_i
-    p = sum(_tier_weights(params, script_i, scale=math.pi))
-    return CoverageResult(value=_clamp_probability(p, "coverage"), method=Method.CLOSED_FORM)
+    p = _coverage_closed(params, _own_thresholds(params), script_i)
+    return CoverageResult(value=p.item(), method=Method.CLOSED_FORM)
+
+
+def coverage_probability_at(params: NetworkParams, thresholds, noises) -> np.ndarray:
+    """`coverage_probability` at each of n points, as an (n,) array.
+
+    `thresholds` is (n, K) and `noises` (n,), as in the module docstring;
+    the I_i are built by `model.derived_constants_at`'s triple sum, once,
+    over the distinct noise powers.  Each distinct noise power raises its
+    own PlaAccuracyWarning.
+    """
+    thresholds, noises = model._points(params, thresholds, noises)
+    return _coverage_closed(params, thresholds,
+                            _per_noise(partial(model._script_i_at, params), noises))
 
 
 def _fading_moments(params: NetworkParams) -> list[float]:
@@ -155,13 +216,24 @@ def reference_kernels_at(params: NetworkParams, noises) -> list[ReferenceKernel]
     not used.  Element j equals `reference_kernel` at noises[j], bit for bit.
     """
     noises = model._noise_array(params, noises)
+    return [ReferenceKernel(value=k, network=model._threshold_free(params, noise))
+            for k, noise in zip(_reference_kernel_values(params, noises).tolist(),
+                                noises.tolist())]
+
+
+def _reference_kernel_values(params: NetworkParams, noises: np.ndarray) -> np.ndarray:
     e = 2.0 / params.alpha
     a_total = math.pi * sum(t.density * t.power**e * g
                             for t, g in zip(params.tiers, _fading_moments(params)))
-    values = pla.exact_gamma_kernel_integral(
+    return pla.exact_gamma_kernel_integral(
         noises, a_total * math.gamma(1.0 - e), 0.0, params.alpha)
-    return [ReferenceKernel(value=float(k), network=model._threshold_free(params, float(noise)))
-            for k, noise in zip(values, noises)]
+
+
+def _coverage_reference(params: NetworkParams, thresholds: np.ndarray, kernel) -> np.ndarray:
+    e = 2.0 / params.alpha
+    masses = _tier_weights(params, thresholds, _fading_moments(params), scale=math.pi)  # a_i beta_i^(-d)
+    p = sum(masses) * (params.alpha / 2.0) / math.gamma(e) * kernel
+    return _clamp_probability(p, "coverage reference")
 
 
 def coverage_reference(params: NetworkParams, *,
@@ -182,7 +254,7 @@ def coverage_reference(params: NetworkParams, *,
     form, so it is the yardstick for both; quadrature failures surface as
     QuadratureError.  A `kernel` from `reference_kernel`, built at any
     thresholds, is used instead of the quadrature; one built for another
-    network raises ValueError.
+    network raises ValueError.  The length-1 case of `coverage_reference_at`.
     """
     if kernel is None:
         kernel = reference_kernel(params)
@@ -193,11 +265,19 @@ def coverage_reference(params: NetworkParams, *,
                 "reference kernel was built for another alpha, noise power, "
                 "density, power or Nakagami shape than this network's"
             )
-    e = 2.0 / params.alpha
-    masses = _tier_weights(params, _fading_moments(params), scale=math.pi)  # a_i beta_i^(-d)
-    p = sum(masses) * (params.alpha / 2.0) / math.gamma(e) * kernel.value
-    return CoverageResult(value=_clamp_probability(p, "coverage reference"),
-                          method=Method.QUADRATURE_REFERENCE)
+    p = _coverage_reference(params, _own_thresholds(params), kernel.value)
+    return CoverageResult(value=p.item(), method=Method.QUADRATURE_REFERENCE)
+
+
+def coverage_reference_at(params: NetworkParams, thresholds, noises) -> np.ndarray:
+    """`coverage_reference` at each of n points, as an (n,) array.
+
+    Arguments as in `coverage_probability_at`; one kernel quadrature
+    (`reference_kernels_at`'s) serves every distinct noise power.
+    """
+    thresholds, noises = model._points(params, thresholds, noises)
+    return _coverage_reference(params, thresholds,
+                               _per_noise(partial(_reference_kernel_values, params), noises))
 
 
 def coverage_rayleigh(params: NetworkParams) -> CoverageResult:
@@ -206,9 +286,20 @@ def coverage_rayleigh(params: NetworkParams) -> CoverageResult:
     Algebraically identical to `coverage_probability` with the incomplete
     gammas expanded; V is the Rayleigh interference constant and U the
     noise power.  Being the same p = 0 PLA kernel, it raises the same
-    PlaAccuracyWarning outside the kernel's regime.
+    PlaAccuracyWarning outside the kernel's regime.  The length-1 case of
+    `coverage_rayleigh_at`.
     """
-    model.require_valid(params)
+    p = coverage_rayleigh_at(params, *_own_point(params))
+    return CoverageResult(value=p.item(), method=Method.RAYLEIGH_CLOSED_FORM)
+
+
+def coverage_rayleigh_at(params: NetworkParams, thresholds, noises) -> np.ndarray:
+    """`coverage_rayleigh` at each of n points, as an (n,) array.
+
+    Arguments as in `coverage_probability_at`; the kernel's bracket and
+    its regime check are evaluated once per distinct noise power.
+    """
+    thresholds, noises = model._points(params, thresholds, noises)
     if any(t.nakagami_m != 1 for t in params.tiers):
         raise ValueError("coverage_rayleigh requires M_i = 1 for every tier")
 
@@ -220,21 +311,23 @@ def coverage_rayleigh(params: NetworkParams) -> CoverageResult:
         * math.gamma(1.0 - e)
         * sum(t.density * t.power**e for t in params.tiers)
     )
-    u = params.noise
-    pla.check_kernel_regime(u, v, 0.0, a)
-    co = pla.pla_coefficients(a)
-    w = v / u**e
-    e1 = math.exp(-w * co.x1)
-    e2 = math.exp(-w * co.x2)
-    bracket = (
-        (1.0 - e1)
-        + co.c * (e1 - e2)
-        + co.m * (e1 * (co.x1 + u**e / v) - e2 * (co.x2 + u**e / v))
-    )
-    p = sum(
-        math.pi * t.density * t.power**e * t.threshold**-e / v for t in params.tiers
-    ) * bracket
-    return CoverageResult(value=_clamp_probability(p, "rayleigh coverage"), method=Method.RAYLEIGH_CLOSED_FORM)
+
+    def bracket(u):
+        pla.check_kernel_regime(u, v, 0.0, a)
+        co = pla.pla_coefficients(a)
+        u_e = u**e
+        w = v / u_e
+        e1 = np.exp(-w * co.x1)
+        e2 = np.exp(-w * co.x2)
+        return (
+            (1.0 - e1)
+            + co.c * (e1 - e2)
+            + co.m * (e1 * (co.x1 + u_e / v) - e2 * (co.x2 + u_e / v))
+        )
+
+    masses = _tier_weights(params, thresholds, (1.0,) * params.n_tiers, scale=math.pi)
+    p = sum(m / v for m in masses) * _per_noise(bracket, noises)
+    return _clamp_probability(p, "rayleigh coverage")
 
 
 def conditional_ccdf(params: NetworkParams, y: float) -> float:
@@ -245,33 +338,59 @@ def conditional_ccdf(params: NetworkParams, y: float) -> float:
     model.require_valid(params)
     if y < 0:
         raise ValueError(f"conditional_ccdf requires y >= 0, got {y}")
-    return _conditional_ccdf(params, model.derived_constants(params).script_i)(y)
+    return _conditional_ccdf(params, _own_thresholds(params),
+                             model.derived_constants(params).script_i)(y)
 
 
-def _mean_rate_constant(params: NetworkParams, factors) -> float:
-    """The per-tier rate constants averaged with the tiers' coverage masses."""
-    weights = _tier_weights(params, factors)
-    rate_constants = [model.rate_constant(params, i) for i in range(params.n_tiers)]
-    return sum(w * c for w, c in zip(weights, rate_constants)) / sum(weights)
+def _mean_rate_constant(params: NetworkParams, thresholds: np.ndarray, factors,
+                        method: Method) -> np.ndarray:
+    """The per-tier rate constants averaged with the tiers' coverage masses, at each point."""
+    weights = _tier_weights(params, thresholds, factors)
+    rate_constants = [model.rate_constants_at(params.alpha, beta) for beta in thresholds]
+    mean = sum(w * c for w, c in zip(weights, rate_constants)) / sum(weights)
+    return _finite_rates(mean, method)
 
 
 def average_rate(params: NetworkParams, *,
                  constants: DerivedConstants | None = None) -> RateResult:
     """R = weighted mean of the per-tier rate constants, weights ~ coverage mass.
 
-    `constants` as in `coverage_probability`.
+    `constants` as in `coverage_probability`.  The length-1 case of
+    `average_rate_at`.
     """
     script_i = _constants_for(params, constants).script_i
-    return RateResult(value=_mean_rate_constant(params, script_i), method=Method.CLOSED_FORM)
+    value = _mean_rate_constant(params, _own_thresholds(params), script_i, Method.CLOSED_FORM)
+    return RateResult(value=value.item(), method=Method.CLOSED_FORM)
+
+
+def average_rate_at(params: NetworkParams, thresholds, noises) -> np.ndarray:
+    """`average_rate` at each of n points, as an (n,) array.
+
+    Arguments, constants and warnings as in `coverage_probability_at`.
+    """
+    thresholds, noises = model._points(params, thresholds, noises)
+    return _mean_rate_constant(params, thresholds,
+                               _per_noise(partial(model._script_i_at, params), noises),
+                               Method.CLOSED_FORM)
 
 
 def rate_rayleigh(params: NetworkParams) -> RateResult:
-    """Rayleigh rate: I_i is tier-independent and cancels; no noise dependence."""
-    model.require_valid(params)
+    """Rayleigh rate: I_i is tier-independent and cancels; no noise dependence.
+
+    The length-1 case of `rate_rayleigh_at`.
+    """
+    value = rate_rayleigh_at(params, *_own_point(params))
+    return RateResult(value=value.item(), method=Method.RAYLEIGH_CLOSED_FORM)
+
+
+def rate_rayleigh_at(params: NetworkParams, thresholds, noises) -> np.ndarray:
+    """`rate_rayleigh` at each of n points, as an (n,) array; arguments as in
+    `coverage_probability_at`, the noise powers checked but not used."""
+    thresholds, _ = model._points(params, thresholds, noises)
     if any(t.nakagami_m != 1 for t in params.tiers):
         raise ValueError("rate_rayleigh requires M_i = 1 for every tier")
-    value = _mean_rate_constant(params, (1.0,) * params.n_tiers)
-    return RateResult(value=value, method=Method.RAYLEIGH_CLOSED_FORM)
+    return _mean_rate_constant(params, thresholds, (1.0,) * params.n_tiers,
+                               Method.RAYLEIGH_CLOSED_FORM)
 
 
 def rate_exact(params: NetworkParams) -> RateResult:
@@ -281,10 +400,18 @@ def rate_exact(params: NetworkParams) -> RateResult:
     coverage has the noise-free CCDF sum_i a_i max(y, beta_i)^(-d) /
     sum_i a_i beta_i^(-d), so the rate needs neither kernel nor quadrature.
     `rate_rayleigh` is its M_i = 1 case.  Tagged as the reference route.
+    The length-1 case of `rate_exact_at`.
     """
-    model.require_valid(params)
-    value = _mean_rate_constant(params, _fading_moments(params))
-    return RateResult(value=value, method=Method.QUADRATURE_REFERENCE)
+    value = rate_exact_at(params, *_own_point(params))
+    return RateResult(value=value.item(), method=Method.QUADRATURE_REFERENCE)
+
+
+def rate_exact_at(params: NetworkParams, thresholds, noises) -> np.ndarray:
+    """`rate_exact` at each of n points, as an (n,) array; arguments as in
+    `coverage_probability_at`, the noise powers checked but not used."""
+    thresholds, _ = model._points(params, thresholds, noises)
+    return _mean_rate_constant(params, thresholds, _fading_moments(params),
+                               Method.QUADRATURE_REFERENCE)
 
 
 def rate_reference(params: NetworkParams, rel_tol: float = 1e-8, *,
@@ -297,7 +424,8 @@ def rate_reference(params: NetworkParams, rel_tol: float = 1e-8, *,
     exactly.  It integrates the PLA closed form's CCDF, with `constants`
     as in `coverage_probability`; `rate_exact` is the exact rate.
     """
-    ccdf = _conditional_ccdf(params, _constants_for(params, constants).script_i)
+    ccdf = _conditional_ccdf(params, _own_thresholds(params),
+                             _constants_for(params, constants).script_i)
     thresholds = sorted({t.threshold for t in params.tiers})
 
     total = 0.0

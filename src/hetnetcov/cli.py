@@ -221,19 +221,38 @@ def load_config(path: str) -> RunConfig:
     for key, violations in found.items():
         if violations:
             raise ConfigError(f"at 'sweep.{key}' = {getattr(sweep, key)}: " + "; ".join(violations))
+    if "closed" in methods or "rayleigh" in methods:
+        if variable == "nakagami_pair":
+            shapes = {f"'sweep.{key}'": int(np.rint(getattr(sweep, key))) for key in ("start", "stop")}
+        else:
+            shapes = {f"'tiers[{i}].m'": t.nakagami_m for i, t in enumerate(params.tiers)}
+        for field, shape in shapes.items():
+            if not model.closed_form_in_range(alpha, shape):
+                raise ConfigError(
+                    f"'alpha' = {alpha} with {field} = {shape} is beyond the closed forms' "
+                    "range: Gamma((alpha/2) m + 1) overflows float64 there; the "
+                    "'reference' and 'mc' methods are not limited by it")
     return config
 
 
 def _params_at(config: RunConfig, value: float) -> NetworkParams:
-    params, variable = config.params, config.sweep.variable
-    if variable == "beta1_db":
-        tiers = (replace(params.tiers[0], threshold=db_to_linear(value)),) + params.tiers[1:]
-        return replace(params, tiers=tiers)
-    if variable == "noise_db":
-        return replace(params, noise=db_to_linear(value))
-    # nakagami_pair: the swept integer is applied to every tier.
-    tiers = tuple(replace(t, nakagami_m=int(value)) for t in params.tiers)
-    return replace(params, tiers=tiers)
+    params = config.params
+    if config.sweep.variable == "nakagami_pair":
+        # The swept integer is applied to every tier.
+        return replace(params, tiers=tuple(replace(t, nakagami_m=int(value)) for t in params.tiers))
+    (thresholds,), (noise,) = _swept(config, [value])
+    return replace(params, noise=noise, tiers=tuple(
+        replace(t, threshold=beta) for t, beta in zip(params.tiers, thresholds)))
+
+
+def _swept(config: RunConfig, values) -> tuple[list[list[float]], list[float]]:
+    """Each point's linear thresholds and noise power, on a beta1_db or noise_db sweep."""
+    params = config.params
+    linear = [db_to_linear(float(value)) for value in values]
+    thresholds = [t.threshold for t in params.tiers]
+    if config.sweep.variable == "beta1_db":
+        return [[beta] + thresholds[1:] for beta in linear], [params.noise] * len(linear)
+    return [thresholds] * len(linear), linear
 
 
 def run_sweep(config: RunConfig, rate: bool = False, bits: bool = False,
@@ -244,85 +263,74 @@ def run_sweep(config: RunConfig, rate: bool = False, bits: bool = False,
 
 def _sweep(config: RunConfig, rate: bool, bits: bool,
            threads: int) -> tuple[list[dict[str, float]], mcsim.Trials | None]:
-    """`run_sweep`'s rows, and the simulation pass shared by every point, if any."""
+    """`run_sweep`'s rows, and the simulation pass shared by every point, if any.
+
+    A threshold or noise sweep is one block of points that differ only in
+    their thresholds and noise power, so each analytic column is one array
+    call over the block (`analysis.coverage_probability_at` and its
+    siblings), which builds the closed form's constants and the reference's
+    kernel once per distinct noise power, and the simulated statistic, which
+    depends on neither, is one pass.  A nakagami_pair point changes the
+    fading law, so it is a block of its own.  Only the mc column takes the
+    points one by one, deriving the per-tier SINRs once per noise power.
+    """
     sweep = config.sweep
     values = sweep.values()
-    unit = math.log(2.0) if bits else 1.0
-
-    # The simulated statistic depends on neither the thresholds nor the
-    # noise power, so one pass serves a threshold or noise sweep; only a
-    # change of the fading law (nakagami_pair) needs a pass per point.
-    # The per-tier SINRs depend on the noise only, so a threshold sweep
-    # derives them once.  What every point shares is built on the first
-    # point's network: the config's own value of the swept field is unused.
-    points = [_params_at(config, float(value)) for value in values]
-    trials = tier_max = tier_max_noise = None
-    if "mc" in sweep.methods and sweep.variable != "nakagami_pair":
-        trials = mcsim.simulate_trials(points[0], config.sim, threads=threads)
-
-    # The closed form's constants and the coverage reference's kernel
-    # depend on no threshold either: one object per point, built once per
-    # sweep over its distinct noise powers (see _per_point).
-    all_constants = ref_kernels = [None] * len(points)
-    if "closed" in sweep.methods:
-        all_constants = _per_point(config, points, model.derived_constants_at)
-    if "reference" in sweep.methods and not rate:
-        ref_kernels = _per_point(config, points, analysis.reference_kernels_at)
-
-    rows: list[dict[str, float]] = []
-    for value, params, constants, ref_kernel in zip(values, points, all_constants, ref_kernels):
-        row: dict[str, float] = {"sweep_db": float(value)}
-        for method in sweep.methods:
-            if method == "closed":
-                row["closed"] = (
-                    analysis.average_rate(params, constants=constants).value / unit
-                    if rate else
-                    analysis.coverage_probability(params, constants=constants).value
-                )
-            elif method == "rayleigh":
-                row["rayleigh"] = (
-                    analysis.rate_rayleigh(params).value / unit
-                    if rate else analysis.coverage_rayleigh(params).value
-                )
-            elif method == "reference":
-                row["reference"] = (
-                    analysis.rate_exact(params).value / unit
-                    if rate else analysis.coverage_reference(params, kernel=ref_kernel).value
-                )
-            elif method == "mc":
-                if trials is None:
-                    tier_max = mcsim.tier_max_sinr(
-                        mcsim.simulate_trials(params, config.sim, threads=threads), params.noise
-                    )
-                elif params.noise != tier_max_noise:
-                    tier_max = mcsim.tier_max_sinr(trials, params.noise)
-                    tier_max_noise = params.noise
-                est = _mc_point(params, tier_max, rate)
-                row["mc"] = est.mean / unit if rate else est.mean
-                row["mc_se"] = est.std_error / unit if rate else est.std_error
-        rows.append(row)
-    return rows, trials
+    # A coverage, like any x / 1.0, is left as it is.
+    unit = math.log(2.0) if bits and rate else 1.0
+    columns: dict[str, list[float]] = {}
+    trials = None
+    for params, thresholds, noises in _blocks(config, values):
+        for method in dict.fromkeys(sweep.methods):
+            if method == "mc":
+                trials = mcsim.simulate_trials(params, config.sim, threads=threads)
+                estimates = _mc_column(trials, thresholds, noises, rate)
+                columns.setdefault("mc", []).extend(e.mean / unit for e in estimates)
+                columns.setdefault("mc_se", []).extend(e.std_error / unit for e in estimates)
+            else:
+                column = _analytic_column(method, rate, params, thresholds, noises) / unit
+                columns.setdefault(method, []).extend(column.tolist())
+    rows = [{"sweep_db": float(value)} for value in values]
+    for name, column in columns.items():
+        for row, x in zip(rows, column):
+            row[name] = x
+    return rows, None if sweep.variable == "nakagami_pair" else trials
 
 
-def _per_point(config: RunConfig, points: list[NetworkParams], build_at) -> list:
-    """`build_at(params, noises)`'s object for each sweep point.
+def _blocks(config: RunConfig, values) -> list[tuple[NetworkParams, list, list]]:
+    """The sweep's points as (network, thresholds, noises) blocks, one row and noise per point.
 
-    A threshold or noise sweep changes only the thresholds and the noise,
-    so one call builds every point's object, over the sweep's distinct
-    noise powers.  A nakagami_pair point is another network, built alone.
+    The network fixes all else.  On a threshold or noise sweep it is the
+    first point's: the config's own value of the swept field is unused.
     """
     if config.sweep.variable == "nakagami_pair":
-        return [build_at(params, [params.noise])[0] for params in points]
-    noises = list(dict.fromkeys(params.noise for params in points))
-    built = dict(zip(noises, build_at(points[0], noises)))
-    return [built[params.noise] for params in points]
+        points = [_params_at(config, float(value)) for value in values]
+        return [(p, [[t.threshold for t in p.tiers]], [p.noise]) for p in points]
+    return [(_params_at(config, float(values[0])), *_swept(config, values))]
 
 
-def _mc_point(params: NetworkParams, tier_max: np.ndarray, rate: bool) -> mcsim.Estimate:
-    thresholds = [t.threshold for t in params.tiers]
-    if rate:
-        return mcsim.rate_from_tier_max(tier_max, thresholds)[0]
-    return mcsim.coverage_from_tier_max(tier_max, thresholds)
+def _analytic_column(method: str, rate: bool, params: NetworkParams, thresholds,
+                     noises) -> np.ndarray:
+    if method == "closed":
+        route = analysis.average_rate_at if rate else analysis.coverage_probability_at
+    elif method == "rayleigh":
+        route = analysis.rate_rayleigh_at if rate else analysis.coverage_rayleigh_at
+    else:
+        route = analysis.rate_exact_at if rate else analysis.coverage_reference_at
+    return route(params, thresholds, noises)
+
+
+def _mc_column(trials: mcsim.Trials, thresholds: list, noises: list,
+               rate: bool) -> list[mcsim.Estimate]:
+    """The estimate at each point of a block that `trials` simulates."""
+    estimates = []
+    tier_max_noise = None
+    for point_thresholds, noise in zip(thresholds, noises):
+        if noise != tier_max_noise:
+            tier_max, tier_max_noise = mcsim.tier_max_sinr(trials, noise), noise
+        estimates.append(mcsim.rate_from_tier_max(tier_max, point_thresholds)[0] if rate
+                         else mcsim.coverage_from_tier_max(tier_max, point_thresholds))
+    return estimates
 
 
 def write_csv(rows: list[dict[str, float]], methods: tuple[str, ...], out) -> None:

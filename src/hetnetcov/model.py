@@ -14,6 +14,8 @@ A and the I_i involve no threshold; `derived_constants` builds the I_i
 once as a `DerivedConstants`, which every threshold of a sweep can share.
 `derived_constants_at` builds them for every noise power of a sweep at
 once, as arrays over the noise; `derived_constants` is its length-1 case.
+Likewise `rate_constants_at` gives the A_i at an array of thresholds, and
+`rate_constant` is its length-1 case.
 
 Thresholds and powers are linear-scale throughout; dB conversion is the
 CLI's job.
@@ -41,6 +43,8 @@ __all__ = [
     "bell_table",
     "hyp2f1_rate",
     "rate_constant",
+    "rate_constants_at",
+    "closed_form_in_range",
     "derived_constants",
     "derived_constants_at",
 ]
@@ -50,9 +54,10 @@ __all__ = [
 # cancellation (see _script_i_by_shape), and on the exact kernel it stays
 # within 1.3e-14 of the displacement form wherever it is finite, at M up to
 # 40 (alpha 2.05-8, sigma^2 1e-8-1e8).  float64 range does, further out:
-# sigma^(2(k-l)) overflows at sigma^2 = 1e8 from M = 40, and Gamma(p + 1)
-# in both kernels for t-exponents above 170, from M = 44 at alpha = 8.  The
-# cost grows as M^3/6 terms, 816 at M = 16, where one build takes 6 ms.
+# sigma^(2(k-l)) overflows at sigma^2 = 1e8 from M = 40, and the PLA
+# kernel's Gamma factors from (alpha/2) M + 1 > 171.6 (M = 43 at alpha = 8,
+# but M = 12 at alpha = 30; see closed_form_in_range).  The cost grows as
+# M^3/6 terms, 816 at M = 16, where one build takes 6 ms.
 MAX_NAKAGAMI_M = 16
 
 
@@ -132,6 +137,31 @@ def _noise_array(params: NetworkParams, noises) -> np.ndarray:
     return noises
 
 
+def _points(params: NetworkParams, thresholds, noises) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, n) thresholds and (n,) noise powers of n points of `params`, once each is checked.
+
+    `thresholds` holds one row of K linear thresholds per point and `noises`
+    one noise power per point; `params` must be valid, but its own
+    thresholds and noise power are not used.
+    """
+    noises = _noise_array(params, noises)
+    thresholds = np.asarray(thresholds, dtype=float)
+    if thresholds.shape != (noises.size, params.n_tiers):
+        raise ValueError(f"thresholds must have shape (points, tiers) = "
+                         f"{(noises.size, params.n_tiers)}, got {thresholds.shape}")
+    bad = ~(thresholds > 1)
+    if bad.any():
+        point, tier = np.argwhere(bad)[0]
+        raise ValueError("invalid network parameters: "
+                         + _threshold_error(int(tier), float(thresholds[point, tier])))
+    return np.ascontiguousarray(thresholds.T), noises
+
+
+def _threshold_error(tier_index: int, threshold: float) -> str:
+    return (f"tier {tier_index}: SINR threshold must exceed 1 in linear scale "
+            f"(got {threshold}); the coverage union bound is exact only under beta_i > 1")
+
+
 def validate(params: NetworkParams) -> list[str]:
     """Return every violated standing assumption (empty list means valid)."""
     errors: list[str] = []
@@ -147,11 +177,7 @@ def validate(params: NetworkParams) -> list[str]:
         if not tier.power > 0:
             errors.append(f"tier {i}: power must be positive (got {tier.power})")
         if not tier.threshold > 1:
-            errors.append(
-                f"tier {i}: SINR threshold must exceed 1 in linear scale "
-                f"(got {tier.threshold}); the coverage union bound is exact "
-                "only under beta_i > 1"
-            )
+            errors.append(_threshold_error(i, tier.threshold))
         # type() rather than isinstance: bool is an int subclass.
         if not (type(tier.nakagami_m) is int and tier.nakagami_m >= 1):
             errors.append(f"tier {i}: nakagami_m must be an integer >= 1 (got {tier.nakagami_m})")
@@ -168,6 +194,24 @@ def require_valid(params: NetworkParams) -> None:
     errors = validate(params)
     if errors:
         raise ValueError("invalid network parameters: " + "; ".join(errors))
+
+
+def closed_form_in_range(alpha: float, nakagami_m: int) -> bool:
+    """Whether float64 holds the Gamma factors of the PLA closed form for shape M at alpha.
+
+    The triple sum's largest t-exponent is p = (alpha/2)(M - 1), and there
+    the PLA kernel's error bound evaluates Gamma(p + alpha/2 + 1), the
+    largest Gamma factor of the closed forms (the kernel itself needs
+    Gamma(p + 2)).  Past Gamma's float64 range, about 171.6, that raises
+    OverflowError, as at alpha = 30 and M = 16; `validate` accepts such a
+    network, which the reference and the simulator evaluate.
+    """
+    power = (alpha / 2.0) * (nakagami_m - 1)
+    try:
+        math.gamma(power + alpha / 2.0 + 1.0)
+    except OverflowError:
+        return False
+    return True
 
 
 def interference_constant(params: NetworkParams) -> float:
@@ -279,21 +323,38 @@ def _script_i_by_shape(a: float, sigma2: np.ndarray, a_const: float, shapes,
     return by_shape
 
 
-def hyp2f1_rate(alpha: float, beta_threshold: float) -> float:
-    """2F1(1, 2/alpha; 1 + 2/alpha; -1/beta) for alpha > 2, beta > 0."""
+def hyp2f1_rate(alpha: float, beta_threshold):
+    """2F1(1, 2/alpha; 1 + 2/alpha; -1/beta) for alpha > 2, beta > 0.
+
+    `beta_threshold` is a float, or an array for which an array is returned.
+    """
     if not (alpha > 2):
         raise ValueError(f"hyp2f1_rate requires alpha > 2, got {alpha}")
-    if not (beta_threshold > 0):
-        raise ValueError(f"hyp2f1_rate requires beta > 0, got {beta_threshold}")
+    betas = np.asarray(beta_threshold, dtype=float)
+    if not (betas > 0).all():
+        raise ValueError(f"hyp2f1_rate requires beta > 0, got {float(betas[~(betas > 0)][0])}")
     b = 2.0 / alpha
-    return float(special.hyp2f1(1.0, b, 1.0 + b, -1.0 / beta_threshold))
+    value = special.hyp2f1(1.0, b, 1.0 + b, -1.0 / betas)
+    return value if betas.ndim else float(value)
 
 
 def rate_constant(params: NetworkParams, tier_index: int) -> float:
-    """A_i = ln(1 + beta_i) + (alpha/2) 2F1(1, 2/a; 1+2/a; -1/beta_i)."""
+    """A_i = ln(1 + beta_i) + (alpha/2) 2F1(1, 2/a; 1+2/a; -1/beta_i).
+
+    The length-1 case of `rate_constants_at`.
+    """
     require_valid(params)
-    beta = params.tiers[tier_index].threshold
-    return math.log1p(beta) + (params.alpha / 2.0) * hyp2f1_rate(params.alpha, beta)
+    return float(rate_constants_at(params.alpha, [params.tiers[tier_index].threshold])[0])
+
+
+def rate_constants_at(alpha: float, thresholds) -> np.ndarray:
+    """ln(1 + beta) + (alpha/2) 2F1(1, 2/a; 1+2/a; -1/beta) at each threshold of a 1-d array.
+
+    The rate constant A_i of a tier at each of its thresholds in a sweep.
+    Element j equals `rate_constant` at thresholds[j], bit for bit.
+    """
+    betas = np.array(thresholds, dtype=float, ndmin=1)
+    return np.log1p(betas) + (alpha / 2.0) * hyp2f1_rate(alpha, betas)
 
 
 def derived_constants(params: NetworkParams) -> DerivedConstants:
@@ -315,16 +376,18 @@ def derived_constants_at(params: NetworkParams, noises) -> list[DerivedConstants
     and each point raises its own PlaAccuracyWarning.
     """
     noises = _noise_array(params, noises)
+    return [
+        DerivedConstants(script_i=tuple(script_i), network=_threshold_free(params, noise))
+        for script_i, noise in zip(_script_i_at(params, noises).T.tolist(), noises.tolist())
+    ]
+
+
+def _script_i_at(params: NetworkParams, noises: np.ndarray) -> np.ndarray:
+    """The (K, n) I_i of `derived_constants_at`: tier i's at noises[j] in row i, column j."""
     a_const = interference_constant(params)
     shapes = [t.nakagami_m for t in params.tiers]
     by_shape = _script_i_by_shape(
         params.alpha, noises, a_const, shapes,
         lambda power: pla.approx_gamma_kernel_integral(noises, a_const, power, params.alpha),
     )
-    return [
-        DerivedConstants(
-            script_i=tuple(float(by_shape[m][j]) for m in shapes),
-            network=_threshold_free(params, float(noise)),
-        )
-        for j, noise in enumerate(noises)
-    ]
+    return np.array([by_shape[m] for m in shapes])

@@ -10,20 +10,28 @@ Independent oracles:
 """
 
 import math
+import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 import scipy.integrate
 
 from hetnetcov.analysis import (
     Method,
     average_rate,
+    average_rate_at,
     conditional_ccdf,
     coverage_probability,
+    coverage_probability_at,
     coverage_rayleigh,
+    coverage_rayleigh_at,
     coverage_reference,
+    coverage_reference_at,
     rate_exact,
+    rate_exact_at,
     rate_rayleigh,
+    rate_rayleigh_at,
     rate_reference,
     reference_kernel,
     reference_kernels_at,
@@ -343,3 +351,41 @@ class TestPrebuiltConstants:
             assert coverage_reference(at, kernel=kernel) == coverage_reference(at)
         with pytest.raises(ValueError, match="noise power must be positive"):
             reference_kernels_at(net, [1e-3, -1.0])
+
+
+class TestArrayRoutes:
+    """An `_at` form at n points equals its route on each point's network, bit for bit."""
+
+    ROUTES = [(coverage_probability, coverage_probability_at), (average_rate, average_rate_at),
+              (coverage_reference, coverage_reference_at), (rate_exact, rate_exact_at),
+              (coverage_rayleigh, coverage_rayleigh_at), (rate_rayleigh, rate_rayleigh_at)]
+
+    @pytest.mark.parametrize("shapes", [(1, 1, 1), (2, 3, 1)])
+    def test_equal_to_route_at_each_point(self, shapes):
+        # Thresholds and noise powers both vary and noise powers repeat, so
+        # each build per distinct noise power must reach all of its points.
+        rng = np.random.default_rng(3)
+        net = make_network(densities=(1.0, 5.0, 0.5), powers=(25.0, 1.0, 4.0),
+                           thresholds=(2.0, 2.0, 2.0), shapes=shapes)
+        thresholds = 1.0 + 10.0 ** rng.uniform(-2.0, 2.0, (40, 3))
+        noises = 10.0 ** rng.choice(np.linspace(-4.0, 3.0, 8), 40)
+        points = [replace(net, noise=float(noise), tiers=tuple(
+            replace(t, threshold=float(beta)) for t, beta in zip(net.tiers, row)))
+            for row, noise in zip(thresholds, noises)]
+        rayleigh = set(shapes) == {1}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", pla.PlaAccuracyWarning)
+            for route, route_at in self.ROUTES[:4] + self.ROUTES[4:] * rayleigh:
+                values = route_at(net, thresholds, noises)
+                assert values.tolist() == [route(p).value for p in points], route.__name__
+
+    def test_points_validated(self):
+        net = make_network()
+        with pytest.raises(ValueError, match=r"tier 1: SINR threshold must exceed 1 .*got 1.0"):
+            coverage_probability_at(net, [[2.0, 2.0], [2.0, 1.0]], [1e-3, 1e-3])
+        with pytest.raises(ValueError, match=r"noise power must be positive \(got 0.0\)"):
+            average_rate_at(net, [[2.0, 2.0]], [0.0])
+        with pytest.raises(ValueError, match=r"shape \(points, tiers\) = \(1, 2\)"):
+            rate_exact_at(net, [[2.0, 2.0, 2.0]], [1e-3])
+        with pytest.raises(ValueError, match="M_i = 1"):
+            coverage_rayleigh_at(make_network(shapes=(2, 1)), [[2.0, 2.0]], [1e-3])

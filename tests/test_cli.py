@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from hetnetcov import analysis, mcsim, pla
+from hetnetcov import analysis, mcsim, model, pla
 from hetnetcov.cli import (
     ConfigError,
     _params_at,
@@ -284,6 +284,28 @@ class TestSharedConstants:
         assert calls[0] == 1
 
     @pytest.mark.parametrize("rate", [False, True])
+    @pytest.mark.parametrize("shapes", [(2, 3), (1, 1)], ids=["m2_3", "m1_1"])
+    @pytest.mark.parametrize("variable", ["beta1_db", "noise_db"])
+    def test_validations_independent_of_points(self, tmp_path, monkeypatch, variable,
+                                               shapes, rate):
+        # Each analytic column is one array call over the sweep's points, and
+        # the mc column reads one simulation pass: no network is validated
+        # per point, so 300 points validate as often as 6.
+        methods = ("closed", "reference", "mc") + (("rayleigh",) if shapes == (1, 1) else ())
+        validate = model.validate
+        counts = []
+        for points in (6, 300):
+            config = network_config(tmp_path, variable, shapes, methods, points=points)
+            config = replace(config, sim=replace(config.sim, n_geometry=100, n_fading=10))
+            calls = [0]
+            monkeypatch.setattr(model, "validate", counting(validate, calls))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", pla.PlaAccuracyWarning)
+                run_sweep(config, rate=rate)
+            counts.append(calls[0])
+        assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("rate", [False, True])
     @pytest.mark.parametrize("shapes, points", [((2, 3), 500), ((16, 1), 100)],
                              ids=["m2_3-500", "m16_1-100"])
     def test_dense_noise_sweep_equals_per_point_calls(self, tmp_path, shapes, points, rate):
@@ -488,6 +510,34 @@ class TestMain:
         assert main(["--config", path, "--radius-check"]) == 0
         assert calls[0] == passes
         assert f"radius-doubling coverage drift: {expected:.3e}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variable, shape, methods, code", [
+        ("beta1_db", 16, ["closed"], 1), ("beta1_db", 12, ["closed"], 1),
+        ("beta1_db", 11, ["closed"], 0), ("beta1_db", 16, ["reference"], 0),
+        ("nakagami_pair", None, ["closed"], 1),
+    ])
+    def test_closed_form_range_exit_code(self, tmp_path, capsys, variable, shape, methods,
+                                         code):
+        # At alpha = 30 the PLA kernel's Gamma((alpha/2) M + 1) overflows
+        # float64 from M = 12: the closed form is refused on load, with both
+        # fields named, while the reference still runs.
+        cfg = base_config(alpha=30.0)
+        cfg["sweep"]["methods"] = methods
+        if variable == "nakagami_pair":
+            cfg["sweep"].update(variable=variable, start=1.0, stop=16.0)
+            field, shape = "'sweep.stop'", 16
+        else:
+            cfg["tiers"][0]["m"] = shape
+            field = "'tiers[0].m'"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", pla.PlaAccuracyWarning)
+            assert main(["--config", write_config(tmp_path, cfg)]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert f"config error: 'alpha' = 30.0 with {field} = {shape}" in captured.err
+            assert captured.out == ""
+        else:
+            assert captured.out.startswith("sweep_db,")
 
     @pytest.mark.parametrize("threads", ["0", "-4"])
     def test_thread_count_below_one_exit_code(self, tmp_path, capsys, threads):

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from scipy import integrate
 
@@ -119,6 +120,14 @@ class TestHyp2f1Rate:
             hyp2f1_rate(2.0, 1.0)
         with pytest.raises(ValueError):
             hyp2f1_rate(4.0, 0.0)
+        with pytest.raises(ValueError, match=r"beta > 0, got -1.0"):
+            hyp2f1_rate(4.0, np.array([2.0, -1.0]))
+
+    def test_array_equals_scalar_calls(self):
+        betas = np.array([1.0, 1.2589, 5.0, 1e6])
+        values = hyp2f1_rate(3.0, betas)
+        assert isinstance(values, np.ndarray) and isinstance(hyp2f1_rate(3.0, 5.0), float)
+        assert values.tolist() == [hyp2f1_rate(3.0, float(b)) for b in betas]
 
 
 class TestPartialBell:

@@ -170,8 +170,8 @@ def coverage_probability_at(params: NetworkParams, thresholds, noises) -> np.nda
 
     `thresholds` is (n, K) and `noises` (n,), as in the module docstring;
     the I_i are built by `model.derived_constants_at`'s triple sum, once,
-    over the distinct noise powers.  Each distinct noise power raises its
-    own PlaAccuracyWarning.
+    over the distinct noise powers.  Each of its kernel calls raises at most
+    one PlaAccuracyWarning, carrying the noise powers it flags.
     """
     thresholds, noises = model._points(params, thresholds, noises)
     return _coverage_closed(params, thresholds,
@@ -286,8 +286,8 @@ def coverage_rayleigh(params: NetworkParams) -> CoverageResult:
     Algebraically identical to `coverage_probability` with the incomplete
     gammas expanded; V is the Rayleigh interference constant and U the
     noise power.  Being the same p = 0 PLA kernel, it raises the same
-    PlaAccuracyWarning outside the kernel's regime.  The length-1 case of
-    `coverage_rayleigh_at`.
+    PlaAccuracyWarning outside the kernel's regime: one per call, carrying
+    the flagged noise powers.  The length-1 case of `coverage_rayleigh_at`.
     """
     p = coverage_rayleigh_at(params, *_own_point(params))
     return CoverageResult(value=p.item(), method=Method.RAYLEIGH_CLOSED_FORM)

@@ -273,6 +273,7 @@ def _sweep(config: RunConfig, rate: bool, bits: bool,
     depends on neither, is one pass.  A nakagami_pair point changes the
     fading law, so it is a block of its own.  Only the mc column takes the
     points one by one, deriving the per-tier SINRs once per noise power.
+    An mc value that is not finite raises ArithmeticError naming its point.
     """
     sweep = config.sweep
     values = sweep.values()
@@ -294,6 +295,10 @@ def _sweep(config: RunConfig, rate: bool, bits: bool,
     for name, column in columns.items():
         for row, x in zip(rows, column):
             row[name] = x
+    for row in rows:
+        if "mc" in row and not math.isfinite(row["mc"]):
+            raise ArithmeticError(f"mc {'rate' if rate else 'coverage'} is {row['mc']}, "
+                                  f"not finite, at sweep_db = {row['sweep_db']:.10g}")
     return rows, None if sweep.variable == "nakagami_pair" else trials
 
 

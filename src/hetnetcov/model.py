@@ -372,8 +372,9 @@ def derived_constants_at(params: NetworkParams, noises) -> list[DerivedConstants
     The triple sum runs once on the array of noise powers, with one
     `pla.approx_gamma_kernel_integral` call per distinct t-exponent for the
     whole array.  `params` must be valid, but its own noise power is not
-    used.  Element j equals `derived_constants` at noises[j], bit for bit,
-    and each point raises its own PlaAccuracyWarning.
+    used.  Element j equals `derived_constants` at noises[j], bit for bit.
+    Each kernel call raises at most one PlaAccuracyWarning, carrying every
+    noise power at which its bound exceeds PLA_WARN_BOUND.
     """
     noises = _noise_array(params, noises)
     return [

@@ -14,8 +14,8 @@ approximation loss.
 
 The surrogate is accurate only where the integrand mass sits near the
 origin.  `approx_kernel_error_bound` bounds its relative error a priori, in
-closed form, and `approx_gamma_kernel_integral` raises `PlaAccuracyWarning`
-whenever that bound exceeds `PLA_WARN_BOUND`.
+closed form, and `approx_gamma_kernel_integral` raises one `PlaAccuracyWarning`
+per call whose bound exceeds `PLA_WARN_BOUND` at some point.
 
 The PLA kernel, its bound and the exact kernel take U as a float or as a
 1-d array, such as a sweep's noise powers, and evaluate a float as an
@@ -58,7 +58,21 @@ class QuadratureError(RuntimeError):
 
 
 class PlaAccuracyWarning(UserWarning):
-    """The PLA kernel is outside its regime: its error bound exceeds PLA_WARN_BOUND."""
+    """The PLA kernel is outside its regime: its error bound exceeds PLA_WARN_BOUND.
+
+    One kernel or bound call raises at most one, for all of its points over
+    PLA_WARN_BOUND, and carries them as data:
+
+    u, bound : tuples of floats, the flagged points' U and error bound, in
+               point order;
+    v, power, alpha : the call's V, t-exponent and path-loss exponent.
+    """
+
+    def __init__(self, message: str, u: tuple = (), bound: tuple = (), v: float = math.nan,
+                 power: float = math.nan, alpha: float = math.nan):
+        super().__init__(message)
+        self.u, self.bound = tuple(u), tuple(bound)
+        self.v, self.power, self.alpha = v, power, alpha
 
 
 @dataclass(frozen=True)
@@ -106,9 +120,10 @@ def approx_gamma_kernel_integral(u, v: float, power: float, alpha: float):
 
     `power` is the (real, >= 0) exponent of t; the classical statement with
     integrand t^(n/2) corresponds to power = n/2.  `u` is a float, or a 1-d
-    array for which an array is returned.  Raises PlaAccuracyWarning, once
-    per point, where `approx_kernel_error_bound` exceeds PLA_WARN_BOUND; the
-    returned value is the same either way.
+    array for which an array is returned.  Raises one PlaAccuracyWarning,
+    carrying every point where `approx_kernel_error_bound` exceeds
+    PLA_WARN_BOUND, if there is such a point; the returned value is the
+    same either way.
     """
     us = _kernel_args(u, v, power, alpha)
     coeff = pla_coefficients(alpha)
@@ -155,7 +170,8 @@ def check_kernel_regime(u, v: float, power: float, alpha: float):
     """Return `approx_kernel_error_bound`, raising PlaAccuracyWarning above PLA_WARN_BOUND.
 
     For closed forms that expand the PLA kernel inline instead of calling
-    `approx_gamma_kernel_integral`.
+    `approx_gamma_kernel_integral`; it warns as that does, once for all
+    flagged points.
     """
     bound = approx_kernel_error_bound(u, v, power, alpha)
     _warn_outside_regime(np.atleast_1d(bound), np.atleast_1d(u), v, power, alpha)
@@ -225,17 +241,31 @@ def _error_bound(w: np.ndarray, bracket: np.ndarray, power: float,
 
 def _warn_outside_regime(bound: np.ndarray, u: np.ndarray, v: float, power: float,
                          alpha: float) -> None:
-    """One PlaAccuracyWarning per point whose bound exceeds PLA_WARN_BOUND."""
-    for i in np.flatnonzero(bound > PLA_WARN_BOUND):
-        ui = float(u[i])
-        warnings.warn(
-            f"PLA kernel error bound {float(bound[i]):.1%} exceeds {PLA_WARN_BOUND:.0%} at "
-            f"U={ui:.6g}, V={v:.6g}, power={power:g}, alpha={alpha:g} "
-            f"(w = V/U^(2/alpha) = {v / ui ** (2.0 / alpha):.4g}); the closed form "
-            "may be far from the exact integral",
-            PlaAccuracyWarning,
-            stacklevel=3,
-        )
+    """One PlaAccuracyWarning for all points whose bound exceeds PLA_WARN_BOUND, if any.
+
+    With one such point the message names it; with k of n it names k, n and
+    the point of the largest bound.  The warning carries every flagged point.
+    """
+    flagged = np.flatnonzero(bound > PLA_WARN_BOUND)
+    if not flagged.size:
+        return
+    worst = flagged[np.argmax(bound[flagged])]
+    u_worst = float(u[worst])
+    where = (f"U={u_worst:.6g}, V={v:.6g}, power={power:g}, alpha={alpha:g} "
+             f"(w = V/U^(2/alpha) = {v / u_worst ** (2.0 / alpha):.4g})")
+    if flagged.size == 1:
+        head = f"PLA kernel error bound {float(bound[worst]):.1%} exceeds {PLA_WARN_BOUND:.0%} at "
+    else:
+        head = (f"PLA kernel error bound exceeds {PLA_WARN_BOUND:.0%} at {flagged.size} of "
+                f"{bound.size} points, the largest ({float(bound[worst]):.1%}) at ")
+    warnings.warn(
+        PlaAccuracyWarning(
+            f"{head}{where}; the closed form may be far from the exact integral",
+            u=u[flagged].tolist(), bound=bound[flagged].tolist(), v=float(v), power=float(power),
+            alpha=float(alpha),
+        ),
+        stacklevel=3,
+    )
 
 
 # The trapezoid rule of `exact_gamma_kernel_integral`: the ends of its range

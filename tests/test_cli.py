@@ -308,18 +308,14 @@ class TestSharedConstants:
     @pytest.mark.parametrize("rate", [False, True])
     @pytest.mark.parametrize("shapes, points", [((2, 3), 500), ((16, 1), 100)],
                              ids=["m2_3-500", "m16_1-100"])
-    def test_dense_noise_sweep_equals_per_point_calls(self, tmp_path, shapes, points, rate):
+    def test_dense_noise_sweep_equals_per_point_calls(self, tmp_path, pla_warnings, shapes,
+                                                      points, rate):
         # The sweep builds its constants and reference kernel once, as
-        # arrays over its noise powers; every row and every distinct
-        # PlaAccuracyWarning must be those of per-point public calls.
+        # arrays over its noise powers; every row and every flagged point of
+        # its PlaAccuracyWarnings must be those of per-point public calls,
+        # with one warning per kernel call that flags a point.
         config = network_config(tmp_path, "noise_db", shapes, ("closed", "reference"),
                                 points=points)
-
-        def recorded(run):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                result = run()
-            return result, {(w.category, str(w.message)) for w in caught}
 
         def per_point():
             rows = []
@@ -333,25 +329,23 @@ class TestSharedConstants:
                 rows.append({"closed": routes[0].value, "reference": routes[1].value})
             return rows
 
-        rows, swept = recorded(lambda: run_sweep(config, rate=rate))
-        expected, alone = recorded(per_point)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows, swept, swept_calls = pla_warnings(lambda: run_sweep(config, rate=rate))
+        expected, alone, alone_calls = pla_warnings(per_point)
         assert [{m: row[m] for m in ("closed", "reference")} for row in rows] == expected
-        assert swept == alone
-        assert {category for category, _ in swept} <= {pla.PlaAccuracyWarning}
-        assert any(category is pla.PlaAccuracyWarning for category, _ in swept)
+        assert {w.category for w in caught} <= {pla.PlaAccuracyWarning}
+        assert sorted(swept) == sorted(swept_calls)
+        assert sorted(alone) == sorted(alone_calls)
+        assert swept
+        assert sorted(sum(swept, ())) == sorted(sum(alone, ()))
 
     @pytest.mark.parametrize("rate", [False, True])
-    def test_same_warnings_as_per_point_calls(self, rate):
+    def test_same_warnings_as_per_point_calls(self, pla_warnings, rate):
         # fig2's noise sweep reaches the PLA kernel's noise-limited regime.
         config = load_config("configs/fig2_coverage_noise.json")
         config = replace(config, sweep=replace(config.sweep,
                                                methods=("closed", "rayleigh", "reference")))
-
-        def messages(run):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                run()
-            return {str(w.message) for w in caught if w.category is pla.PlaAccuracyWarning}
 
         def per_point():
             for value in config.sweep.values():
@@ -363,9 +357,12 @@ class TestSharedConstants:
                     analysis.coverage_probability(params), analysis.coverage_rayleigh(params)
                     analysis.coverage_reference(params)
 
-        swept = messages(lambda: run_sweep(config, rate=rate))
+        _, swept, swept_calls = pla_warnings(lambda: run_sweep(config, rate=rate))
+        _, alone, alone_calls = pla_warnings(per_point)
         assert swept
-        assert swept == messages(per_point)
+        assert sorted(swept) == sorted(swept_calls)
+        assert sorted(alone) == sorted(alone_calls)
+        assert sorted(sum(swept, ())) == sorted(sum(alone, ()))
 
 
 class TestRunSweep:
@@ -480,6 +477,27 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "numerical failure" in captured.err and "nan" in captured.err
+
+    def test_non_finite_mc_exit_code(self, tmp_path, capsys):
+        # At alpha = 30 the simulated SINR of the strongest BS reads inf, so
+        # its rate does too; that is a numerical failure, not a CSV value.
+        with open("configs/fig1_nakagami23.json") as fh:
+            cfg = json.load(fh)
+        cfg["alpha"] = 30.0
+        cfg["tiers"][0]["m"], cfg["tiers"][1]["m"] = 16, 1
+        cfg["sweep"]["methods"] = ["reference", "mc"]
+        cfg["sim"].update(n_geometry=50, n_fading=10)
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["--config", path, "--rate"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical failure: mc rate is inf, not finite, at sweep_db = 1" in captured.err
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["--config", path]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 11
 
     @pytest.mark.parametrize("shape, shown", [(2.7, "2.7"), (2.0, "2.0"), ("2", '"2"'),
                                               (True, "true")])

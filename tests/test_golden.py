@@ -44,21 +44,36 @@ def _cases() -> dict[str, tuple[dict, bool]]:
 CASES = _cases()
 
 
-def _csv(cfg: dict, rate: bool, workdir: Path) -> bytes:
+def _run(cfg: dict, rate: bool, workdir: Path) -> bytes:
+    """The CLI's CSV bytes for `cfg`, its warnings left to the caller's filters."""
     config, out = workdir / "config.json", workdir / "out.csv"
     config.write_text(json.dumps(cfg))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", pla.PlaAccuracyWarning)
-        code = main(["--config", str(config), "--output", str(out)]
-                    + (["--rate"] if rate else []))
+    code = main(["--config", str(config), "--output", str(out)] + (["--rate"] if rate else []))
     assert code == 0
     return out.read_bytes()
+
+
+def _csv(cfg: dict, rate: bool, workdir: Path) -> bytes:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", pla.PlaAccuracyWarning)
+        return _run(cfg, rate, workdir)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_csv_bytes_equal_golden(tmp_path, name):
     cfg, rate = CASES[name]
     assert _csv(cfg, rate, tmp_path) == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["fig1_nakagami23-noise500", "fig1_nakagami23-noise500-rate"])
+def test_one_warning_per_flagging_call(tmp_path, pla_warnings, name):
+    # The 500-point noise sweep flags hundreds of points, in a few kernel
+    # calls: each call that flags a point warns once, carrying its points.
+    cfg, rate = CASES[name]
+    csv, warned, flagging = pla_warnings(lambda: _run(cfg, rate, tmp_path))
+    assert csv == (GOLDEN / f"{name}.csv").read_bytes()
+    assert sorted(warned) == sorted(flagging)
+    assert 0 < len(warned) < len(sum(warned, ()))
 
 
 if __name__ == "__main__":

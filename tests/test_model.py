@@ -301,14 +301,6 @@ class TestDerivedConstants:
         assert calls == [0.0, 0.0]
 
 
-def recorded_warnings(run):
-    """(result of run(), the messages of every warning it raised, in order)."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = run()
-    return result, [(w.category, str(w.message)) for w in caught]
-
-
 class TestDerivedConstantsAt:
     """One array build over a sweep's noise powers, equal to the per-noise builds."""
 
@@ -316,14 +308,18 @@ class TestDerivedConstantsAt:
     NOISES = 10.0 ** np.linspace(-4.0, 4.0, 41)
 
     @pytest.mark.parametrize("shapes", [(1, 1), (2, 3), (16, 1)])
-    def test_equal_to_length_one_builds(self, shapes):
+    def test_equal_to_length_one_builds(self, shapes, pla_warnings):
         net = make_network(shapes=shapes)
-        batched, swept = recorded_warnings(lambda: derived_constants_at(net, self.NOISES))
-        singles, alone = recorded_warnings(
+        batched, swept, swept_calls = pla_warnings(lambda: derived_constants_at(net, self.NOISES))
+        singles, alone, alone_calls = pla_warnings(
             lambda: [derived_constants(replace(net, noise=float(n))) for n in self.NOISES])
         assert batched == singles
-        assert sorted(swept) == sorted(alone)
-        assert any(c is pla.PlaAccuracyWarning for c, _ in swept)
+        # One warning per kernel call that flags a point, carrying exactly its
+        # flagged points; together they are the per-noise builds' points.
+        assert sorted(swept) == sorted(swept_calls)
+        assert sorted(alone) == sorted(alone_calls)
+        assert swept
+        assert sorted(sum(swept, ())) == sorted(sum(alone, ()))
         assert all(c.fits(replace(net, noise=float(n))) for c, n in zip(batched, self.NOISES))
 
     def test_one_kernel_call_per_exponent_for_all_noises(self, monkeypatch):

@@ -308,20 +308,34 @@ class TestArrayU:
         assert bounds.tolist() == [approx_kernel_error_bound(u, 30.0, power, alpha)
                                    for u in self.U]
 
-    def test_one_warning_per_flagged_point(self):
-        def messages(run):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                run()
-            return [str(w.message) for w in caught if w.category is PlaAccuracyWarning]
+    def test_one_warning_per_flagged_call(self, pla_warnings):
+        # The array call warns once, carrying every flagged point; each float
+        # call warns once if its point is flagged and is silent otherwise.
+        def kernel(u):
+            return pla.approx_gamma_kernel_integral(u, 30.0, 1.5, 3.0)
 
-        swept = messages(lambda: approx_gamma_kernel_integral(self.U, 30.0, 1.5, 3.0))
-        alone = messages(lambda: [approx_gamma_kernel_integral(u, 30.0, 1.5, 3.0)
-                                  for u in self.U])
-        flagged = approx_kernel_error_bound(self.U, 30.0, 1.5, 3.0) > pla.PLA_WARN_BOUND
+        _, swept, swept_calls = pla_warnings(lambda: kernel(self.U))
+        _, alone, alone_calls = pla_warnings(lambda: [kernel(u) for u in self.U])
+        bounds = approx_kernel_error_bound(self.U, 30.0, 1.5, 3.0)
+        flagged = bounds > pla.PLA_WARN_BOUND
         assert 0 < flagged.sum() < len(self.U)
-        assert swept == alone
-        assert len(swept) == flagged.sum()
+        assert swept == swept_calls == [tuple(
+            (u, 30.0, 1.5, 3.0, b) for u, b in zip(self.U[flagged], bounds[flagged]))]
+        assert alone == alone_calls
+        assert len(alone) == flagged.sum()
+        assert sum(swept, ()) == sum(alone, ())
+
+    def test_summary_message_names_count_and_worst(self):
+        u = np.array([1e-8, 10.0, 1e3])
+        with pytest.warns(PlaAccuracyWarning) as caught:
+            approx_gamma_kernel_integral(u, 0.01, 4.0, 2.5)
+        bounds = approx_kernel_error_bound(u, 0.01, 4.0, 2.5)
+        assert len(caught) == 1 and (bounds > pla.PLA_WARN_BOUND).sum() == 2
+        worst = int(np.argmax(bounds))
+        message = str(caught[0].message)
+        assert message.startswith("PLA kernel error bound exceeds 5% at 2 of 3 points, "
+                                  f"the largest ({bounds[worst]:.1%}) at U={u[worst]:.6g}, ")
+        assert f"(w = V/U^(2/alpha) = {0.01 / u[worst] ** 0.8:.4g})" in message
 
     def test_array_domain_error_names_the_value(self):
         with pytest.raises(ValueError, match="U > 0, got 0.0"):
@@ -383,6 +397,18 @@ class TestErrorBound:
         bounds = [approx_kernel_error_bound(1.0, v, 2.0, 3.0) for v in [0.1, 1.0, 10.0, 100.0]]
         assert all(a > b for a, b in zip(bounds, bounds[1:]))
         assert bounds[-1] < 1e-2
+
+    def test_scalar_message(self):
+        # Criterion 6a's worst point: one warning, in the single-point wording.
+        with pytest.warns(PlaAccuracyWarning) as caught:
+            approx_gamma_kernel_integral(10.0, 0.01, 4.0, 2.5)
+        assert len(caught) == 1
+        assert str(caught[0].message) == (
+            "PLA kernel error bound 99.6% exceeds 5% at U=10, V=0.01, power=4, alpha=2.5 "
+            "(w = V/U^(2/alpha) = 0.001585); the closed form may be far from the exact integral")
+        warning = caught[0].message
+        assert (warning.u, warning.v, warning.power, warning.alpha) == ((10.0,), 0.01, 4.0, 2.5)
+        assert warning.bound == (approx_kernel_error_bound(10.0, 0.01, 4.0, 2.5),)
 
     def test_warning_leaves_value_unchanged(self):
         with pytest.warns(PlaAccuracyWarning, match="error bound"):

@@ -21,10 +21,8 @@ from .analysis import (
     rate_reference,
 )
 from .model import (
-    DerivedConstants,
     NetworkParams,
     TierParams,
-    derived_constants,
     interference_constant,
     rate_constant,
     tier_script_I,

@@ -9,12 +9,14 @@ Each route behind a CLI column (the closed, Rayleigh and reference forms of
 coverage and of rate) has an `_at` form that evaluates it at the n
 points of a sweep as arrays: `params` fixes alpha and each tier's density,
 power and Nakagami shape, and the points give an (n, K) array of
-thresholds and an (n,) array of noise powers.  The threshold-free objects
-(`model.derived_constants`, `reference_kernel`) are built once per distinct
-noise power, as one array evaluation.  The single-network route is the
-length-1 case of its `_at` form, on the same code, so element j of an
-`_at` result equals, bit for bit, the route called on the network of
-point j.
+thresholds and an (n,) array of noise powers.  The threshold-free part
+(the closed form's I_i, `model._script_i_at`, or the reference's one
+exact kernel) is built once per distinct noise power, as one array
+evaluation, and shared by every threshold of the sweep.  The
+single-network route is the `_at` form called at the network's own point,
+so element j of an `_at` result equals, bit for bit, the route called on
+the network of point j.  The `_at` forms are the way to share that work
+across a sweep.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from scipy import integrate
 
 from . import model, pla
-from .model import DerivedConstants, NetworkParams
+from .model import NetworkParams
 from .pla import QuadratureError
 
 __all__ = [
@@ -39,9 +41,6 @@ __all__ = [
     "coverage_probability_at",
     "coverage_rayleigh",
     "coverage_rayleigh_at",
-    "ReferenceKernel",
-    "reference_kernel",
-    "reference_kernels_at",
     "coverage_reference",
     "coverage_reference_at",
     "conditional_ccdf",
@@ -102,11 +101,6 @@ def _own_point(params: NetworkParams) -> tuple[list, list]:
     return [[t.threshold for t in params.tiers]], [params.noise]
 
 
-def _own_thresholds(params: NetworkParams) -> np.ndarray:
-    """The (K, 1) thresholds of `params`, once it is checked."""
-    return model._points(params, *_own_point(params))[0]
-
-
 def _per_noise(build, noises: np.ndarray) -> np.ndarray:
     """build(distinct noise powers), one column per point: one build per distinct noise power."""
     distinct, at = np.unique(noises, return_inverse=True)
@@ -129,22 +123,16 @@ def _tier_weights(params: NetworkParams, thresholds: np.ndarray, factors,
     ]
 
 
-def _conditional_ccdf(params: NetworkParams, thresholds: np.ndarray, factors):
-    """y -> P(X > y | coverage) = sum_i w_i(y) / sum_i w_i(0), w_i from `_tier_weights`.
+def _conditional_ccdf(params: NetworkParams):
+    """y -> P(X > y | coverage) = sum_i w_i(y) / sum_i w_i(0) of `params`, once it is checked.
 
-    For the one point of a (K, 1) `thresholds`.
+    w_i from `_tier_weights`, with the closed form's I_i (`model._script_i_at`)
+    at the network's own thresholds and noise power.
     """
-    den = sum(_tier_weights(params, thresholds, factors))
-    return lambda y: (sum(_tier_weights(params, thresholds, factors, y=y)) / den).item()
-
-
-def _constants_for(params: NetworkParams, constants: DerivedConstants | None) -> DerivedConstants:
-    """`constants` if given (checked against `params`), else built."""
-    if constants is None:
-        return model.derived_constants(params)
-    model.require_valid(params)
-    constants.require_fits(params)
-    return constants
+    thresholds, noises = model._points(params, *_own_point(params))
+    script_i = model._script_i_at(params, noises)
+    den = sum(_tier_weights(params, thresholds, script_i))
+    return lambda y: (sum(_tier_weights(params, thresholds, script_i, y=y)) / den).item()
 
 
 def _coverage_closed(params: NetworkParams, thresholds: np.ndarray, script_i) -> np.ndarray:
@@ -152,16 +140,12 @@ def _coverage_closed(params: NetworkParams, thresholds: np.ndarray, script_i) ->
     return _clamp_probability(p, "coverage")
 
 
-def coverage_probability(params: NetworkParams, *,
-                         constants: DerivedConstants | None = None) -> CoverageResult:
+def coverage_probability(params: NetworkParams) -> CoverageResult:
     """P_c = sum_i pi lambda_i P_i^(2/a) beta_i^(-2/a) I_i (PLA closed form).
 
-    `constants` from `model.derived_constants`, built at any thresholds,
-    are used instead of being rebuilt; constants built for another network
-    raise ValueError.  The length-1 case of `coverage_probability_at`.
+    The length-1 case of `coverage_probability_at`.
     """
-    script_i = _constants_for(params, constants).script_i
-    p = _coverage_closed(params, _own_thresholds(params), script_i)
+    p = coverage_probability_at(params, *_own_point(params))
     return CoverageResult(value=p.item(), method=Method.CLOSED_FORM)
 
 
@@ -169,8 +153,8 @@ def coverage_probability_at(params: NetworkParams, thresholds, noises) -> np.nda
     """`coverage_probability` at each of n points, as an (n,) array.
 
     `thresholds` is (n, K) and `noises` (n,), as in the module docstring;
-    the I_i are built by `model.derived_constants_at`'s triple sum, once,
-    over the distinct noise powers.  Each of its kernel calls raises at most
+    the I_i are built by `model._script_i_at`'s triple sum, once, over the
+    distinct noise powers.  Each of its kernel calls raises at most
     one PlaAccuracyWarning, carrying the noise powers it flags.
     """
     thresholds, noises = model._points(params, thresholds, noises)
@@ -184,44 +168,9 @@ def _fading_moments(params: NetworkParams) -> list[float]:
     return [math.gamma(t.nakagami_m + e) / math.gamma(t.nakagami_m) for t in params.tiers]
 
 
-@dataclass(frozen=True)
-class ReferenceKernel:
-    """The exact kernel K(sigma^2, a Gamma(1-d), 0) of `coverage_reference`.
-
-    Like `model.DerivedConstants` it involves no threshold: one object
-    serves every point of a threshold sweep.
-    """
-
-    value: float
-    network: tuple  # model._threshold_free of the network it was built for
-
-    def fits(self, params: NetworkParams) -> bool:
-        """Whether this was built for `params`, whatever its thresholds."""
-        return model._threshold_free(params) == self.network
-
-
-def reference_kernel(params: NetworkParams) -> ReferenceKernel:
-    """The one kernel quadrature of `coverage_reference`, for reuse across thresholds.
-
-    The length-1 case of `reference_kernels_at`.
-    """
-    return reference_kernels_at(params, [params.noise])[0]
-
-
-def reference_kernels_at(params: NetworkParams, noises) -> list[ReferenceKernel]:
-    """`reference_kernel` of `params` at each noise power in `noises`, in one quadrature.
-
-    One `pla.exact_gamma_kernel_integral` call evaluates K(sigma^2, a Gamma(1-d), 0)
-    for the whole array.  `params` must be valid, but its own noise power is
-    not used.  Element j equals `reference_kernel` at noises[j], bit for bit.
-    """
-    noises = model._noise_array(params, noises)
-    return [ReferenceKernel(value=k, network=model._threshold_free(params, noise))
-            for k, noise in zip(_reference_kernel_values(params, noises).tolist(),
-                                noises.tolist())]
-
-
-def _reference_kernel_values(params: NetworkParams, noises: np.ndarray) -> np.ndarray:
+def _exact_kernel_at(params: NetworkParams, noises: np.ndarray) -> np.ndarray:
+    """K(sigma^2, a Gamma(1-d), 0) of `coverage_reference` at each noise power, in one
+    `pla.exact_gamma_kernel_integral` call."""
     e = 2.0 / params.alpha
     a_total = math.pi * sum(t.density * t.power**e * g
                             for t, g in zip(params.tiers, _fading_moments(params)))
@@ -236,8 +185,7 @@ def _coverage_reference(params: NetworkParams, thresholds: np.ndarray, kernel) -
     return _clamp_probability(p, "coverage reference")
 
 
-def coverage_reference(params: NetworkParams, *,
-                       kernel: ReferenceKernel | None = None) -> CoverageResult:
+def coverage_reference(params: NetworkParams) -> CoverageResult:
     """Exact coverage from the displacement theorem, with one kernel quadrature.
 
     The received powers P_i h |x|^(-alpha) of tier i form a Poisson process
@@ -252,20 +200,9 @@ def coverage_reference(params: NetworkParams, *,
     with a = sum_i a_i and K the exact kernel integral at t-exponent 0.
     It shares neither the PLA nor the paper's triple sum with the closed
     form, so it is the yardstick for both; quadrature failures surface as
-    QuadratureError.  A `kernel` from `reference_kernel`, built at any
-    thresholds, is used instead of the quadrature; one built for another
-    network raises ValueError.  The length-1 case of `coverage_reference_at`.
+    QuadratureError.  The length-1 case of `coverage_reference_at`.
     """
-    if kernel is None:
-        kernel = reference_kernel(params)
-    else:
-        model.require_valid(params)
-        if not kernel.fits(params):
-            raise ValueError(
-                "reference kernel was built for another alpha, noise power, "
-                "density, power or Nakagami shape than this network's"
-            )
-    p = _coverage_reference(params, _own_thresholds(params), kernel.value)
+    p = coverage_reference_at(params, *_own_point(params))
     return CoverageResult(value=p.item(), method=Method.QUADRATURE_REFERENCE)
 
 
@@ -273,11 +210,11 @@ def coverage_reference_at(params: NetworkParams, thresholds, noises) -> np.ndarr
     """`coverage_reference` at each of n points, as an (n,) array.
 
     Arguments as in `coverage_probability_at`; one kernel quadrature
-    (`reference_kernels_at`'s) serves every distinct noise power.
+    (`_exact_kernel_at`'s) serves every distinct noise power.
     """
     thresholds, noises = model._points(params, thresholds, noises)
     return _coverage_reference(params, thresholds,
-                               _per_noise(partial(_reference_kernel_values, params), noises))
+                               _per_noise(partial(_exact_kernel_at, params), noises))
 
 
 def coverage_rayleigh(params: NetworkParams) -> CoverageResult:
@@ -335,11 +272,10 @@ def conditional_ccdf(params: NetworkParams, y: float) -> float:
 
     Equals 1 for y <= min_i beta_i, is non-increasing, and -> 0 as y -> inf.
     """
-    model.require_valid(params)
+    ccdf = _conditional_ccdf(params)
     if y < 0:
         raise ValueError(f"conditional_ccdf requires y >= 0, got {y}")
-    return _conditional_ccdf(params, _own_thresholds(params),
-                             model.derived_constants(params).script_i)(y)
+    return ccdf(y)
 
 
 def _mean_rate_constant(params: NetworkParams, thresholds: np.ndarray, factors,
@@ -351,22 +287,19 @@ def _mean_rate_constant(params: NetworkParams, thresholds: np.ndarray, factors,
     return _finite_rates(mean, method)
 
 
-def average_rate(params: NetworkParams, *,
-                 constants: DerivedConstants | None = None) -> RateResult:
+def average_rate(params: NetworkParams) -> RateResult:
     """R = weighted mean of the per-tier rate constants, weights ~ coverage mass.
 
-    `constants` as in `coverage_probability`.  The length-1 case of
-    `average_rate_at`.
+    The length-1 case of `average_rate_at`.
     """
-    script_i = _constants_for(params, constants).script_i
-    value = _mean_rate_constant(params, _own_thresholds(params), script_i, Method.CLOSED_FORM)
+    value = average_rate_at(params, *_own_point(params))
     return RateResult(value=value.item(), method=Method.CLOSED_FORM)
 
 
 def average_rate_at(params: NetworkParams, thresholds, noises) -> np.ndarray:
     """`average_rate` at each of n points, as an (n,) array.
 
-    Arguments, constants and warnings as in `coverage_probability_at`.
+    Arguments, I_i and warnings as in `coverage_probability_at`.
     """
     thresholds, noises = model._points(params, thresholds, noises)
     return _mean_rate_constant(params, thresholds,
@@ -414,18 +347,16 @@ def rate_exact_at(params: NetworkParams, thresholds, noises) -> np.ndarray:
                                Method.QUADRATURE_REFERENCE)
 
 
-def rate_reference(params: NetworkParams, rel_tol: float = 1e-8, *,
-                   constants: DerivedConstants | None = None) -> RateResult:
+def rate_reference(params: NetworkParams, rel_tol: float = 1e-8) -> RateResult:
     """Quadrature of int_0^inf P(X > y | C) / (1 + y) dy.
 
     Integrated piecewise between the tier thresholds (the CCDF has kinks
     there) plus an analytic-free tail integral; agrees with `average_rate`
     to quadrature accuracy since the closed form integrates the same CCDF
-    exactly.  It integrates the PLA closed form's CCDF, with `constants`
-    as in `coverage_probability`; `rate_exact` is the exact rate.
+    exactly.  It integrates the PLA closed form's CCDF; `rate_exact` is the
+    exact rate.
     """
-    ccdf = _conditional_ccdf(params, _own_thresholds(params),
-                             _constants_for(params, constants).script_i)
+    ccdf = _conditional_ccdf(params)
     thresholds = sorted({t.threshold for t in params.tiers})
 
     total = 0.0

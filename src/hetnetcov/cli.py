@@ -7,7 +7,8 @@ RFC-4180-style CSV with a stable column set: sweep_db, then one column
 per requested method (closed, rayleigh, reference, mc) plus mc_se when
 the simulator runs.
 
-Exit codes: 0 success, 1 config, flag or validation failure, 2 numerical failure.
+Exit codes: 0 success, 1 config, flag, validation or output failure, 2
+numerical failure.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import analysis, mcsim, model
 from .model import NetworkParams, TierParams, validate
 from .pla import QuadratureError
 
-__all__ = ["SweepSpec", "load_config", "run_sweep", "main"]
+__all__ = ["SweepSpec", "load_config", "run_sweep", "write_csv", "main"]
 
 SWEEP_VARIABLES = ("beta1_db", "noise_db", "nakagami_pair")
 METHODS = ("closed", "rayleigh", "reference", "mc")
@@ -400,8 +401,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     if args.output:
-        with open(args.output, "w", newline="") as fh:
-            write_csv(rows, config.sweep.methods, fh)
+        try:
+            with open(args.output, "w", newline="") as fh:
+                write_csv(rows, config.sweep.methods, fh)
+        except OSError as exc:
+            print(f"output error: cannot write '{args.output}': {exc.strerror}", file=sys.stderr)
+            return 1
     else:
         write_csv(rows, config.sweep.methods, sys.stdout)
     return 0

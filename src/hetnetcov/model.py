@@ -10,10 +10,9 @@ closed-form coverage/rate expressions need three derived quantities:
   integrals; depends on the tier only through its Nakagami shape),
 * the per-tier rate constant A_i = ln(1+beta_i) + (alpha/2) 2F1(...).
 
-A and the I_i involve no threshold; `derived_constants` builds the I_i
-once as a `DerivedConstants`, which every threshold of a sweep can share.
-`derived_constants_at` builds them for every noise power of a sweep at
-once, as arrays over the noise; `derived_constants` is its length-1 case.
+A and the I_i involve no threshold; `_script_i_at` builds the I_i for
+every noise power of a sweep at once, as arrays over the noise, which
+every threshold of the sweep shares (see `analysis`'s `_at` forms).
 Likewise `rate_constants_at` gives the A_i at an array of thresholds, and
 `rate_constant` is its length-1 case.
 
@@ -34,7 +33,6 @@ from . import pla
 __all__ = [
     "TierParams",
     "NetworkParams",
-    "DerivedConstants",
     "MAX_NAKAGAMI_M",
     "validate",
     "require_valid",
@@ -45,8 +43,6 @@ __all__ = [
     "rate_constant",
     "rate_constants_at",
     "closed_form_in_range",
-    "derived_constants",
-    "derived_constants_at",
 ]
 
 # The largest Nakagami shape the closed form and the simulator are tested
@@ -87,45 +83,13 @@ class NetworkParams:
         return len(self.tiers)
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
-    """The threshold-free constants of the PLA closed forms, for one network.
+def _points(params: NetworkParams, thresholds, noises) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, n) thresholds and (n,) noise powers of n points of `params`, once each is checked.
 
-    The I_i depend on alpha, the noise power, the tier densities, powers
-    and Nakagami shapes, but on no SINR threshold: one object serves every
-    point of a threshold sweep.
+    `thresholds` holds one row of K linear thresholds per point and `noises`
+    one noise power per point; `params` must be valid, but its own
+    thresholds and noise power are not used.
     """
-
-    script_i: tuple[float, ...]  # I_i per tier; tiers of equal shape share it
-    network: tuple  # what they depend on, see _threshold_free
-
-    def fits(self, params: NetworkParams) -> bool:
-        """Whether these were built for `params`, whatever its thresholds."""
-        return _threshold_free(params) == self.network
-
-    def require_fits(self, params: NetworkParams) -> None:
-        """Raise ValueError unless built for `params`."""
-        if not self.fits(params):
-            raise ValueError(
-                "derived constants were built for another alpha, noise power, "
-                "density, power or Nakagami shape than this network's"
-            )
-
-
-def _threshold_free(params: NetworkParams, noise: float | None = None) -> tuple:
-    """(alpha, noise, ((density, power, shape) per tier)): all but the thresholds.
-
-    `noise`, if given, stands in for params.noise.
-    """
-    return (
-        params.alpha,
-        params.noise if noise is None else noise,
-        tuple((t.density, t.power, t.nakagami_m) for t in params.tiers),
-    )
-
-
-def _noise_array(params: NetworkParams, noises) -> np.ndarray:
-    """`noises` as a 1-d float array, after checking `params` and every noise power."""
     require_valid(params)
     noises = np.atleast_1d(np.asarray(noises, dtype=float))
     if noises.ndim != 1:
@@ -134,17 +98,6 @@ def _noise_array(params: NetworkParams, noises) -> np.ndarray:
     if bad.any():
         raise ValueError("invalid network parameters: noise power must be positive "
                          f"(got {float(noises[bad][0])})")
-    return noises
-
-
-def _points(params: NetworkParams, thresholds, noises) -> tuple[np.ndarray, np.ndarray]:
-    """The (K, n) thresholds and (n,) noise powers of n points of `params`, once each is checked.
-
-    `thresholds` holds one row of K linear thresholds per point and `noises`
-    one noise power per point; `params` must be valid, but its own
-    thresholds and noise power are not used.
-    """
-    noises = _noise_array(params, noises)
     thresholds = np.asarray(thresholds, dtype=float)
     if thresholds.shape != (noises.size, params.n_tiers):
         raise ValueError(f"thresholds must have shape (points, tiers) = "
@@ -232,13 +185,14 @@ def interference_constant(params: NetworkParams) -> float:
 
 
 def tier_script_I(params: NetworkParams, tier_index: int, kernel=None) -> float:
-    """Per-tier coverage kernel I_i; see `derived_constants`.
+    """Per-tier coverage kernel I_i; see `_script_i_at`.
 
     `kernel` defaults to the PLA closed form; `pla.exact_gamma_kernel_integral`,
     the exact kernel, evaluates the paper's triple sum without the
     approximation.  It is called as kernel(noise, A, power, alpha) with the
-    float noise power, and the sum runs as `derived_constants_at`'s at
-    length 1, so the default gives `derived_constants`'s I_i bit for bit.
+    float noise power, and the sum runs as `_script_i_at`'s at length 1, so
+    the default gives `_script_i_at`'s I_i at the network's noise power bit
+    for bit.
     """
     if not (0 <= tier_index < params.n_tiers):
         raise IndexError(f"tier_index {tier_index} out of range for K={params.n_tiers}")
@@ -357,34 +311,19 @@ def rate_constants_at(alpha: float, thresholds) -> np.ndarray:
     return np.log1p(betas) + (alpha / 2.0) * hyp2f1_rate(alpha, betas)
 
 
-def derived_constants(params: NetworkParams) -> DerivedConstants:
-    """A once, I once per distinct Nakagami shape, the kernel once per distinct t-exponent.
-
-    The kernel is the PLA closed form, `pla.approx_gamma_kernel_integral`
-    as bound when called.  The length-1 case of `derived_constants_at`.
-    """
-    return derived_constants_at(params, [params.noise])[0]
-
-
-def derived_constants_at(params: NetworkParams, noises) -> list[DerivedConstants]:
-    """`derived_constants` of `params` at each noise power in `noises`, built as arrays.
-
-    The triple sum runs once on the array of noise powers, with one
-    `pla.approx_gamma_kernel_integral` call per distinct t-exponent for the
-    whole array.  `params` must be valid, but its own noise power is not
-    used.  Element j equals `derived_constants` at noises[j], bit for bit.
-    Each kernel call raises at most one PlaAccuracyWarning, carrying every
-    noise power at which its bound exceeds PLA_WARN_BOUND.
-    """
-    noises = _noise_array(params, noises)
-    return [
-        DerivedConstants(script_i=tuple(script_i), network=_threshold_free(params, noise))
-        for script_i, noise in zip(_script_i_at(params, noises).T.tolist(), noises.tolist())
-    ]
-
-
 def _script_i_at(params: NetworkParams, noises: np.ndarray) -> np.ndarray:
-    """The (K, n) I_i of `derived_constants_at`: tier i's at noises[j] in row i, column j."""
+    """The (K, n) I_i of `params` at each noise power of a 1-d array: tier i's at noises[j]
+    in row i, column j.
+
+    A once, I once per distinct Nakagami shape.  The triple sum runs once
+    on the array of noise powers, with one `pla.approx_gamma_kernel_integral`
+    call (as bound on `pla` when called) per distinct t-exponent for the
+    whole array.  `params` must be valid, but its own noise power is not
+    used; the noise powers must be positive (`_points` checks both).
+    Column j does not depend on the other noise powers.  Each kernel call
+    raises at most one PlaAccuracyWarning, carrying every noise power at
+    which its bound exceeds PLA_WARN_BOUND.
+    """
     a_const = interference_constant(params)
     shapes = [t.nakagami_m for t in params.tiers]
     by_shape = _script_i_by_shape(

@@ -33,14 +33,11 @@ from hetnetcov.analysis import (
     rate_rayleigh,
     rate_rayleigh_at,
     rate_reference,
-    reference_kernel,
-    reference_kernels_at,
 )
 from hetnetcov import pla
 from hetnetcov.model import (
     NetworkParams,
     TierParams,
-    derived_constants,
     rate_constant,
     tier_script_I,
 )
@@ -301,56 +298,32 @@ class TestRate:
 
 
 class TestPrebuiltConstants:
-    """`constants=` reuses `model.derived_constants`, and `kernel=`
-    `reference_kernel`, across thresholds."""
-
-    def test_equal_to_fresh_build_at_other_thresholds(self):
-        built = make_network(shapes=(2, 3))
-        net = make_network(shapes=(2, 3), thresholds=(3.0, 1.5))
-        constants = derived_constants(built)
-        assert coverage_probability(net, constants=constants) == coverage_probability(net)
-        assert average_rate(net, constants=constants) == average_rate(net)
-        assert rate_reference(net, constants=constants) == rate_reference(net)
-        assert coverage_reference(net, kernel=reference_kernel(built)) == coverage_reference(net)
-
-    @pytest.mark.parametrize("other", [
-        {"noise": 1e-3}, {"alpha": 3.5}, {"densities": (1.0, 6.0)},
-        {"powers": (20.0, 1.0)}, {"shapes": (2, 2)},
-    ])
-    def test_built_for_another_network_rejected(self, other):
-        net = make_network(shapes=(2, 3))
-        constants = derived_constants(make_network(**{"shapes": (2, 3), **other}))
-        for route in (coverage_probability, average_rate, rate_reference):
-            with pytest.raises(ValueError, match="another"):
-                route(net, constants=constants)
-        kernel = reference_kernel(make_network(**{"shapes": (2, 3), **other}))
-        with pytest.raises(ValueError, match="another"):
-            coverage_reference(net, kernel=kernel)
+    """The threshold-free part of a route, built once per sweep: its kernels
+    are looked up on `pla` when called, and the reference's one kernel
+    quadrature serves every noise power of a sweep."""
 
     def test_kernel_replaced_on_module_still_fits(self, monkeypatch):
         # A kernel rebound on the pla module (as a tracer does) is looked up
-        # when called, by the build and by the reference alike.
+        # when called, by the closed form and by the reference alike.
         net = make_network(shapes=(2, 3))
         closed, reference = coverage_probability(net), coverage_reference(net)
         for name in ("approx_gamma_kernel_integral", "exact_gamma_kernel_integral"):
             original = getattr(pla, name)
             monkeypatch.setattr(pla, name, lambda *args, kernel=original: kernel(*args))
-        assert coverage_probability(net, constants=derived_constants(net)) == closed
+        assert coverage_probability(net) == closed
         assert coverage_reference(net) == reference
 
     @pytest.mark.parametrize("shapes", [(1, 1), (2, 3), (16, 1)])
-    def test_reference_kernels_at_equal_length_one_builds(self, shapes):
+    def test_reference_at_equals_per_noise_calls(self, shapes):
         # One quadrature over a sweep's noise powers gives each noise the
-        # bits of its own `reference_kernel`, so the coverage too.
+        # bits of its own `coverage_reference`.
         net = make_network(shapes=shapes)
         noises = [10.0 ** (db / 10.0) for db in range(-60, 61, 5)]
-        kernels = reference_kernels_at(net, noises)
-        for noise, kernel in zip(noises, kernels):
-            at = replace(net, noise=noise)
-            assert kernel == reference_kernel(at)
-            assert coverage_reference(at, kernel=kernel) == coverage_reference(at)
+        thresholds = [[t.threshold for t in net.tiers]] * len(noises)
+        assert coverage_reference_at(net, thresholds, noises).tolist() == [
+            coverage_reference(replace(net, noise=noise)).value for noise in noises]
         with pytest.raises(ValueError, match="noise power must be positive"):
-            reference_kernels_at(net, [1e-3, -1.0])
+            coverage_reference_at(net, thresholds[:2], [1e-3, -1.0])
 
 
 class TestArrayRoutes:

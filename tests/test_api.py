@@ -1,0 +1,49 @@
+"""Tests for the public surface: README's library example and each module's `__all__`."""
+
+import ast
+import importlib
+import re
+import warnings
+from pathlib import Path
+
+import pytest
+
+import hetnetcov
+from hetnetcov import pla
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+MODULES = ("analysis", "cli", "mcsim", "model", "pla")
+
+
+def library_example() -> str:
+    """The python block under README's "Library use" heading."""
+    text = README.read_text()
+    section = text[text.index("## Library use"):]
+    match = re.search(r"```python\n(.*?)```", section, re.DOTALL)
+    assert match, "no python block under 'Library use'"
+    return match.group(1)
+
+
+def test_readme_library_example_runs():
+    # The example sweeps noise into the PLA's noise-limited regime, where the
+    # closed forms warn by design.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", pla.PlaAccuracyWarning)
+        exec(compile(library_example(), str(README), "exec"), {})
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_exist(name):
+    module = importlib.import_module(f"hetnetcov.{name}")
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert missing == []
+
+
+def test_package_imports_are_exported():
+    tree = ast.parse(Path(hetnetcov.__file__).read_text())
+    imported = [(node.module, alias.name) for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert {module for module, _ in imported} == set(MODULES) - {"cli"}
+    unexported = [f"{module}.{name}" for module, name in imported
+                  if name not in importlib.import_module(f"hetnetcov.{module}").__all__]
+    assert unexported == []

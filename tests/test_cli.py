@@ -588,3 +588,13 @@ class TestMain:
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "absent.json")]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["missing/out.csv", "."], ids=["missing-dir", "dir"])
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, target):
+        cfg = base_config()
+        cfg["sweep"]["methods"] = ["closed"]
+        out = str(tmp_path / target)
+        assert main(["--config", write_config(tmp_path, cfg), "--output", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"output error: cannot write '{out}': ")
+        assert captured.out == ""

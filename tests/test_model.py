@@ -9,22 +9,19 @@ Oracles:
 
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
 
-from hetnetcov import pla
-from hetnetcov.analysis import average_rate
+from hetnetcov import model, pla
+from hetnetcov.analysis import average_rate, coverage_probability, coverage_probability_at
 from hetnetcov.model import (
     MAX_NAKAGAMI_M,
     NetworkParams,
     TierParams,
     bell_table,
-    derived_constants,
-    derived_constants_at,
     interference_constant,
     rate_constant,
     require_valid,
@@ -137,6 +134,11 @@ class TestInterferenceConstant:
         )
 
 
+def script_i_at_own_noise(net):
+    """The (K,) I_i of `net` at its own noise power, from `model._script_i_at`."""
+    return model._script_i_at(net, np.array([net.noise]))[:, 0]
+
+
 class TestTierScriptI:
     def test_rayleigh_single_kernel_collapse(self):
         # With M = 1 the triple sum has exactly one term (k = l = r = 0),
@@ -146,12 +148,12 @@ class TestTierScriptI:
         expected = pla.approx_gamma_kernel_integral(net.noise, a_const, 0.0, net.alpha)
         assert tier_script_I(net, 0) == expected
         assert tier_script_I(net, 1) == expected
-        assert derived_constants(net).script_i == (expected, expected)
+        assert script_i_at_own_noise(net).tolist() == [expected, expected]
 
     def test_depends_only_on_shape(self):
         net = make_network(shapes=(3, 3))
         assert tier_script_I(net, 0) == tier_script_I(net, 1)
-        script_i = derived_constants(net).script_i
+        script_i = script_i_at_own_noise(net)
         assert script_i[0] == script_i[1]
 
     def test_kernel_override_matches_quadrature_reference(self):
@@ -205,7 +207,7 @@ class TestTierScriptI:
         for m in (1, 2, 4, 8):
             net = make_network(shapes=(m, 1))
             assert tier_script_I(net, 0) > 0.0
-            assert derived_constants(net).script_i[0] > 0.0
+            assert script_i_at_own_noise(net)[0] > 0.0
 
     def test_tier_index_bounds(self):
         net = make_network()
@@ -253,41 +255,50 @@ def counting(kernel, calls):
     return counted
 
 
-class TestDerivedConstants:
-    def test_consistent_with_components(self):
-        net = make_network(shapes=(2, 1))
-        dc = derived_constants(net)
-        assert dc.script_i == tuple(tier_script_I(net, i) for i in range(2))
-        # The rate built on the object is the per-tier rate constants'
-        # mean, weighted by lambda_i P_i^(2/a) beta_i^(-2/a) I_i.
-        e = 2.0 / net.alpha
-        weights = [t.density * t.power**e * t.threshold**-e * si
-                   for t, si in zip(net.tiers, dc.script_i)]
-        expected = sum(w * rate_constant(net, i) for i, w in enumerate(weights)) / sum(weights)
-        assert average_rate(net, constants=dc).value == pytest.approx(expected, rel=1e-14)
+class TestClosedFormBuild:
+    """The closed form's threshold-free I_i: one kernel call per distinct
+    t-exponent, shared by every point of a sweep."""
 
-    def test_threshold_free(self):
-        # One object serves every point of a threshold sweep.
-        net = make_network(shapes=(2, 3))
-        other = make_network(shapes=(2, 3), thresholds=(40.0, 1.01))
-        assert derived_constants(net) == derived_constants(other)
+    # -40..40 dB: from the figure regime into the PLA's noise-limited one.
+    NOISES = 10.0 ** np.linspace(-4.0, 4.0, 41)
+
+    def test_consistent_with_components(self):
+        # The rate is the per-tier rate constants' mean, weighted by
+        # lambda_i P_i^(2/a) beta_i^(-2/a) I_i.
+        net = make_network(shapes=(2, 1))
+        e = 2.0 / net.alpha
+        weights = [t.density * t.power**e * t.threshold**-e * tier_script_I(net, i)
+                   for i, t in enumerate(net.tiers)]
+        expected = sum(w * rate_constant(net, i) for i, w in enumerate(weights)) / sum(weights)
+        assert average_rate(net).value == pytest.approx(expected, rel=1e-14)
 
     def test_one_kernel_call_per_distinct_exponent(self, monkeypatch):
         # At alpha = 3, M = 2 needs the exponents {0, 1.5, 1} and M = 3
         # those plus {3, 2.5, 2}, exponent 1 twice: 6 calls, not 10.
         net = make_network(shapes=(2, 3))
-        expected = derived_constants(net).script_i
+        expected = coverage_probability(net)
         calls = []
         monkeypatch.setattr(pla, "approx_gamma_kernel_integral",
                             counting(pla.approx_gamma_kernel_integral, calls))
-        assert derived_constants(net).script_i == expected
+        assert coverage_probability(net) == expected
+        assert sorted(calls) == [0.0, 1.0, 1.5, 2.0, 2.5, 3.0]
+
+    def test_threshold_sweep_one_build(self, monkeypatch):
+        # Every threshold of a sweep at one noise power shares the I_i:
+        # 6 kernel calls for the sweep, not 6 per row.
+        net = make_network(shapes=(2, 3))
+        thresholds = [[2.0, 1.5], [40.0, 1.01], [1.1, 7.0], [3.0, 3.0]]
+        calls = []
+        monkeypatch.setattr(pla, "approx_gamma_kernel_integral",
+                            counting(pla.approx_gamma_kernel_integral, calls))
+        coverage_probability_at(net, thresholds, [net.noise] * len(thresholds))
         assert sorted(calls) == [0.0, 1.0, 1.5, 2.0, 2.5, 3.0]
 
     def test_shapes_computed_once(self, monkeypatch):
         calls = []
         monkeypatch.setattr(pla, "approx_gamma_kernel_integral",
                             counting(pla.approx_gamma_kernel_integral, calls))
-        derived_constants(make_network(shapes=(3, 3)))
+        coverage_probability(make_network(shapes=(3, 3)))
         assert len(calls) == len(set(calls)) == 6
 
     def test_kernel_looked_up_at_call_time(self, monkeypatch):
@@ -296,31 +307,9 @@ class TestDerivedConstants:
         calls = []
         monkeypatch.setattr(pla, "approx_gamma_kernel_integral",
                             counting(pla.approx_gamma_kernel_integral, calls))
-        derived_constants(make_network())
+        coverage_probability(make_network())
         tier_script_I(make_network(), 0)
         assert calls == [0.0, 0.0]
-
-
-class TestDerivedConstantsAt:
-    """One array build over a sweep's noise powers, equal to the per-noise builds."""
-
-    # -40..40 dB: from the figure regime into the PLA's noise-limited one.
-    NOISES = 10.0 ** np.linspace(-4.0, 4.0, 41)
-
-    @pytest.mark.parametrize("shapes", [(1, 1), (2, 3), (16, 1)])
-    def test_equal_to_length_one_builds(self, shapes, pla_warnings):
-        net = make_network(shapes=shapes)
-        batched, swept, swept_calls = pla_warnings(lambda: derived_constants_at(net, self.NOISES))
-        singles, alone, alone_calls = pla_warnings(
-            lambda: [derived_constants(replace(net, noise=float(n))) for n in self.NOISES])
-        assert batched == singles
-        # One warning per kernel call that flags a point, carrying exactly its
-        # flagged points; together they are the per-noise builds' points.
-        assert sorted(swept) == sorted(swept_calls)
-        assert sorted(alone) == sorted(alone_calls)
-        assert swept
-        assert sorted(sum(swept, ())) == sorted(sum(alone, ()))
-        assert all(c.fits(replace(net, noise=float(n))) for c, n in zip(batched, self.NOISES))
 
     def test_one_kernel_call_per_exponent_for_all_noises(self, monkeypatch):
         calls = []
@@ -328,14 +317,15 @@ class TestDerivedConstantsAt:
                             counting(pla.approx_gamma_kernel_integral, calls))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", pla.PlaAccuracyWarning)
-            derived_constants_at(make_network(shapes=(2, 3)), self.NOISES)
+            coverage_probability_at(make_network(shapes=(2, 3)),
+                                    [[2.0, 1.5]] * self.NOISES.size, self.NOISES)
         assert sorted(calls) == [0.0, 1.0, 1.5, 2.0, 2.5, 3.0]
 
     def test_noise_powers_validated(self):
         net = make_network()
         with pytest.raises(ValueError, match=r"noise power must be positive \(got 0.0\)"):
-            derived_constants_at(net, [1e-3, 0.0])
+            coverage_probability_at(net, [[2.0, 1.5]] * 2, [1e-3, 0.0])
         with pytest.raises(ValueError, match="1-d"):
-            derived_constants_at(net, [[1e-3]])
+            coverage_probability_at(net, [[2.0, 1.5]], [[1e-3]])
         with pytest.raises(ValueError, match="alpha"):
-            derived_constants_at(make_network(alpha=2.0), [1e-3])
+            coverage_probability_at(make_network(alpha=2.0), [[2.0, 1.5]], [1e-3])

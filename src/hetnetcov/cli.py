@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -349,6 +351,17 @@ def write_csv(rows: list[dict[str, float]], methods: tuple[str, ...], out) -> No
         writer.writerow([f"{row[c]:.10g}" for c in columns])
 
 
+def _output_problem(path: str) -> str | None:
+    """Why `path` cannot be opened for writing, if that shows without
+    creating or truncating it: its directory is missing or it is a directory."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        return os.strerror(errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT)
+    if os.path.isdir(path):
+        return os.strerror(errno.EISDIR)
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="hetnetcov",
@@ -385,6 +398,12 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.seed is not None:
         config = replace(config, sim=replace(config.sim, seed=args.seed))
+
+    # Checked again by the write itself; this fails before the sweep runs.
+    problem = _output_problem(args.output) if args.output else None
+    if problem:
+        print(f"output error: cannot write '{args.output}': {problem}", file=sys.stderr)
+        return 1
 
     try:
         rows, trials = _sweep(config, args.rate, args.bits, args.threads)

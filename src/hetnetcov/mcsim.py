@@ -22,14 +22,26 @@ received power and the total received power.  One pass (`simulate_trials`)
 stores those; `tier_max_sinr` turns them into per-tier SINRs at any noise
 power, so threshold and noise sweeps share the pass.
 
-Determinism: every (geometry, tier) pair owns RNG streams derived from
-(seed, geometry index, tier index), and reductions run in geometry order,
-so results are identical for any thread count.
+Determinism: each (seed, tier, purpose) triple, the purpose being geometry
+or fading, seeds one PCG64DXSM generator from
+SeedSequence((seed, tier, purpose)), and geometry g draws from that
+generator's state jumped g times, that is from numpy's documented
+`PCG64DXSM(SeedSequence((seed, tier, purpose))).jumped(g)`.  A jump is
+(golden ratio - 1) * 2**128 draws, so any n geometries start at least
+about 2**128 / (3 n) draws apart and their draws never overlap.  A thread
+reuses one generator, setting it to the base state and advancing it by g
+jumps for each geometry, which costs a fifth of a fresh SeedSequence and
+bit-generator build; no generator is shared between threads.  A
+geometry's draws are thus a pure function of (seed, g, tier, purpose),
+independent of the fading shapes M, and the reductions run in geometry
+order, so results are identical for any thread count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -61,6 +73,10 @@ __all__ = [
 
 _GEOMETRY_STREAM = 0
 _FADING_STREAM = 1
+# The state step of numpy's PCG64DXSM.jumped(): (golden ratio - 1) * 2**128,
+# rounded to an odd integer.
+_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
+_thread_local = threading.local()
 
 # Expected number of BSs inside the default observation disk.  Chosen from
 # the disk table in README (scripts/disk_table.py): at 250 the radius-doubling
@@ -147,10 +163,24 @@ def tail_mean_interference(params: NetworkParams, radius: float) -> float:
     ) * 2.0 * math.pi * radius ** (2.0 - a) / (a - 2.0)
 
 
+@functools.lru_cache(maxsize=1024)
+def _base_state(seed: int, tier_index: int, purpose: int) -> dict:
+    return np.random.PCG64DXSM(np.random.SeedSequence((seed, tier_index, purpose))).state
+
+
 def _stream(seed: int, geometry_index: int, tier_index: int, purpose: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence((seed, geometry_index, tier_index, purpose)))
-    )
+    """This thread's generator, in the state of
+    `PCG64DXSM(SeedSequence((seed, tier_index, purpose))).jumped(geometry_index)`.
+
+    The generator is reused: it is valid until the thread's next call.
+    """
+    rng = getattr(_thread_local, "rng", None)
+    if rng is None:
+        rng = _thread_local.rng = np.random.Generator(np.random.PCG64DXSM())
+    bit_generator = rng.bit_generator
+    bit_generator.state = _base_state(seed, tier_index, purpose)
+    bit_generator.advance(geometry_index * _JUMP % 2**128)
+    return rng
 
 
 def sample_geometry(params: NetworkParams, sim: SimConfig, stream_index: int) -> Realization:
@@ -169,7 +199,7 @@ def sample_geometry(params: NetworkParams, sim: SimConfig, stream_index: int) ->
         while arrivals[-1] < r2_max:
             gaps = -np.log(rng.random(max(16, chunk // 4)))
             arrivals = np.concatenate([arrivals, arrivals[-1] + np.cumsum(gaps) / rate])
-        per_tier.append(np.sqrt(arrivals[arrivals < r2_max]))
+        per_tier.append(np.sqrt(arrivals[:np.searchsorted(arrivals, r2_max)]))
     return Realization(distances=tuple(per_tier))
 
 
@@ -182,7 +212,8 @@ def sample_fading(
     after those of the tiers before it.  For integer M, Gamma(M, 1) is
     -ln prod_{j<M} U_j with U_j independent uniforms on (0, 1].  Each tier
     draws one (BS, M, n_fading) array of `Generator.random` values from its
-    own stream, BS-major, and takes U = 1 - value, so no factor is 0.  BS b
+    own stream, BS-major (at M = 1 straight into its output rows), and
+    takes U = 1 - value, so no factor is 0.  BS b
     of a tier thus uses exactly the M * n_fading stream values after the
     first b * M * n_fading, and the draws of the first n BSs do not depend
     on how many BSs follow them (needed by the radius-doubling
@@ -194,11 +225,15 @@ def sample_fading(
     for tier_index, (tier, n_bs) in enumerate(zip(params.tiers, counts)):
         rng = _stream(sim.seed, stream_index, tier_index, _FADING_STREAM)
         rows = block[start:start + n_bs]
-        u = rng.random((n_bs, tier.nakagami_m, sim.n_fading))
-        np.subtract(1.0, u, out=u)
-        rows[...] = u[:, 0]
-        for j in range(1, tier.nakagami_m):
-            rows *= u[:, j]
+        if tier.nakagami_m == 1:
+            rng.random(out=rows)
+            np.subtract(1.0, rows, out=rows)
+        else:
+            u = rng.random((n_bs, tier.nakagami_m, sim.n_fading))
+            np.subtract(1.0, u, out=u)
+            np.multiply(u[:, 0], u[:, 1], out=rows)
+            for j in range(2, tier.nakagami_m):
+                rows *= u[:, j]
         np.log(rows, out=rows)
         np.negative(rows, out=rows)
         start += n_bs

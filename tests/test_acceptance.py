@@ -84,11 +84,12 @@ def test_criterion_2_monte_carlo_agreement(acceptance_report):
     results = []
 
     # Threshold and noise sweeps share one simulation pass per shape set:
-    # the simulated statistic depends on neither thresholds nor noise.
-    trials_rayleigh = mcsim.simulate_trials(fig_network(), DESK_SIM, threads=4)
+    # the simulated statistic depends on neither thresholds nor noise.  The
+    # passes run at 1 thread, which is faster than several on 2 cores.
+    trials_rayleigh = mcsim.simulate_trials(fig_network(), DESK_SIM, threads=1)
     tm_rayleigh = mcsim.tier_max_sinr(trials_rayleigh, fig_network().noise)
     tm_nakagami = mcsim.tier_max_sinr(
-        mcsim.simulate_trials(fig_network(shapes=(2, 3)), DESK_SIM, threads=4),
+        mcsim.simulate_trials(fig_network(shapes=(2, 3)), DESK_SIM, threads=1),
         fig_network().noise,
     )
 
@@ -416,7 +417,7 @@ def test_criterion_7_simulator_validity(acceptance_report, tmp_path):
     # common random numbers so resampling noise cannot mask it.
     drift = mcsim.radius_doubling_drift(
         fig_network(), mcsim.SimConfig(n_geometry=3000, n_fading=50, seed=5),
-        threads=4,
+        threads=1,
     )
     if drift >= 1e-3:
         failures.append(f"radius doubling drift {drift:.2e}")
@@ -460,7 +461,7 @@ def test_criterion_8_qualitative_shapes(acceptance_report):
             fig_network(noise=1000.0, shapes=(2, 2))]
     per_geo = []
     for net in nets:
-        tier_max = mcsim.tier_max_sinr(mcsim.simulate_trials(net, sim, threads=4), net.noise)
+        tier_max = mcsim.tier_max_sinr(mcsim.simulate_trials(net, sim, threads=1), net.noise)
         beta = np.array([t.threshold for t in net.tiers])
         covered = (tier_max > beta[None, :, None]).any(axis=1)
         per_geo.append(covered.mean(axis=1))

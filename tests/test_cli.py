@@ -590,11 +590,30 @@ class TestMain:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("target", ["missing/out.csv", "."], ids=["missing-dir", "dir"])
-    def test_unwritable_output_exit_code(self, tmp_path, capsys, target):
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, monkeypatch, target):
+        # The path is checked before the sweep runs, not after it.
         cfg = base_config()
-        cfg["sweep"]["methods"] = ["closed"]
+        cfg["sweep"]["methods"] = ["closed", "mc"]
         out = str(tmp_path / target)
+        calls = [0]
+        monkeypatch.setattr(mcsim, "simulate_trials", counting(mcsim.simulate_trials, calls))
         assert main(["--config", write_config(tmp_path, cfg), "--output", out]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"output error: cannot write '{out}': ")
         assert captured.out == ""
+        assert calls[0] == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+    def test_output_file_kept_until_written(self, tmp_path, monkeypatch):
+        # The early check neither creates nor truncates the output: a run
+        # that fails in the sweep leaves an existing file as it was.
+        out = tmp_path / "out.csv"
+        out.write_text("kept\n")
+        path = write_config(tmp_path, base_config())
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("no covered trials")
+
+        monkeypatch.setattr(mcsim, "simulate_trials", fail)
+        assert main(["--config", path, "--output", str(out)]) == 2
+        assert out.read_text() == "kept\n"

@@ -7,6 +7,7 @@ radius-doubling self-check.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -30,7 +31,7 @@ from hetnetcov.mcsim import (
     tail_mean_interference,
     tier_max_sinr,
 )
-from hetnetcov.mcsim import _FADING_STREAM, _stream
+from hetnetcov.mcsim import _FADING_STREAM, _GEOMETRY_STREAM, _stream
 from hetnetcov.model import MAX_NAKAGAMI_M, NetworkParams, TierParams
 
 
@@ -102,15 +103,31 @@ class TestGeometry:
                 np.testing.assert_array_equal(hs, hl[: hs.shape[0]])
             # Each BS uses exactly M * F stream values: BS b of a tier is
             # -ln prod (1 - U) over the M * F values after the first b * M * F.
+            # The stream is geometry 3's: the (seed, tier, fading) base
+            # stream jumped 3 times.
             for tier, (m, h) in enumerate(zip(shapes, h_large)):
                 for b in (0, 1, len(h) - 1):
-                    rng = _stream(sim.seed, 3, tier, _FADING_STREAM)
+                    base = np.random.PCG64DXSM(
+                        np.random.SeedSequence((sim.seed, tier, _FADING_STREAM)))
+                    rng = np.random.Generator(base.jumped(3))
                     rng.bit_generator.advance(b * m * sim.n_fading)
                     factors = 1.0 - rng.random((m, sim.n_fading))
                     product = factors[0]
                     for factor in factors[1:]:
                         product = product * factor
                     np.testing.assert_array_equal(h[b], -np.log(product))
+
+    @pytest.mark.parametrize("purpose", [_GEOMETRY_STREAM, _FADING_STREAM],
+                             ids=["geometry", "fading"])
+    def test_stream_is_jumped_base_stream(self, purpose):
+        # Geometry g draws from numpy's documented jumped(g) of its
+        # (seed, tier, purpose) stream, whatever the thread's reused
+        # generator drew before.
+        base = np.random.PCG64DXSM(np.random.SeedSequence((7, 1, purpose)))
+        for g in (0, 1, 2**40 + 3, 0):
+            rng = _stream(7, g, 1, purpose)
+            assert rng.bit_generator.state == base.jumped(g).state
+            rng.random(5)
 
     def test_fading_moments(self):
         # Gamma(M, 1): mean M, variance M.
@@ -222,6 +239,21 @@ class TestEstimates:
         multi = simulate_trials(net, sim, threads=3)
         np.testing.assert_array_equal(single.received, multi.received)
         assert single.tail == multi.tail
+
+    def test_thread_generators_not_shared_under_switching(self):
+        # Each thread reuses its own generator and resets it per geometry;
+        # with more threads than cores and a thread switch every few
+        # bytecodes, a generator shared between threads would mix draws.
+        net = make_network(shapes=(2, 1))
+        sim = sim_config(n_geometry=50, n_fading=20, seed=9)
+        single = simulate_trials(net, sim, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            multi = simulate_trials(net, sim, threads=6)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(single.received, multi.received)
 
     def test_same_seed_reproducible(self):
         net = make_network()

@@ -4,7 +4,7 @@ For each expected BS count of the observation disk, each shape set and
 each noise power, on the figure network (alpha 3; densities 1 and 5;
 powers 25 and 1; beta_1 = 5 dB, beta_2 = 1 dB), it prints one markdown row:
 
-  - seconds per `mcsim.simulate_trials` pass at 1 thread;
+  - seconds per `mcsim.simulate_trials` pass;
   - the MC coverage and its geometry-clustered SE;
   - z = (MC - exact) / SE against `analysis.coverage_reference`;
   - `mcsim.radius_doubling_drift`, on common random numbers (the pass is
@@ -51,7 +51,7 @@ def main() -> int:
     args = parser.parse_args()
     n_trials = args.geometries * args.fading
 
-    print(f"{args.geometries} geometries x {args.fading} draws, seed {args.seed}, 1 thread; "
+    print(f"{args.geometries} geometries x {args.fading} draws, seed {args.seed}; "
           f"drift resolution 1/trials = {1.0 / n_trials:.0e}\n")
     print("| BSs | M | σ² | s/pass | coverage | SE | z | drift |")
     print("|---|---|---|---|---|---|---|---|")

@@ -199,6 +199,8 @@ def load_config(path: str) -> RunConfig:
                        ("region_radius", region_radius)):
         if value is not None and not value > 0:
             raise ConfigError(f"'sim.{key}' must be positive, got {value}")
+    if n_geometry == 1:
+        raise ConfigError("'sim.n_geometry' must be at least 2 for a standard error, got 1")
     if seed < 0:
         raise ConfigError(f"'sim.seed' must be non-negative, got {seed}")
     sim = mcsim.SimConfig(n_geometry=n_geometry, n_fading=n_fading, seed=seed,
@@ -260,12 +262,18 @@ def _swept(config: RunConfig, values) -> tuple[list[list[float]], list[float]]:
 
 def run_sweep(config: RunConfig, rate: bool = False, bits: bool = False,
               threads: int = 1) -> list[dict[str, float]]:
-    """Evaluate every requested method at every sweep point."""
-    return _sweep(config, rate, bits, threads)[0]
+    """Evaluate every requested method at every sweep point.
+
+    `threads` is unused: the simulator has one sequential pass.  Only the
+    benchmark harness passes it (`perfbench/rep.py` on every call, and
+    `run.py`'s thread-invariance check through `rep.py --threads 2`); it
+    goes together with that check (ROADMAP item 8).
+    """
+    return _sweep(config, rate, bits)[0]
 
 
-def _sweep(config: RunConfig, rate: bool, bits: bool,
-           threads: int) -> tuple[list[dict[str, float]], mcsim.Trials | None]:
+def _sweep(config: RunConfig, rate: bool,
+           bits: bool) -> tuple[list[dict[str, float]], mcsim.Trials | None]:
     """`run_sweep`'s rows, and the simulation pass shared by every point, if any.
 
     A threshold or noise sweep is one block of points that differ only in
@@ -287,7 +295,7 @@ def _sweep(config: RunConfig, rate: bool, bits: bool,
     for params, thresholds, noises in _blocks(config, values):
         for method in dict.fromkeys(sweep.methods):
             if method == "mc":
-                trials = mcsim.simulate_trials(params, config.sim, threads=threads)
+                trials = mcsim.simulate_trials(params, config.sim)
                 estimates = _mc_column(trials, thresholds, noises, rate)
                 columns.setdefault("mc", []).extend(e.mean / unit for e in estimates)
                 columns.setdefault("mc_se", []).extend(e.std_error / unit for e in estimates)
@@ -370,7 +378,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--output", help="CSV output path (default: stdout)")
     parser.add_argument("--seed", type=int, help="override sim.seed")
-    parser.add_argument("--threads", type=int, default=1, help="Monte Carlo worker threads")
     parser.add_argument("--rate", action="store_true",
                         help="emit average achievable rate instead of coverage probability")
     parser.add_argument("--bits", action="store_true",
@@ -383,9 +390,6 @@ def main(argv: list[str] | None = None) -> int:
         # argparse has printed the usage error (or --help) and exits 2 on an
         # error; 2 is reserved here for numerical failure.
         return 1 if exc.code else 0
-    if args.threads < 1:
-        print(f"usage error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
-        return 1
     if args.seed is not None and args.seed < 0:
         print(f"usage error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
         return 1
@@ -406,11 +410,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     try:
-        rows, trials = _sweep(config, args.rate, args.bits, args.threads)
+        rows, trials = _sweep(config, args.rate, args.bits)
         if args.radius_check:
             # The sweep's own pass, if it made one, is the inner disk's.
-            drift = mcsim.radius_doubling_drift(config.params, config.sim,
-                                                threads=args.threads, trials=trials)
+            drift = mcsim.radius_doubling_drift(config.params, config.sim, trials=trials)
             print(f"radius-doubling coverage drift: {drift:.3e}", file=sys.stderr)
     except (QuadratureError, ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

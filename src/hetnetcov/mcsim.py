@@ -28,13 +28,13 @@ SeedSequence((seed, tier, purpose)), and geometry g draws from that
 generator's state jumped g times, that is from numpy's documented
 `PCG64DXSM(SeedSequence((seed, tier, purpose))).jumped(g)`.  A jump is
 (golden ratio - 1) * 2**128 draws, so any n geometries start at least
-about 2**128 / (3 n) draws apart and their draws never overlap.  A thread
-reuses one generator, setting it to the base state and advancing it by g
-jumps for each geometry, which costs a fifth of a fresh SeedSequence and
-bit-generator build; no generator is shared between threads.  A
-geometry's draws are thus a pure function of (seed, g, tier, purpose),
-independent of the fading shapes M, and the reductions run in geometry
-order, so results are identical for any thread count.
+about 2**128 / (3 n) draws apart and their draws never overlap.  A pass
+reuses its thread's generator, setting it to the base state and advancing
+it by g jumps for each geometry, which costs a fifth of a fresh
+SeedSequence and bit-generator build; passes run from several threads at
+once share none.  A geometry's draws are thus a pure function of
+(seed, g, tier, purpose), independent of the fading shapes M, so a fixed
+seed gives the same results.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ import functools
 import math
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -246,8 +245,9 @@ def snapshot_sinrs(
     """SINR of every BS for a single fading snapshot (one draw per BS).
 
     Plain restatement of the SINR definition; the denominator of BS b is
-    the sum over every other BS plus noise, with no tail compensation.
-    Used directly by tests; the batched simulator pass is checked against it.
+    the sum over every other BS (b's term replaced by an exact 0, nothing
+    subtracted) plus noise, with no tail compensation.  Used directly by
+    tests; the batched simulator pass is checked against it.
     """
     model.require_valid(params)
     received = []
@@ -259,13 +259,15 @@ def snapshot_sinrs(
             raise ValueError(f"tier {tier_index}: {d.shape[0]} BSs but {h.shape[0]} fading draws")
         for dist, fade in zip(d, h):
             received.append((tier_index, tier.power * fade * dist ** -params.alpha))
-    total = sum(r for _, r in received)
+    powers = np.array([r for _, r in received])
+    others = np.where(np.eye(len(powers), dtype=bool), 0.0, powers).sum(axis=1)
     return [
-        (tier_index, r / (total - r + params.noise)) for tier_index, r in received
+        (tier_index, r / (other + params.noise))
+        for (tier_index, r), other in zip(received, others)
     ]
 
 
-def simulate_trials(params: NetworkParams, sim: SimConfig, threads: int = 1) -> Trials:
+def simulate_trials(params: NetworkParams, sim: SimConfig) -> Trials:
     """One simulation pass: per-tier max and total received power per trial."""
     model.require_valid(params)
     radius = _resolve_radius(params, sim)
@@ -273,13 +275,11 @@ def simulate_trials(params: NetworkParams, sim: SimConfig, threads: int = 1) -> 
     n_tiers = params.n_tiers
 
     out = np.zeros((sim.n_geometry, n_tiers + 1, sim.n_fading))
-
-    def fill(g: int) -> None:
+    for g, res in enumerate(out):
         realization = sample_geometry(params, sim, g)
         counts = [len(d) for d in realization.distances]
         # Scaled in place to the received powers P d^-alpha h.
         received = sample_fading(params, sim, g, counts)
-        res = out[g]
         start = 0
         for k, (tier, d) in enumerate(zip(params.tiers, realization.distances)):
             if len(d):
@@ -288,13 +288,6 @@ def simulate_trials(params: NetworkParams, sim: SimConfig, threads: int = 1) -> 
                 rows.max(axis=0, out=res[k])
             start += len(d)
         received.sum(axis=0, out=res[n_tiers])
-
-    if threads <= 1:
-        for g in range(sim.n_geometry):
-            fill(g)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(sim.n_geometry)))
     return Trials(received=out, tail=tail)
 
 
@@ -345,21 +338,19 @@ def _cluster_mean(per_trial: np.ndarray) -> Estimate:
     return Estimate(mean=float(geo_means.mean()), std_error=se, n_samples=per_trial.size)
 
 
-def mc_coverage(params: NetworkParams, sim: SimConfig, threads: int = 1) -> Estimate:
+def mc_coverage(params: NetworkParams, sim: SimConfig) -> Estimate:
     """Fraction of trials in which some BS beats its tier threshold."""
-    tier_max = tier_max_sinr(simulate_trials(params, sim, threads=threads), params.noise)
+    tier_max = tier_max_sinr(simulate_trials(params, sim), params.noise)
     return coverage_from_tier_max(tier_max, [t.threshold for t in params.tiers])
 
 
-def mc_conditional_rate(
-    params: NetworkParams, sim: SimConfig, threads: int = 1
-) -> tuple[Estimate, Estimate]:
+def mc_conditional_rate(params: NetworkParams, sim: SimConfig) -> tuple[Estimate, Estimate]:
     """Mean of ln(1 + max SINR) over covered trials, plus the coverage fraction."""
-    tier_max = tier_max_sinr(simulate_trials(params, sim, threads=threads), params.noise)
+    tier_max = tier_max_sinr(simulate_trials(params, sim), params.noise)
     return rate_from_tier_max(tier_max, [t.threshold for t in params.tiers])
 
 
-def radius_doubling_drift(params: NetworkParams, sim: SimConfig, threads: int = 1,
+def radius_doubling_drift(params: NetworkParams, sim: SimConfig,
                           trials: Trials | None = None) -> float:
     """Absolute coverage change when the observation disk radius doubles.
 
@@ -371,8 +362,8 @@ def radius_doubling_drift(params: NetworkParams, sim: SimConfig, threads: int = 
     """
     radius = _resolve_radius(params, sim)
     if trials is None:
-        trials = simulate_trials(params, replace(sim, region_radius=radius), threads=threads)
+        trials = simulate_trials(params, replace(sim, region_radius=radius))
     thresholds = [t.threshold for t in params.tiers]
     small = coverage_from_tier_max(tier_max_sinr(trials, params.noise), thresholds)
-    large = mc_coverage(params, replace(sim, region_radius=2.0 * radius), threads=threads)
+    large = mc_coverage(params, replace(sim, region_radius=2.0 * radius))
     return abs(large.mean - small.mean)

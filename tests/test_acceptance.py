@@ -84,12 +84,11 @@ def test_criterion_2_monte_carlo_agreement(acceptance_report):
     results = []
 
     # Threshold and noise sweeps share one simulation pass per shape set:
-    # the simulated statistic depends on neither thresholds nor noise.  The
-    # passes run at 1 thread, which is faster than several on 2 cores.
-    trials_rayleigh = mcsim.simulate_trials(fig_network(), DESK_SIM, threads=1)
+    # the simulated statistic depends on neither thresholds nor noise.
+    trials_rayleigh = mcsim.simulate_trials(fig_network(), DESK_SIM)
     tm_rayleigh = mcsim.tier_max_sinr(trials_rayleigh, fig_network().noise)
     tm_nakagami = mcsim.tier_max_sinr(
-        mcsim.simulate_trials(fig_network(shapes=(2, 3)), DESK_SIM, threads=1),
+        mcsim.simulate_trials(fig_network(shapes=(2, 3)), DESK_SIM),
         fig_network().noise,
     )
 
@@ -389,7 +388,7 @@ def test_criterion_7_simulator_validity(acceptance_report, tmp_path):
     if abs(frac - 0.25) > 0.01:
         failures.append(f"distance law (P(d<=R/2) = {frac:.4f})")
 
-    # Bit-identical CSV across thread counts.
+    # Bit-identical CSV from two runs at the same seed.
     import json
     cfg = {
         "alpha": 3.0, "noise_db": -40.0,
@@ -404,20 +403,18 @@ def test_criterion_7_simulator_validity(acceptance_report, tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
     blobs = []
-    for threads, name in ((1, "a.csv"), (4, "b.csv")):
+    for name in ("a.csv", "b.csv"):
         out = tmp_path / name
-        rc = main(["--config", str(path), "--output", str(out),
-                   "--threads", str(threads)])
+        rc = main(["--config", str(path), "--output", str(out)])
         assert rc == 0
         blobs.append(out.read_bytes())
     if blobs[0] != blobs[1]:
-        failures.append("thread determinism (CSV differs)")
+        failures.append("seed determinism (CSV differs)")
 
     # Radius-doubling truncation drift below 0.1% absolute, measured with
     # common random numbers so resampling noise cannot mask it.
     drift = mcsim.radius_doubling_drift(
         fig_network(), mcsim.SimConfig(n_geometry=3000, n_fading=50, seed=5),
-        threads=1,
     )
     if drift >= 1e-3:
         failures.append(f"radius doubling drift {drift:.2e}")
@@ -461,7 +458,7 @@ def test_criterion_8_qualitative_shapes(acceptance_report):
             fig_network(noise=1000.0, shapes=(2, 2))]
     per_geo = []
     for net in nets:
-        tier_max = mcsim.tier_max_sinr(mcsim.simulate_trials(net, sim, threads=1), net.noise)
+        tier_max = mcsim.tier_max_sinr(mcsim.simulate_trials(net, sim), net.noise)
         beta = np.array([t.threshold for t in net.tiers])
         covered = (tier_max > beta[None, :, None]).any(axis=1)
         per_geo.append(covered.mean(axis=1))

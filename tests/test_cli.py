@@ -1,5 +1,5 @@
 """Tests for the command-line front end: config parsing, CSV output,
-reproducibility across runs and thread counts, and exit codes."""
+reproducibility across runs, and exit codes."""
 
 import json
 import math
@@ -172,6 +172,8 @@ STRICT_CASES = {
     "seed-negative": (("sim", "seed"), -3, "'sim.seed' must be non-negative, got -3"),
     "n_geometry-zero": (("sim", "n_geometry"), 0, "'sim.n_geometry' must be positive, got 0"),
     "n_fading-zero": (("sim", "n_fading"), 0, "'sim.n_fading' must be positive, got 0"),
+    "n_geometry-one": (("sim", "n_geometry"), 1,
+                       "'sim.n_geometry' must be at least 2 for a standard error, got 1"),
     "region_radius-negative": (("sim", "region_radius"), -1,
                                "'sim.region_radius' must be positive, got -1.0"),
     "alpha-string": (("alpha",), "3", "'alpha' must be a number, got \"3\""),
@@ -390,22 +392,21 @@ class TestRunSweep:
         config = load_config(write_config(tmp_path, cfg))
         assert run_sweep(config, bits=True) == run_sweep(config)
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("rate", [False, True])
-    def test_noise_sweep_one_pass_matches_per_point(self, tmp_path, rate, threads):
+    def test_noise_sweep_one_pass_matches_per_point(self, tmp_path, rate):
         # The sweep simulates once and re-derives the SINR at each noise
         # power; that must equal a fresh simulation at every point.
         cfg = base_config()
         cfg["sweep"] = {"variable": "noise_db", "start": -20.0, "stop": 30.0,
                         "points": 3, "methods": ["mc"]}
         config = load_config(write_config(tmp_path, cfg))
-        rows = run_sweep(config, rate=rate, threads=threads)
+        rows = run_sweep(config, rate=rate)
         for row in rows:
             params = _params_at(config, row["sweep_db"])
             if rate:
-                est, _ = mcsim.mc_conditional_rate(params, config.sim, threads=threads)
+                est, _ = mcsim.mc_conditional_rate(params, config.sim)
             else:
-                est = mcsim.mc_coverage(params, config.sim, threads=threads)
+                est = mcsim.mc_coverage(params, config.sim)
             assert row["mc"] == est.mean
             assert row["mc_se"] == est.std_error
 
@@ -422,10 +423,9 @@ class TestMain:
     def test_golden_reproducible_csv(self, tmp_path):
         path = write_config(tmp_path, base_config())
         outs = []
-        for threads, name in ((1, "a.csv"), (3, "b.csv"), (1, "c.csv")):
+        for name in ("a.csv", "b.csv", "c.csv"):
             out = tmp_path / name
-            rc = main(["--config", path, "--output", str(out),
-                       "--threads", str(threads)])
+            rc = main(["--config", path, "--output", str(out)])
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
@@ -557,22 +557,16 @@ class TestMain:
         else:
             assert captured.out.startswith("sweep_db,")
 
-    @pytest.mark.parametrize("threads", ["0", "-4"])
-    def test_thread_count_below_one_exit_code(self, tmp_path, capsys, threads):
-        path = write_config(tmp_path, base_config())
-        assert main(["--config", path, "--threads", threads]) == 1
-        assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
-
     def test_negative_seed_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())
         assert main(["--config", path, "--seed", "-1"]) == 1
         assert "usage error: --seed must be non-negative, got -1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
-        (["--threads", "x"], "argument --threads: invalid int value: 'x'"),
+        (["--threads", "2"], "unrecognized arguments: --threads 2"),
         (["--bogus"], "unrecognized arguments: --bogus"),
         ([], "the following arguments are required: --config"),
-    ], ids=["threads-not-integer", "unknown-flag", "missing-config"])
+    ], ids=["threads-removed", "unknown-flag", "missing-config"])
     def test_usage_error_exit_code(self, tmp_path, capsys, argv, message):
         # argparse itself would exit 2, the code of a numerical failure.
         config = [] if not argv else ["--config", write_config(tmp_path, base_config())]

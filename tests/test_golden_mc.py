@@ -5,9 +5,8 @@
 draws (the config's seed, `mc` its only method), written at full
 precision (`repr`).  Two comparisons use them:
 
-- at the CLI's 10 digits, the sweep at 1 thread and the CLI's CSV at
-  `--threads 2`;
-- at full precision, the sweep at 1 thread, so that a change of one ulp
+- at the CLI's 10 digits, the sweep and the CLI's CSV;
+- at full precision, the sweep, so that a change of one ulp
   in a distance, a fading draw or an SINR moves the rate column.  At 10
   digits no such change shows.
 
@@ -68,10 +67,10 @@ def _write_config(cfg: dict, workdir: Path) -> str:
 
 @functools.cache
 def _rows(name: str) -> list[dict[str, float]]:
-    """The sweep's rows for case `name` at 1 thread."""
+    """The sweep's rows for case `name`."""
     cfg, rate = CASES[name]
     with tempfile.TemporaryDirectory() as tmp:
-        return run_sweep(load_config(_write_config(cfg, Path(tmp))), rate=rate, threads=1)
+        return run_sweep(load_config(_write_config(cfg, Path(tmp))), rate=rate)
 
 
 def _full_precision(rows: list[dict[str, float]]) -> str:
@@ -104,7 +103,7 @@ def test_mc_csv_equal_golden(tmp_path, name):
 
     cfg, rate = CASES[name]
     out = tmp_path / "out.csv"
-    argv = ["--config", _write_config(cfg, tmp_path), "--output", str(out), "--threads", "2"]
+    argv = ["--config", _write_config(cfg, tmp_path), "--output", str(out)]
     assert main(argv + (["--rate"] if rate else [])) == 0
     assert out.read_bytes() == expected.encode()
 

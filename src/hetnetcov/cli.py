@@ -264,10 +264,12 @@ def run_sweep(config: RunConfig, rate: bool = False, bits: bool = False,
               threads: int = 1) -> list[dict[str, float]]:
     """Evaluate every requested method at every sweep point.
 
-    `threads` is unused: the simulator has one sequential pass.  Only the
-    benchmark harness passes it (`perfbench/rep.py` on every call, and
-    `run.py`'s thread-invariance check through `rep.py --threads 2`); it
-    goes together with that check (ROADMAP item 8).
+    `threads` is unused: a simulation pass runs one forked worker per CPU
+    of the process's affinity mask, with the same bytes at any count, and
+    takes no count from its caller.  Only the benchmark harness passes it
+    (`perfbench/rep.py` on every call, and `run.py`'s thread-invariance
+    check through `rep.py --threads 2`); it goes together with that check
+    (ROADMAP item 8).
     """
     return _sweep(config, rate, bits)[0]
 

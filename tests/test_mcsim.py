@@ -2,11 +2,14 @@
 
 Distributional checks (Poisson counts, the disk distance law), a
 brute-force SINR oracle for the simulator pass, determinism under
-concurrent callers, and the common-random-numbers prefix property behind
-the radius-doubling self-check.
+concurrent callers and at any worker count, failing workers, and the
+common-random-numbers prefix property behind the radius-doubling
+self-check.
 """
 
 import math
+import os
+import signal
 import sys
 import threading
 import warnings
@@ -16,6 +19,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from hetnetcov import mcsim
 from hetnetcov.mcsim import (
     Estimate,
     SimConfig,
@@ -326,6 +330,153 @@ class TestEstimates:
         assert 0.0 < est.mean < 1.0
         assert est.std_error > 0.0
         assert est.n_samples == 1000
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkers:
+    """A pass split over forked workers, one per CPU of the affinity mask."""
+
+    NET = make_network(shapes=(2, 3))
+    SIM = sim_config(n_geometry=51, n_fading=20, seed=4)  # odd G: unequal ranges
+    WORKER_DRAWS = mcsim._WORKER_DRAWS
+
+    @pytest.fixture(autouse=True)
+    def any_size(self, monkeypatch):
+        """Split passes of any size, so a small one exercises the workers."""
+        monkeypatch.setattr(mcsim, "_WORKER_DRAWS", 1)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Pids of the workers forked by the test, in order."""
+        pids = []
+        fork = os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        return pids
+
+    @staticmethod
+    def cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    def test_worker_count_invariance(self, monkeypatch, forks):
+        received = {}
+        for n in (1, 2, 3):
+            self.cpus(monkeypatch, n)
+            del forks[:]
+            received[n] = simulate_trials(self.NET, self.SIM).received.tobytes()
+            assert len(forks) == n - 1
+            assert_no_child()
+        assert received[2] == received[1]
+        assert received[3] == received[1]
+
+    def test_one_geometry_forks_nothing(self, monkeypatch, forks):
+        self.cpus(monkeypatch, 3)
+        simulate_trials(self.NET, sim_config(n_geometry=1, n_fading=1000))
+        assert forks == []
+
+    def test_small_pass_runs_as_one_worker(self, monkeypatch, forks):
+        monkeypatch.setattr(mcsim, "_WORKER_DRAWS", self.WORKER_DRAWS)
+        self.cpus(monkeypatch, 3)
+        # 51 x 20 trials of 250 BSs with M + 1 = 23/6 on average: 9.8e5 draws.
+        assert simulate_trials(self.NET, self.SIM).received.tobytes() == \
+            simulate_trials(self.NET, self.SIM).received.tobytes()
+        assert forks == []
+
+    @pytest.mark.parametrize("shapes, n_geometry, n_cpus, workers", [
+        ((1, 1), 150, 2, 1),   # 7.5e6 draws
+        ((1, 1), 170, 2, 1),   # 8.5e6: one range of _WORKER_DRAWS
+        ((1, 1), 330, 2, 2),   # 1.65e7: two
+        ((2, 3), 300, 2, 2),   # 2.9e7
+        ((2, 3), 300, 3, 3),
+        ((2, 3), 300, 8, 3),
+        ((2, 3), 10000, 8, 8),
+    ])
+    def test_worker_count_by_pass_size(self, monkeypatch, shapes, n_geometry, n_cpus,
+                                       workers):
+        monkeypatch.setattr(mcsim, "_WORKER_DRAWS", self.WORKER_DRAWS)
+        self.cpus(monkeypatch, n_cpus)
+        net = make_network(shapes=shapes)
+        sim = sim_config(n_geometry=n_geometry, n_fading=100)
+        radius = default_region_radius(net)
+        assert mcsim._worker_count(net, sim, radius) == workers
+
+    def test_pass_from_a_thread_with_another_alive(self, monkeypatch, forks):
+        # Forking a process with other Python threads is unsafe, so the
+        # pass runs as one worker; its bytes are those of three.
+        self.cpus(monkeypatch, 3)
+        expected = simulate_trials(self.NET, self.SIM).received.tobytes()
+        del forks[:]
+        release = threading.Event()
+        idle = threading.Thread(target=release.wait)
+        results = []
+        caller = threading.Thread(target=lambda: results.append(
+            simulate_trials(self.NET, self.SIM).received.tobytes()))
+        idle.start()
+        try:
+            caller.start()
+            caller.join(timeout=120)
+        finally:
+            release.set()
+            idle.join()
+        assert not caller.is_alive()
+        assert forks == []
+        assert results == [expected]
+        assert_no_child()
+
+    def test_failing_worker_raises_its_error(self, monkeypatch):
+        # With two workers the forked one owns geometries 25..50; forked
+        # children inherit the patch.
+        self.cpus(monkeypatch, 2)
+        fading = mcsim.sample_fading
+
+        def failing(params, sim, g, counts):
+            if g >= 25:
+                raise ValueError(f"no fading for geometry {g}")
+            return fading(params, sim, g, counts)
+
+        monkeypatch.setattr(mcsim, "sample_fading", failing)
+        with pytest.raises(ValueError, match="no fading for geometry 25$"):
+            simulate_trials(self.NET, self.SIM)
+        assert_no_child()
+
+    def test_failing_first_range_leaves_no_worker(self, monkeypatch):
+        self.cpus(monkeypatch, 3)
+        fading = mcsim.sample_fading
+
+        def failing(params, sim, g, counts):
+            if g == 0:
+                raise ValueError("no fading for geometry 0")
+            return fading(params, sim, g, counts)
+
+        monkeypatch.setattr(mcsim, "sample_fading", failing)
+        with pytest.raises(ValueError, match="geometry 0"):
+            simulate_trials(self.NET, self.SIM)
+        assert_no_child()
+
+    def test_killed_worker_rows_are_recomputed(self, monkeypatch):
+        self.cpus(monkeypatch, 3)
+        expected = simulate_trials(self.NET, self.SIM).received.tobytes()
+        parent = os.getpid()
+        fading = mcsim.sample_fading
+
+        def dying(params, sim, g, counts):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return fading(params, sim, g, counts)
+
+        monkeypatch.setattr(mcsim, "sample_fading", dying)
+        assert simulate_trials(self.NET, self.SIM).received.tobytes() == expected
+        assert_no_child()
 
 
 class TestTruncation:

@@ -1,19 +1,22 @@
 """Regenerate the simulator's disk table in README: cost and accuracy by disk size.
 
-For each expected BS count of the observation disk, each shape set and
-each noise power, on the figure network (alpha 3; densities 1 and 5;
-powers 25 and 1; beta_1 = 5 dB, beta_2 = 1 dB), it prints one markdown row:
+The per-tier disks `mcsim.default_region_radii` are anchored at the tail
+variance of one common disk of a given expected BS count.  For each anchor
+count, each shape set and each noise power, on the figure network (alpha 3;
+densities 1 and 5; powers 25 and 1; beta_1 = 5 dB, beta_2 = 1 dB), it
+prints one markdown row:
 
-  - seconds per `mcsim.simulate_trials` pass;
+  - the expected number of BSs in the per-tier disks;
+  - seconds per simulation pass;
   - the MC coverage and its geometry-clustered SE;
   - z = (MC - exact) / SE against `analysis.coverage_reference`;
   - `mcsim.radius_doubling_drift`, on common random numbers (the pass is
     handed over with `trials=`), whose resolution is 1/trials.
 
-Both noise powers share one pass per disk.  The last line checks the
-default disk (`mcsim._DEFAULT_TARGET_COUNT`): every drift at most
+Both noise powers share one pass per anchor.  The last line checks the
+default disks (anchor `mcsim._DEFAULT_TARGET_COUNT`): every drift at most
 a tenth of acceptance criterion 7's 1e-3, and every SE equal to the
-largest disk's at two significant digits; the exit status is 1 if not.
+largest anchor's at two significant digits; the exit status is 1 if not.
 
     PYTHONPATH=src python scripts/disk_table.py [--geometries 1000] [--fading 50] [--seed 5]
 """
@@ -21,6 +24,7 @@ largest disk's at two significant digits; the exit status is 1 if not.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import replace
@@ -53,17 +57,18 @@ def main() -> int:
 
     print(f"{args.geometries} geometries x {args.fading} draws, seed {args.seed}; "
           f"drift resolution 1/trials = {1.0 / n_trials:.0e}\n")
-    print("| BSs | M | σ² | s/pass | coverage | SE | z | drift |")
-    print("|---|---|---|---|---|---|---|---|")
+    print("| anchor | BSs | M | σ² | s/pass | coverage | SE | z | drift |")
+    print("|---|---|---|---|---|---|---|---|---|")
     rows = {}
     for shapes in SHAPES:
         net = figure_network(shapes)
         for count in COUNTS:
             sim = mcsim.SimConfig(n_geometry=args.geometries, n_fading=args.fading,
-                                  seed=args.seed,
-                                  region_radius=mcsim.default_region_radius(net, count))
+                                  seed=args.seed)
+            radii = mcsim.default_region_radii(net, count)
+            n_bs = sum(t.density * math.pi * r * r for t, r in zip(net.tiers, radii))
             start = time.perf_counter()
-            trials = mcsim.simulate_trials(net, sim)
+            trials = mcsim._simulate(net, sim, radii)
             seconds = time.perf_counter() - start
             for noise in NOISES:
                 params = replace(net, noise=noise)
@@ -74,7 +79,8 @@ def main() -> int:
                 drift = round(mcsim.radius_doubling_drift(params, sim, trials=trials)
                               * n_trials) / n_trials
                 rows[count, (shapes, noise)] = (est.std_error, drift)
-                print(f"| {count:,.0f} | ({shapes[0]},{shapes[1]}) | {noise:g} | {seconds:.2f} "
+                print(f"| {count:,.0f} | {n_bs:.0f} | ({shapes[0]},{shapes[1]}) | {noise:g} "
+                      f"| {seconds:.2f} "
                       f"| {est.mean:.4f} | {est.std_error:.5f} | {z:+.2f} | {drift:.1e} |")
 
     largest = COUNTS[-1]
@@ -83,8 +89,8 @@ def main() -> int:
     same_se = all(f"{rows[_DEFAULT_TARGET_COUNT, c][0]:.2g}" == f"{rows[largest, c][0]:.2g}"
                   for c in cases)
     ok = worst <= DRIFT_BOUND and same_se
-    print(f"\ndefault disk, {_DEFAULT_TARGET_COUNT:,.0f} BSs: worst drift {worst:.1e} "
-          f"(bound {DRIFT_BOUND:.0e}); SE equal to the {largest:,.0f}-BS SE at 2 digits: "
+    print(f"\ndefault disks, anchor {_DEFAULT_TARGET_COUNT:,.0f} BSs: worst drift {worst:.1e} "
+          f"(bound {DRIFT_BOUND:.0e}); SE equal to anchor {largest:,.0f}'s at 2 digits: "
           f"{'yes' if same_se else 'no'}; {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 

@@ -1,21 +1,26 @@
 """Seeded Monte Carlo oracle for coverage and conditional rate.
 
 Base stations of each tier form a Poisson point process observed in a
-disk around the typical user at the origin.  Squared distances are sampled
-as the arrival times of a rate lambda*pi process, which (a) reproduces the
-disk PPP exactly (Poisson count, d = R sqrt(u) distance law) and (b) keeps
-the near-field points identical when the radius is enlarged, so the
-radius-doubling self-check measures truncation bias rather than resampling
-noise.  Fading power is Gamma(M, 1) with integer M, drawn as
--ln prod_{j<M} U_j from M uniforms U_j on (0, 1] into one (BS, draw) block
-per geometry.  Each BS takes exactly M * n_fading consecutive values of its
-tier's stream, BS-major, so the draws of the first n BSs do not depend on
-how many BSs follow: the enlarged disk sees the same fading at its inner
-points.
+disk of the tier's own radius R_i around the typical user at the origin
+(`default_region_radii`; a config that sets `sim.region_radius` gives
+every tier that one radius).  Squared distances are sampled as the arrival
+times of a rate lambda*pi process, with gaps -ln(1 - U), which (a)
+reproduces the disk PPP exactly (Poisson count, d = R sqrt(u) distance
+law) and (b) keeps the near-field points identical when a radius is
+enlarged, so the radius-doubling self-check measures truncation bias
+rather than resampling noise.  Fading power is Gamma(M, 1) with integer
+M, drawn as -ln prod_{j<M} U_j from M uniforms U_j on (0, 1] into one
+(BS, draw) block per geometry.  Each BS takes exactly M * n_fading
+consecutive values of its tier's stream, BS-major, so the draws of the
+first n BSs do not depend on how many BSs follow: the enlarged disk sees
+the same fading at its inner points.
 
-Interference from beyond the disk is folded in as its expectation over
-the outside process (`tail_mean_interference`); its fluctuation is
-negligible for the disk sizes used here.
+Interference from beyond the disks is folded in as its expectation over
+the outside process (`tail_mean_interference`).  The default radii spend
+the draws where that fold's error comes from: they hold its variance at
+that of one common disk of `_DEFAULT_TARGET_COUNT` BSs with the fewest
+expected draws, and give every tier enough BSs that a serving BS beyond
+its disk is rare (see `default_region_radii`).
 
 Coverage and rate depend on a trial only through each tier's largest
 received power and the total received power.  One pass (`simulate_trials`)
@@ -60,7 +65,7 @@ import signal
 import sys
 import threading
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -73,7 +78,7 @@ __all__ = [
     "Realization",
     "Estimate",
     "Trials",
-    "default_region_radius",
+    "default_region_radii",
     "tail_mean_interference",
     "sample_geometry",
     "sample_fading",
@@ -94,12 +99,15 @@ _FADING_STREAM = 1
 _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 _thread_local = threading.local()
 
-# Expected number of BSs inside the default observation disk.  Chosen from
-# the disk table in README (scripts/disk_table.py): at 250 the radius-doubling
-# drift stays under 2e-4, a fifth of acceptance criterion 7's bound, and the
-# SE matches a 2,000-BS disk's, while a pass, whose cost grows with the BS
-# count, runs 3-7x faster.
+# Expected number of BSs of the common disk whose tail variance the default
+# per-tier disks keep.  Chosen from the disk table in README
+# (scripts/disk_table.py): at 250 every radius-doubling drift stays within
+# 1e-4, a tenth of acceptance criterion 7's bound, and every SE equals that
+# of the disks anchored at 2,000 BSs at two digits.
 _DEFAULT_TARGET_COUNT = 250.0
+# Bound on the coverage the default disks may miss by leaving a serving BS
+# outside, the same tenth of criterion 7's bound (see default_region_radii).
+_MISSED_COVERAGE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -109,7 +117,7 @@ class SimConfig:
     n_geometry: int
     n_fading: int
     seed: int
-    region_radius: float | None = None  # None: derived from the densities
+    region_radius: float | None = None  # None: per-tier default_region_radii
 
     def __post_init__(self):
         for name in ("n_geometry", "n_fading", "seed"):
@@ -142,9 +150,10 @@ class Trials:
 
     received : (n_geometry, K+1, n_fading).  Row k < K is tier k's largest
                received power P d^-alpha h (0 where the tier has no BS);
-               row K is the total received power over every BS in the disk.
-    tail     : mean interference from beyond the disk, added to every
+               row K is the total received power over every BS in the disks.
+    tail     : mean interference from beyond the disks, added to every
                denominator.
+    radii    : tier i's disk radius, per tier.
 
     Neither thresholds nor the noise power enter, so one pass serves any
     threshold or noise sweep point (`tier_max_sinr`).
@@ -152,6 +161,7 @@ class Trials:
 
     received: np.ndarray
     tail: float
+    radii: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -161,22 +171,72 @@ class Estimate:
     n_samples: int
 
 
-def default_region_radius(params: NetworkParams, target_count: float = _DEFAULT_TARGET_COUNT) -> float:
-    """Disk radius holding ~`target_count` BSs in expectation."""
-    lam_total = sum(t.density for t in params.tiers)
-    return math.sqrt(target_count / (math.pi * lam_total))
+def default_region_radii(params: NetworkParams,
+                         target_count: float = _DEFAULT_TARGET_COUNT) -> tuple[float, ...]:
+    """Observation disk radius R_i of each tier: the fewest expected draws for
+    the tail variance of one common disk of `target_count` BSs, with at
+    least n_min BSs of every tier in the common disk and in each R_i's.
+
+    Rule.  A geometry draws M_i + 1 values (M_i uniforms and a received
+    power) per tier-i BS and fading sample, so its expected draws are
+    proportional to D = sum_i c_i pi R_i^2 with c_i = lam_i (M_i + 1).  The
+    interference from beyond the disks enters as its mean; by Campbell's
+    theorem, with E[h^2] = M (M + 1) for Gamma(M, 1) fading, its variance is
+    V = sum_i c_i w_i pi R_i^(2 - 2 alpha) / (alpha - 1), w_i = P_i^2 M_i.
+    Minimising D at fixed V (Lagrange: c_i R_i proportional to
+    c_i w_i R_i^(1 - 2 alpha)) gives R_i^2 = s^2 w_i^(1/alpha), and V equals
+    that of a common disk of radius R_0 at
+    s^2 = R_0^2 (sum_i c_i w_i^(1/alpha) / sum_i c_i w_i)^(1 / (alpha - 1)).
+    A tier that dominates the tail (strong or high M) gets a wide disk and
+    a weak dense tier a narrow one; one tier keeps R_0.  R_i does not change
+    when every power is scaled, so P_i is taken relative to the largest.
+
+    Floor.  A disk also decides which BSs can serve.  The k-th nearest BS
+    of a tier has the k - 1 nearer ones of its tier among its interferers,
+    each at least as strong in path loss, so with beta_i > 1 it covers only
+    if h_k > sum_{j<k} h_j.  For i.i.d. Gamma(M) fading that has probability
+    P(Beta(M, (k - 1) M) > 1/2) <= 2^-(k-1), with equality at M = 1 (the
+    tests check every supported M).  With N ~ Poisson(n) BSs in the disk,
+    the BSs beyond it cover with probability at most
+    E[sum_{k>N} 2^-(k-1)] = E[2^(1-N)] = 2 exp(-n/2), as at most one BS
+    covers when beta > 1.  Over K tiers that is 2 K exp(-n/2), and holding
+    it to `_MISSED_COVERAGE` = 1e-4 gives n_min = 2 ln(2 K / 1e-4): 19.8
+    BSs for one tier, 21.2 for two.
+
+    So R_0^2 is target_count / (pi sum_i lam_i), raised where needed to
+    hold n_min BSs of the sparsest tier: a common disk that cuts a tier's
+    serving BSs has a variance that measures that cut, not the tail.  Each
+    R_i is then raised to hold n_min BSs.  A wider disk only lowers V, so
+    the result keeps at least the common disk's accuracy by V.
+    """
+    a = params.alpha
+    top = max(t.power for t in params.tiers)
+    c = [t.density * (t.nakagami_m + 1) for t in params.tiers]
+    w = [(t.power / top) ** 2 * t.nakagami_m for t in params.tiers]
+    n_min = 2.0 * math.log(2.0 * params.n_tiers / _MISSED_COVERAGE)
+    common2 = max(target_count / (math.pi * sum(t.density for t in params.tiers)),
+                  n_min / (math.pi * min(t.density for t in params.tiers)))
+    s2 = common2 * (sum(ci * wi ** (1.0 / a) for ci, wi in zip(c, w))
+                    / sum(ci * wi for ci, wi in zip(c, w))) ** (1.0 / (a - 1.0))
+    return tuple(math.sqrt(max(s2 * wi ** (1.0 / a), n_min / (math.pi * t.density)))
+                 for t, wi in zip(params.tiers, w))
 
 
-def _resolve_radius(params: NetworkParams, sim: SimConfig) -> float:
-    return sim.region_radius if sim.region_radius is not None else default_region_radius(params)
+def _radii(params: NetworkParams, sim: SimConfig) -> tuple[float, ...]:
+    """The sim's disk radius per tier."""
+    if sim.region_radius is not None:
+        return (sim.region_radius,) * params.n_tiers
+    return default_region_radii(params)
 
 
-def tail_mean_interference(params: NetworkParams, radius: float) -> float:
-    """Mean interference from BSs outside the disk: sum_m lam_m P_m M_m 2pi R^(2-a)/(a-2)."""
+def tail_mean_interference(params: NetworkParams, radii: Sequence[float]) -> float:
+    """Mean interference from BSs outside the disks, tier i's of radius radii[i]:
+    sum_i lam_i P_i M_i 2pi R_i^(2-a)/(a-2)."""
     a = params.alpha
     return sum(
-        t.density * t.power * t.nakagami_m for t in params.tiers
-    ) * 2.0 * math.pi * radius ** (2.0 - a) / (a - 2.0)
+        t.density * t.power * t.nakagami_m * r ** (2.0 - a)
+        for t, r in zip(params.tiers, radii, strict=True)
+    ) * 2.0 * math.pi / (a - 2.0)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -199,21 +259,28 @@ def _stream(seed: int, geometry_index: int, tier_index: int, purpose: int) -> np
     return rng
 
 
-def sample_geometry(params: NetworkParams, sim: SimConfig, stream_index: int) -> Realization:
-    """One PPP realization: sorted per-tier BS distances inside the disk."""
+def sample_geometry(params: NetworkParams, sim: SimConfig, stream_index: int,
+                    radii: Sequence[float] | None = None) -> Realization:
+    """One PPP realization: sorted per-tier BS distances, tier i's inside
+    radius radii[i] (by default the sim's disks).
+
+    The gaps between squared distances are -ln(1 - U) / (lam pi), U from
+    `Generator.random` on [0, 1), so no gap is infinite.
+    """
     model.require_valid(params)
-    radius = _resolve_radius(params, sim)
-    r2_max = radius * radius
+    if radii is None:
+        radii = _radii(params, sim)
     per_tier = []
-    for tier_index, tier in enumerate(params.tiers):
+    for tier_index, (tier, radius) in enumerate(zip(params.tiers, radii, strict=True)):
         rng = _stream(sim.seed, stream_index, tier_index, _GEOMETRY_STREAM)
+        r2_max = radius * radius
         rate = tier.density * math.pi
         expected = rate * r2_max
         chunk = max(16, int(expected + 6.0 * math.sqrt(expected + 1.0)))
-        gaps = -np.log(rng.random(chunk))
+        gaps = -np.log(1.0 - rng.random(chunk))
         arrivals = np.cumsum(gaps) / rate
         while arrivals[-1] < r2_max:
-            gaps = -np.log(rng.random(max(16, chunk // 4)))
+            gaps = -np.log(1.0 - rng.random(max(16, chunk // 4)))
             arrivals = np.concatenate([arrivals, arrivals[-1] + np.cumsum(gaps) / rate])
         per_tier.append(np.sqrt(arrivals[:np.searchsorted(arrivals, r2_max)]))
     return Realization(distances=tuple(per_tier))
@@ -287,22 +354,27 @@ def snapshot_sinrs(
 def simulate_trials(params: NetworkParams, sim: SimConfig) -> Trials:
     """One simulation pass: per-tier max and total received power per trial.
 
-    The geometries are split into one contiguous range per worker (see
-    Workers in the module docstring); the result does not depend on how
-    many there are.
+    Tier i is observed in the sim's disk of radius R_i (`sim.region_radius`
+    for every tier, or `default_region_radii`).  The geometries are split
+    into one contiguous range per worker (see Workers in the module
+    docstring); the result does not depend on how many there are.
     """
     model.require_valid(params)
-    radius = _resolve_radius(params, sim)
-    tail = tail_mean_interference(params, radius)
+    return _simulate(params, sim, _radii(params, sim))
+
+
+def _simulate(params: NetworkParams, sim: SimConfig, radii: tuple[float, ...]) -> Trials:
+    """`simulate_trials` with tier i observed inside radius radii[i]."""
+    tail = tail_mean_interference(params, radii)
     shape = (sim.n_geometry, params.n_tiers + 1, sim.n_fading)
     # Anonymous shared memory, zero-filled like np.zeros, written by every
     # worker and returned as it is.
     out = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
-    workers = _worker_count(params, sim, radius)
+    workers = _worker_count(params, sim, radii)
     bounds = [sim.n_geometry * w // workers for w in range(workers + 1)]
 
     def fill(w: int) -> None:
-        _fill(params, sim, out[bounds[w]:bounds[w + 1]], bounds[w])
+        _fill(params, sim, radii, out[bounds[w]:bounds[w + 1]], bounds[w])
 
     children: dict[int, int] = {}  # pid -> index of its range
     failed = []
@@ -335,14 +407,15 @@ def simulate_trials(params: NetworkParams, sim: SimConfig) -> Trials:
     # one-worker pass raises it.
     for w in failed:
         fill(w)
-    return Trials(received=out, tail=tail)
+    return Trials(received=out, tail=tail, radii=radii)
 
 
-def _fill(params: NetworkParams, sim: SimConfig, out: np.ndarray, first_g: int) -> None:
+def _fill(params: NetworkParams, sim: SimConfig, radii: tuple[float, ...],
+          out: np.ndarray, first_g: int) -> None:
     """Write the pass's rows of geometries first_g, first_g + 1, ... into `out`."""
     n_tiers = params.n_tiers
     for g, res in enumerate(out, start=first_g):
-        realization = sample_geometry(params, sim, g)
+        realization = sample_geometry(params, sim, g, radii)
         counts = [len(d) for d in realization.distances]
         # Scaled in place to the received powers P d^-alpha h.
         received = sample_fading(params, sim, g, counts)
@@ -366,14 +439,15 @@ def _fill(params: NetworkParams, sim: SimConfig, out: np.ndarray, first_g: int) 
 _WORKER_DRAWS = 8_000_000
 
 
-def _worker_count(params: NetworkParams, sim: SimConfig, radius: float) -> int:
+def _worker_count(params: NetworkParams, sim: SimConfig, radii: Sequence[float]) -> int:
     """CPUs in this process's affinity mask, at most one per geometry and per
-    `_WORKER_DRAWS` expected draws; 1 where forking is unsafe."""
+    `_WORKER_DRAWS` expected draws (tier i's disk of radius radii[i]); 1 where
+    forking is unsafe."""
     if (sys.platform != "linux" or not hasattr(os, "fork")
             or threading.active_count() > 1):
         return 1
-    draws = sim.n_geometry * sim.n_fading * math.pi * radius ** 2 * sum(
-        t.density * (t.nakagami_m + 1) for t in params.tiers)
+    draws = sim.n_geometry * sim.n_fading * math.pi * sum(
+        t.density * (t.nakagami_m + 1) * r * r for t, r in zip(params.tiers, radii))
     return max(1, min(len(os.sched_getaffinity(0)), sim.n_geometry,
                       int(draws // _WORKER_DRAWS)))
 
@@ -439,18 +513,18 @@ def mc_conditional_rate(params: NetworkParams, sim: SimConfig) -> tuple[Estimate
 
 def radius_doubling_drift(params: NetworkParams, sim: SimConfig,
                           trials: Trials | None = None) -> float:
-    """Absolute coverage change when the observation disk radius doubles.
+    """Absolute coverage change when every tier's disk radius doubles.
 
     Shares the underlying random streams between the two radii (the inner
     points and their fading are identical), so the returned figure is the
-    truncation effect itself, not resampling noise.  `trials`, if given,
-    must be `simulate_trials(params, sim)`: it is the inner disk's pass,
-    and only the doubled disk is simulated.
+    truncation effect itself, not resampling noise.  `trials`, if given, is
+    the inner disks' pass of `sim`'s trials (`simulate_trials(params, sim)`
+    by default), and only the doubled disks are simulated.
     """
-    radius = _resolve_radius(params, sim)
     if trials is None:
-        trials = simulate_trials(params, replace(sim, region_radius=radius))
+        trials = simulate_trials(params, sim)
     thresholds = [t.threshold for t in params.tiers]
-    small = coverage_from_tier_max(tier_max_sinr(trials, params.noise), thresholds)
-    large = mc_coverage(params, replace(sim, region_radius=2.0 * radius))
+    doubled = _simulate(params, sim, tuple(2.0 * r for r in trials.radii))
+    small, large = (coverage_from_tier_max(tier_max_sinr(t, params.noise), thresholds)
+                    for t in (trials, doubled))
     return abs(large.mean - small.mean)

@@ -516,6 +516,7 @@ class TestMain:
         # A threshold or noise sweep's own pass is the drift's inner disk;
         # only the doubled disk is simulated again.  A nakagami_pair sweep
         # (two points here) simulates each point, and the drift both disks.
+        # Every pass, the doubled disks' too, runs through mcsim._simulate.
         cfg = base_config()
         cfg["sweep"] = {"variable": variable, "start": 1.0, "stop": 2.0,
                         "points": 2, "methods": ["mc"]}
@@ -523,8 +524,8 @@ class TestMain:
         config = load_config(path)
         expected = mcsim.radius_doubling_drift(config.params, config.sim)
         calls = [0]
-        counted = counting(mcsim.simulate_trials, calls)
-        monkeypatch.setattr(mcsim, "simulate_trials", counted)
+        counted = counting(mcsim._simulate, calls)
+        monkeypatch.setattr(mcsim, "_simulate", counted)
         assert main(["--config", path, "--radius-check"]) == 0
         assert calls[0] == passes
         assert f"radius-doubling coverage drift: {expected:.3e}\n" in capsys.readouterr().err

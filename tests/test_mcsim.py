@@ -19,12 +19,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from hetnetcov import mcsim
+from hetnetcov import analysis, mcsim
 from hetnetcov.mcsim import (
     Estimate,
     SimConfig,
     coverage_from_tier_max,
-    default_region_radius,
+    default_region_radii,
     mc_conditional_rate,
     mc_coverage,
     radius_doubling_drift,
@@ -95,6 +95,33 @@ class TestGeometry:
         large = sample_geometry(net, sim_config(region_radius=6.0), 5)
         for ds, dl in zip(small.distances, large.distances):
             np.testing.assert_array_equal(ds, dl[: len(ds)])
+
+    def test_zero_uniform_gives_a_zero_gap(self, monkeypatch):
+        # Generator.random can return 0.  Its gap must be -ln(1 - 0) = 0,
+        # not the infinite -ln(0), which would end the tier's arrivals and
+        # warn of a division by zero.
+        net = make_network(densities=(2.0,), powers=(1.0,), thresholds=(2.0,),
+                           shapes=(1,))
+        sim = sim_config(region_radius=5.0)
+        stream = mcsim._stream
+
+        class FirstZero:
+            def __init__(self, rng):
+                self.rng, self.first = rng, True
+
+            def random(self, size):
+                u = self.rng.random(size)
+                if self.first:
+                    u[0], self.first = 0.0, False
+                return u
+
+        monkeypatch.setattr(mcsim, "_stream", lambda *args: FirstZero(stream(*args)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = sample_geometry(net, sim, 0).distances[0]
+        assert d[0] == 0.0
+        assert len(d) > 100  # 157 expected
+        assert np.all(d < 5.0)
 
     def test_fading_prefix_property(self):
         # The first n BSs of a tier draw the same fading whatever follows.
@@ -220,7 +247,7 @@ class TestKernels:
         )
         sim = sim_config(n_geometry=20, n_fading=50, region_radius=3.0)
         trials = simulate_trials(net, sim)
-        denom_const = noise + tail_mean_interference(net, 3.0)
+        denom_const = noise + tail_mean_interference(net, (3.0,) * n_tiers)
         expected = np.zeros((sim.n_geometry, n_tiers, sim.n_fading))
         for g in range(sim.n_geometry):
             rz = sample_geometry(net, sim, g)
@@ -234,7 +261,8 @@ class TestKernels:
                 if len(r):
                     expected[g, k] = (r / (total - r)).max(axis=0)
         np.testing.assert_array_equal(tier_max_sinr(trials, noise), expected)
-        assert trials.tail == tail_mean_interference(net, 3.0)
+        assert trials.tail == tail_mean_interference(net, (3.0,) * n_tiers)
+        assert trials.radii == (3.0,) * n_tiers
 
 
 class TestUnionSemantics:
@@ -387,19 +415,24 @@ class TestWorkers:
     def test_small_pass_runs_as_one_worker(self, monkeypatch, forks):
         monkeypatch.setattr(mcsim, "_WORKER_DRAWS", self.WORKER_DRAWS)
         self.cpus(monkeypatch, 3)
-        # 51 x 20 trials of 250 BSs with M + 1 = 23/6 on average: 9.8e5 draws.
+        # 51 x 20 trials of 57 BSs at M + 1 = 3 and 38 at M + 1 = 4: 3.3e5 draws.
         assert simulate_trials(self.NET, self.SIM).received.tobytes() == \
             simulate_trials(self.NET, self.SIM).received.tobytes()
         assert forks == []
 
+    # Expected draws at 100 fading samples in the default per-tier disks:
+    # 52 + 31 BSs at M = (1,1), 57 + 38 at M = (2,3).
     @pytest.mark.parametrize("shapes, n_geometry, n_cpus, workers", [
-        ((1, 1), 150, 2, 1),   # 7.5e6 draws
-        ((1, 1), 170, 2, 1),   # 8.5e6: one range of _WORKER_DRAWS
-        ((1, 1), 330, 2, 2),   # 1.65e7: two
-        ((2, 3), 300, 2, 2),   # 2.9e7
-        ((2, 3), 300, 3, 3),
-        ((2, 3), 300, 8, 3),
+        ((1, 1), 150, 2, 1),   # 2.5e6 draws
+        ((1, 1), 170, 2, 1),   # 2.8e6
+        ((1, 1), 330, 2, 1),   # 5.5e6
+        ((2, 3), 300, 2, 1),   # 9.7e6: one range of _WORKER_DRAWS
+        ((2, 3), 300, 3, 1),
+        ((2, 3), 300, 8, 1),
         ((2, 3), 10000, 8, 8),
+        ((1, 1), 480, 2, 1),   # 7.9e6
+        ((1, 1), 970, 2, 2),   # 1.6e7: two
+        ((2, 3), 750, 8, 3),   # 2.4e7
     ])
     def test_worker_count_by_pass_size(self, monkeypatch, shapes, n_geometry, n_cpus,
                                        workers):
@@ -407,8 +440,7 @@ class TestWorkers:
         self.cpus(monkeypatch, n_cpus)
         net = make_network(shapes=shapes)
         sim = sim_config(n_geometry=n_geometry, n_fading=100)
-        radius = default_region_radius(net)
-        assert mcsim._worker_count(net, sim, radius) == workers
+        assert mcsim._worker_count(net, sim, default_region_radii(net)) == workers
 
     def test_pass_from_a_thread_with_another_alive(self, monkeypatch, forks):
         # Forking a process with other Python threads is unsafe, so the
@@ -479,17 +511,116 @@ class TestWorkers:
         assert_no_child()
 
 
+def tail_variance(net, radii):
+    """Campbell's variance of the interference beyond the disks."""
+    a = net.alpha
+    return sum(t.density * t.power ** 2 * t.nakagami_m * (t.nakagami_m + 1) * math.pi
+               * r ** (2.0 - 2.0 * a) / (a - 1.0) for t, r in zip(net.tiers, radii))
+
+
+def expected_counts(net, radii):
+    return [t.density * math.pi * r * r for t, r in zip(net.tiers, radii)]
+
+
+def sparse_strong_network(swap=False):
+    """A sparse strong tier over a dense weak one, beta = 1 dB: the 250-BS
+    common disk holds 0.25 BSs of the strong tier."""
+    beta = 10.0 ** 0.1  # 1 dB
+    tiers = [TierParams(density=0.01, power=1e4, threshold=beta),
+             TierParams(density=10.0, power=1.0, threshold=beta)]
+    if swap:
+        tiers.reverse()
+    return NetworkParams(alpha=3.0, noise=1e-4, tiers=tuple(tiers))
+
+
+N_MIN_TWO_TIERS = 2.0 * math.log(2.0 * 2 / 1e-4)
+
+
 class TestTruncation:
     def test_tail_mean_value(self):
         # sum lam P M * 2 pi R^(2-a) / (a - 2) by hand for the two-tier case.
         net = make_network(shapes=(2, 1))
-        expected = (1.0 * 25.0 * 2 + 5.0 * 1.0 * 1) * 2.0 * math.pi * 4.0 ** -1.0 / 1.0
-        assert tail_mean_interference(net, 4.0) == pytest.approx(expected, rel=1e-12)
+        expected = (1.0 * 25.0 * 2 * 4.0 ** -1.0 + 5.0 * 1.0 * 1 * 2.0 ** -1.0) * 2.0 * math.pi
+        assert tail_mean_interference(net, (4.0, 2.0)) == pytest.approx(expected, rel=1e-12)
+
+    def test_tail_mean_takes_one_radius_per_tier(self):
+        with pytest.raises(ValueError):
+            tail_mean_interference(make_network(), (4.0,))
+
+    # Figure networks where no floor binds (at alpha = 2.5 and M = (1,1),
+    # or at M = (16,1), tier 2 sits on or just above the floor).
+    @pytest.mark.parametrize("alpha, shapes", [
+        (3.0, (1, 1)), (3.0, (2, 3)), (2.5, (2, 3)), (4.0, (1, 1)), (4.0, (2, 3)),
+    ])
+    def test_radii_minimise_draws_at_the_common_disk_variance(self, alpha, shapes):
+        # R_i / R_j is (P_i^2 M_i / P_j^2 M_j)^(1 / (2 alpha)), the tail
+        # variance is the 250-BS common disk's, and moving draws between the
+        # tiers at that variance costs more draws.
+        net = make_network(alpha=alpha, shapes=shapes)
+        radii = default_region_radii(net)
+        assert min(expected_counts(net, radii)) > 1.1 * N_MIN_TWO_TIERS
+        (p0, p1), (m0, m1) = (t.power for t in net.tiers), shapes
+        assert radii[0] / radii[1] == pytest.approx(
+            (p0 ** 2 * m0 / (p1 ** 2 * m1)) ** (1.0 / (2.0 * alpha)), rel=1e-12)
+        common = math.sqrt(250.0 / (math.pi * 6.0))
+        assert tail_variance(net, radii) == pytest.approx(
+            tail_variance(net, (common, common)), rel=1e-12)
+
+        def draws(r):
+            return sum(t.density * (t.nakagami_m + 1) * x * x for t, x in zip(net.tiers, r))
+
+        for factor in (0.9, 1.1):
+            # Rescale tier 0 and solve tier 1 for the same variance.
+            r0 = radii[0] * factor
+            t0, t1 = net.tiers
+            rest = tail_variance(net, radii) - tail_variance(replace(net, tiers=(t0,)), (r0,))
+            unit = tail_variance(replace(net, tiers=(t1,)), (1.0,))
+            r1 = (rest / unit) ** (1.0 / (2.0 - 2.0 * alpha))
+            assert draws((r0, r1)) > draws(radii)
+
+    def test_floor_raises_a_weak_sparse_tier(self):
+        # The variance rule gives a tier that is both weak and sparse
+        # (0.1 BSs per unit area at P = 1) a disk of 2.7 BSs; the floor
+        # raises it to n_min and leaves the strong tier's radius.
+        net = make_network(densities=(1.0, 0.1))
+        radii = default_region_radii(net)
+        counts = expected_counts(net, radii)
+        assert counts[1] == pytest.approx(N_MIN_TWO_TIERS, rel=1e-12)
+        # Tier 0 keeps s^2 (P_0^2 M_0)^(1/3) with c = (2, 0.2) and, powers
+        # taken relative to 25, w = (1, 1/625).
+        common2 = 250.0 / (math.pi * 1.1)
+        s2 = common2 * ((2.0 + 0.2 * 625.0 ** (-1.0 / 3.0)) / (2.0 + 0.2 / 625.0)) ** 0.5
+        assert radii[0] ** 2 == pytest.approx(s2, rel=1e-12)
+        assert counts[0] > N_MIN_TWO_TIERS
+        common = math.sqrt(common2)
+        assert tail_variance(net, radii) < tail_variance(net, (common, common))
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["strong-first", "strong-last"])
+    def test_floor_widens_a_common_disk_that_cuts_a_tier(self, swap):
+        # The 250-BS common disk holds 0.25 strong BSs; the variance is
+        # matched to a common disk widened to hold n_min of them.
+        net = sparse_strong_network(swap)
+        radii = default_region_radii(net)
+        assert min(expected_counts(net, radii)) >= N_MIN_TWO_TIERS
+        widened = math.sqrt(N_MIN_TWO_TIERS / (math.pi * 0.01))
+        assert tail_variance(net, radii) == pytest.approx(
+            tail_variance(net, (widened, widened)), rel=1e-12)
 
     def test_default_radius_targets_count(self):
-        net = make_network()
-        r = default_region_radius(net)
-        assert math.pi * r * r * 6.0 == pytest.approx(250.0, rel=1e-12)
+        # One tier keeps the common disk of 250 BSs at any shape.
+        for m in (1, 2, 16):
+            net = make_network(densities=(2.0,), powers=(7.0,), thresholds=(2.0,),
+                               shapes=(m,))
+            (radius,) = default_region_radii(net)
+            assert math.pi * radius * radius * 2.0 == pytest.approx(250.0, rel=1e-12)
+
+    def test_serving_tail_bound(self):
+        # The floor's derivation: a BS with j nearer BSs of its tier covers
+        # only if its Gamma(M) fading beats their sum, which has probability
+        # P(Beta(M, j M) > 1/2) <= 2^-j for every supported M.
+        j = np.arange(1, 400)
+        for m in range(1, MAX_NAKAGAMI_M + 1):
+            assert np.all(stats.beta.sf(0.5, m, j * m) <= 2.0 ** -j * (1 + 1e-12))
 
     # The tail term is smallest against the noise at 1e3 (30 dB).
     @pytest.mark.parametrize("noise", [1e-4, 1e3], ids=["noise1e-4", "noise1e3"])
@@ -498,3 +629,14 @@ class TestTruncation:
         net = make_network(shapes=shapes, noise=noise)
         sim = sim_config(n_geometry=500, n_fading=10)
         assert radius_doubling_drift(net, sim) < 1e-3
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["strong-first", "strong-last"])
+    def test_sparse_strong_tier(self, swap):
+        # With one disk of 250 BSs for all tiers the drift read 2.2e-2 and
+        # MC coverage sat 6.2 SE (3.9 SE swapped) below the reference.
+        net = sparse_strong_network(swap)
+        for n_geometry, n_fading in ((500, 10), (3000, 50)):
+            sim = sim_config(n_geometry=n_geometry, n_fading=n_fading, seed=5)
+            assert radius_doubling_drift(net, sim) < 1e-3
+        est = mc_coverage(net, sim_config(n_geometry=4000, n_fading=20, seed=8))
+        assert abs(est.mean - analysis.coverage_reference(net).value) <= 3.0 * est.std_error

@@ -7,7 +7,9 @@ densities 1 and 5; powers 25 and 1; beta_1 = 5 dB, beta_2 = 1 dB), it
 prints one markdown row:
 
   - the expected number of BSs in the per-tier disks;
-  - seconds per simulation pass;
+  - the pass's worker count (`mcsim._worker_count`: the CPUs of the
+    affinity mask, at most one per `mcsim._WORKER_DRAWS` expected draws)
+    and its seconds;
   - the MC coverage and its geometry-clustered SE;
   - z = (MC - exact) / SE against `analysis.coverage_reference`;
   - `mcsim.radius_doubling_drift`, on common random numbers (the pass is
@@ -57,8 +59,8 @@ def main() -> int:
 
     print(f"{args.geometries} geometries x {args.fading} draws, seed {args.seed}; "
           f"drift resolution 1/trials = {1.0 / n_trials:.0e}\n")
-    print("| anchor | BSs | M | σ² | s/pass | coverage | SE | z | drift |")
-    print("|---|---|---|---|---|---|---|---|---|")
+    print("| anchor | BSs | M | σ² | workers | s/pass | coverage | SE | z | drift |")
+    print("|---|---|---|---|---|---|---|---|---|---|")
     rows = {}
     for shapes in SHAPES:
         net = figure_network(shapes)
@@ -67,6 +69,7 @@ def main() -> int:
                                   seed=args.seed)
             radii = mcsim.default_region_radii(net, count)
             n_bs = sum(t.density * math.pi * r * r for t, r in zip(net.tiers, radii))
+            workers = mcsim._worker_count(net, sim, radii)
             start = time.perf_counter()
             trials = mcsim._simulate(net, sim, radii)
             seconds = time.perf_counter() - start
@@ -80,7 +83,7 @@ def main() -> int:
                               * n_trials) / n_trials
                 rows[count, (shapes, noise)] = (est.std_error, drift)
                 print(f"| {count:,.0f} | {n_bs:.0f} | ({shapes[0]},{shapes[1]}) | {noise:g} "
-                      f"| {seconds:.2f} "
+                      f"| {workers} | {seconds:.2f} "
                       f"| {est.mean:.4f} | {est.std_error:.5f} | {z:+.2f} | {drift:.1e} |")
 
     largest = COUNTS[-1]

@@ -56,6 +56,8 @@ __all__ = [
 # A closed-form probability outside [0,1] by more than this is a formula
 # bug, not floating-point noise.
 _CLAMP_TOL = 1e-9
+# Relative accuracy `rate_reference` demands of each quadrature piece.
+_RATE_REL_TOL = 1e-8
 
 
 class Method(Enum):
@@ -347,7 +349,7 @@ def rate_exact_at(params: NetworkParams, thresholds, noises) -> np.ndarray:
                                Method.QUADRATURE_REFERENCE)
 
 
-def rate_reference(params: NetworkParams, rel_tol: float = 1e-8) -> RateResult:
+def rate_reference(params: NetworkParams) -> RateResult:
     """Quadrature of int_0^inf P(X > y | C) / (1 + y) dy.
 
     Integrated piecewise between the tier thresholds (the CCDF has kinks
@@ -364,18 +366,18 @@ def rate_reference(params: NetworkParams, rel_tol: float = 1e-8) -> RateResult:
     total += math.log1p(thresholds[0])
     for lo, hi in zip(thresholds, thresholds[1:]):
         part, err = integrate.quad(lambda y: ccdf(y) / (1.0 + y), lo, hi,
-                                   epsabs=0.0, epsrel=rel_tol * 0.01, limit=200)
-        _check_quad(part, err, rel_tol)
+                                   epsabs=0.0, epsrel=_RATE_REL_TOL * 0.01, limit=200)
+        _check_quad(part, err)
         total += part
     tail, err = integrate.quad(lambda y: ccdf(y) / (1.0 + y), thresholds[-1],
-                               math.inf, epsabs=0.0, epsrel=rel_tol * 0.01, limit=200)
-    _check_quad(tail, err, rel_tol)
+                               math.inf, epsabs=0.0, epsrel=_RATE_REL_TOL * 0.01, limit=200)
+    _check_quad(tail, err)
     total += tail
     return RateResult(value=total, method=Method.QUADRATURE_REFERENCE)
 
 
-def _check_quad(value: float, abserr: float, rel_tol: float) -> None:
-    if value != 0.0 and abserr > rel_tol * abs(value):
+def _check_quad(value: float, abserr: float) -> None:
+    if value != 0.0 and abserr > _RATE_REL_TOL * abs(value):
         raise QuadratureError(
             f"rate quadrature did not converge: value={value}, abserr={abserr}"
         )

@@ -385,7 +385,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--bits", action="store_true",
                         help="report rate in bits (default: nats)")
     parser.add_argument("--radius-check", action="store_true",
-                        help="also report the radius-doubling truncation drift on stderr")
+                        help="also report the radius-doubling truncation drift, with its "
+                             "one-trial resolution, on stderr")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -416,7 +417,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.radius_check:
             # The sweep's own pass, if it made one, is the inner disk's.
             drift = mcsim.radius_doubling_drift(config.params, config.sim, trials=trials)
-            print(f"radius-doubling coverage drift: {drift:.3e}", file=sys.stderr)
+            resolution = 1.0 / (config.sim.n_geometry * config.sim.n_fading)
+            print(f"radius-doubling coverage drift: {drift:.3e} "
+                  f"(resolution 1/trials = {resolution:.1e})", file=sys.stderr)
     except (QuadratureError, ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

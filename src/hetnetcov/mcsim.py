@@ -8,7 +8,9 @@ times of a rate lambda*pi process, with gaps -ln(1 - U), which (a)
 reproduces the disk PPP exactly (Poisson count, d = R sqrt(u) distance
 law) and (b) keeps the near-field points identical when a radius is
 enlarged, so the radius-doubling self-check measures truncation bias
-rather than resampling noise.  Fading power is Gamma(M, 1) with integer
+rather than resampling noise.  A pass samples a tier's arrivals for its
+whole range of geometries as one array, a row per geometry
+(`sample_geometries`).  Fading power is Gamma(M, 1) with integer
 M, drawn as -ln prod_{j<M} U_j from M uniforms U_j on (0, 1] into one
 (BS, draw) block per geometry.  Each BS takes exactly M * n_fading
 consecutive values of its tier's stream, BS-major, so the draws of the
@@ -34,10 +36,13 @@ generator's state jumped g times, that is from numpy's documented
 `PCG64DXSM(SeedSequence((seed, tier, purpose))).jumped(g)`.  A jump is
 (golden ratio - 1) * 2**128 draws, so any n geometries start at least
 about 2**128 / (3 n) draws apart and their draws never overlap.  A pass
-reuses its thread's generator, setting it to the base state and advancing
-it by g jumps for each geometry, which costs a fifth of a fresh
-SeedSequence and bit-generator build; passes run from several threads at
-once share none.  A geometry's draws are thus a pure function of
+reuses its thread's generator.  It reaches the first geometry of its range
+by setting the base state and advancing it by first_g jumps, and each later
+one by the jump map: a jump takes the 128-bit LCG state s to
+a s + c mod 2**128, with a and c read once per (seed, tier, purpose) off
+numpy's own `advance`, so the stepped states are still numpy's `jumped(g)`
+(`_Streams`).  Passes run from several threads at once share no
+generator.  A geometry's draws are thus a pure function of
 (seed, g, tier, purpose), independent of the fading shapes M and of which
 worker runs it, so a fixed seed gives the same results on any number of
 cores.
@@ -81,6 +86,7 @@ __all__ = [
     "default_region_radii",
     "tail_mean_interference",
     "sample_geometry",
+    "sample_geometries",
     "sample_fading",
     "snapshot_sinrs",
     "simulate_trials",
@@ -240,8 +246,23 @@ def tail_mean_interference(params: NetworkParams, radii: Sequence[float]) -> flo
 
 
 @functools.lru_cache(maxsize=1024)
-def _base_state(seed: int, tier_index: int, purpose: int) -> dict:
-    return np.random.PCG64DXSM(np.random.SeedSequence((seed, tier_index, purpose))).state
+def _jump_map(seed: int, tier_index: int, purpose: int) -> tuple[dict, int, int]:
+    """(base state, a, c) of the (seed, tier_index, purpose) stream: one jump
+    takes its 128-bit LCG state s to a * s + c mod 2**128.
+
+    PCG64DXSM's step is affine in the state at a fixed increment, and so is
+    any number of steps; a and c are read off numpy's own `advance(_JUMP)`
+    at the states 0 and 1.
+    """
+    bit_generator = np.random.PCG64DXSM(np.random.SeedSequence((seed, tier_index, purpose)))
+    base = bit_generator.state
+    jumped = []
+    for s in (0, 1):
+        state = dict(base, state=dict(base["state"], state=s))
+        bit_generator.state = state
+        bit_generator.advance(_JUMP)
+        jumped.append(bit_generator.state["state"]["state"])
+    return base, (jumped[1] - jumped[0]) % 2**128, jumped[0]
 
 
 def _stream(seed: int, geometry_index: int, tier_index: int, purpose: int) -> np.random.Generator:
@@ -254,9 +275,42 @@ def _stream(seed: int, geometry_index: int, tier_index: int, purpose: int) -> np
     if rng is None:
         rng = _thread_local.rng = np.random.Generator(np.random.PCG64DXSM())
     bit_generator = rng.bit_generator
-    bit_generator.state = _base_state(seed, tier_index, purpose)
+    bit_generator.state = _jump_map(seed, tier_index, purpose)[0]
     bit_generator.advance(geometry_index * _JUMP % 2**128)
     return rng
+
+
+class _Streams:
+    """One purpose's streams of every tier, for geometries first_g to
+    first_g + n - 1.
+
+    `at(g, tier_index)` is `_stream(seed, g, tier_index, purpose)`: this
+    thread's generator in the state of numpy's `jumped(g)`, valid until the
+    thread's next call.  The states of first_g are reached by one `advance`
+    each; those of the later geometries are stepped by the jump map
+    (`_jump_map`), which costs less than an `advance`.
+    """
+
+    def __init__(self, seed: int, purpose: int, n_tiers: int, first_g: int, n: int):
+        self.first_g = first_g
+        self.templates, self.states = [], []
+        for tier_index in range(n_tiers):
+            _, a, c = _jump_map(seed, tier_index, purpose)
+            self.rng = _stream(seed, first_g, tier_index, purpose)
+            template = self.rng.bit_generator.state
+            s = template["state"]["state"]
+            states = [s]
+            for _ in range(n - 1):
+                s = (a * s + c) % 2**128
+                states.append(s)
+            self.templates.append(template)
+            self.states.append(states)
+
+    def at(self, g: int, tier_index: int) -> np.random.Generator:
+        template = self.templates[tier_index]
+        template["state"]["state"] = self.states[tier_index][g - self.first_g]
+        self.rng.bit_generator.state = template
+        return self.rng
 
 
 def sample_geometry(params: NetworkParams, sim: SimConfig, stream_index: int,
@@ -264,26 +318,61 @@ def sample_geometry(params: NetworkParams, sim: SimConfig, stream_index: int,
     """One PPP realization: sorted per-tier BS distances, tier i's inside
     radius radii[i] (by default the sim's disks).
 
+    The length-1 case of `sample_geometries`.
+    """
+    return sample_geometries(params, sim, stream_index, 1, radii)[0]
+
+
+def sample_geometries(params: NetworkParams, sim: SimConfig, first_g: int, n: int,
+                      radii: Sequence[float] | None = None) -> list[Realization]:
+    """Realizations of geometries first_g, ..., first_g + n - 1, tier i's BSs
+    inside radius radii[i] (by default the sim's disks).
+
     The gaps between squared distances are -ln(1 - U) / (lam pi), U from
-    `Generator.random` on [0, 1), so no gap is infinite.
+    `Generator.random` on [0, 1), so no gap is infinite.  Each geometry
+    draws one chunk of a tier's expected count plus six standard deviations
+    (at least 16) from its own stream into one row of an (n, chunk) array,
+    and the gaps, their running sums and the distances are taken for all
+    rows at once.  A row whose chunk ends inside the disk draws further
+    chunks of its stream, as a one-geometry loop would: for any expected
+    count that is a chance below 3e-6 per row and tier.
     """
     model.require_valid(params)
     if radii is None:
         radii = _radii(params, sim)
-    per_tier = []
-    for tier_index, (tier, radius) in enumerate(zip(params.tiers, radii, strict=True)):
-        rng = _stream(sim.seed, stream_index, tier_index, _GEOMETRY_STREAM)
-        r2_max = radius * radius
-        rate = tier.density * math.pi
-        expected = rate * r2_max
-        chunk = max(16, int(expected + 6.0 * math.sqrt(expected + 1.0)))
-        gaps = -np.log(1.0 - rng.random(chunk))
-        arrivals = np.cumsum(gaps) / rate
-        while arrivals[-1] < r2_max:
+    streams = _Streams(sim.seed, _GEOMETRY_STREAM, params.n_tiers, first_g, n)
+    per_tier = [_distances(streams, tier_index, tier.density * math.pi, radius * radius, n)
+                for tier_index, (tier, radius) in enumerate(zip(params.tiers, radii, strict=True))]
+    return [Realization(distances=distances) for distances in zip(*per_tier)]
+
+
+def _distances(streams: _Streams, tier_index: int, rate: float, r2_max: float,
+               n: int) -> list[np.ndarray]:
+    """Sorted distances of one tier's arrivals of rate `rate` below `r2_max`,
+    for each of the n geometries of `streams`."""
+    expected = rate * r2_max
+    chunk = max(16, int(expected + 6.0 * math.sqrt(expected + 1.0)))
+    arrivals = np.empty((n, chunk))
+    for g, row in enumerate(arrivals, start=streams.first_g):
+        streams.at(g, tier_index).random(out=row)
+    np.subtract(1.0, arrivals, out=arrivals)
+    np.log(arrivals, out=arrivals)
+    np.negative(arrivals, out=arrivals)
+    np.cumsum(arrivals, axis=1, out=arrivals)
+    arrivals /= rate
+    counts = np.count_nonzero(arrivals < r2_max, axis=1)
+    # Rows whose chunk ends inside the disk, before the square root.
+    short = {i: arrivals[i].copy() for i in np.flatnonzero(counts == chunk)}
+    np.sqrt(arrivals, out=arrivals)
+    distances = [row[:count] for row, count in zip(arrivals, counts)]
+    for i, row in short.items():
+        rng = streams.at(streams.first_g + i, tier_index)
+        rng.bit_generator.advance(chunk)  # past the chunk's values
+        while row[-1] < r2_max:
             gaps = -np.log(1.0 - rng.random(max(16, chunk // 4)))
-            arrivals = np.concatenate([arrivals, arrivals[-1] + np.cumsum(gaps) / rate])
-        per_tier.append(np.sqrt(arrivals[:np.searchsorted(arrivals, r2_max)]))
-    return Realization(distances=tuple(per_tier))
+            row = np.concatenate([row, row[-1] + np.cumsum(gaps) / rate])
+        distances[i] = np.sqrt(row[:np.searchsorted(row, r2_max)])
+    return distances
 
 
 def sample_fading(
@@ -303,22 +392,29 @@ def sample_fading(
     common-random-numbers check).
     """
     model.require_valid(params)
-    block = np.empty((sum(counts), sim.n_fading))
+    streams = _Streams(sim.seed, _FADING_STREAM, params.n_tiers, stream_index, 1)
+    block = _log_fading(params, sim.n_fading, stream_index, counts, streams)
+    return np.negative(block, out=block)
+
+
+def _log_fading(params: NetworkParams, n_fading: int, g: int, counts: Sequence[int],
+                streams: _Streams) -> np.ndarray:
+    """`sample_fading`'s block for geometry g, negated: ln prod_{j<M} U_j."""
+    block = np.empty((sum(counts), n_fading))
     start = 0
     for tier_index, (tier, n_bs) in enumerate(zip(params.tiers, counts)):
-        rng = _stream(sim.seed, stream_index, tier_index, _FADING_STREAM)
+        rng = streams.at(g, tier_index)
         rows = block[start:start + n_bs]
         if tier.nakagami_m == 1:
             rng.random(out=rows)
             np.subtract(1.0, rows, out=rows)
         else:
-            u = rng.random((n_bs, tier.nakagami_m, sim.n_fading))
+            u = rng.random((n_bs, tier.nakagami_m, n_fading))
             np.subtract(1.0, u, out=u)
             np.multiply(u[:, 0], u[:, 1], out=rows)
             for j in range(2, tier.nakagami_m):
                 rows *= u[:, j]
         np.log(rows, out=rows)
-        np.negative(rows, out=rows)
         start += n_bs
     return block
 
@@ -359,12 +455,20 @@ def simulate_trials(params: NetworkParams, sim: SimConfig) -> Trials:
     into one contiguous range per worker (see Workers in the module
     docstring); the result does not depend on how many there are.
     """
+    return _simulate(params, sim)
+
+
+def _simulate(params: NetworkParams, sim: SimConfig,
+              radii: tuple[float, ...] | None = None) -> Trials:
+    """`simulate_trials` with tier i observed inside radius radii[i] (by
+    default the sim's disks).
+
+    The network is validated here, before any worker is forked, and not
+    again per geometry.
+    """
     model.require_valid(params)
-    return _simulate(params, sim, _radii(params, sim))
-
-
-def _simulate(params: NetworkParams, sim: SimConfig, radii: tuple[float, ...]) -> Trials:
-    """`simulate_trials` with tier i observed inside radius radii[i]."""
+    if radii is None:
+        radii = _radii(params, sim)
     tail = tail_mean_interference(params, radii)
     shape = (sim.n_geometry, params.n_tiers + 1, sim.n_fading)
     # Anonymous shared memory, zero-filled like np.zeros, written by every
@@ -414,16 +518,19 @@ def _fill(params: NetworkParams, sim: SimConfig, radii: tuple[float, ...],
           out: np.ndarray, first_g: int) -> None:
     """Write the pass's rows of geometries first_g, first_g + 1, ... into `out`."""
     n_tiers = params.n_tiers
-    for g, res in enumerate(out, start=first_g):
-        realization = sample_geometry(params, sim, g, radii)
+    realizations = sample_geometries(params, sim, first_g, len(out), radii)
+    fading = _Streams(sim.seed, _FADING_STREAM, n_tiers, first_g, len(out))
+    # Negative: `_log_fading` gives -h, and (-P) w (-h) is P w h exactly.
+    scales = [-tier.power for tier in params.tiers]
+    for g, (realization, res) in enumerate(zip(realizations, out), start=first_g):
         counts = [len(d) for d in realization.distances]
         # Scaled in place to the received powers P d^-alpha h.
-        received = sample_fading(params, sim, g, counts)
+        received = _log_fading(params, sim.n_fading, g, counts, fading)
         start = 0
-        for k, (tier, d) in enumerate(zip(params.tiers, realization.distances)):
+        for k, (scale, d) in enumerate(zip(scales, realization.distances)):
             if len(d):
                 rows = received[start:start + len(d)]
-                rows *= (tier.power * d ** -params.alpha)[:, None]
+                rows *= (scale * d ** -params.alpha)[:, None]
                 rows.max(axis=0, out=res[k])
             start += len(d)
         received.sum(axis=0, out=res[n_tiers])

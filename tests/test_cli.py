@@ -528,7 +528,9 @@ class TestMain:
         monkeypatch.setattr(mcsim, "_simulate", counted)
         assert main(["--config", path, "--radius-check"]) == 0
         assert calls[0] == passes
-        assert f"radius-doubling coverage drift: {expected:.3e}\n" in capsys.readouterr().err
+        resolution = 1.0 / (config.sim.n_geometry * config.sim.n_fading)
+        assert (f"radius-doubling coverage drift: {expected:.3e} "
+                f"(resolution 1/trials = {resolution:.1e})\n") in capsys.readouterr().err
 
     @pytest.mark.parametrize("variable, shape, methods, code", [
         ("beta1_db", 16, ["closed"], 1), ("beta1_db", 12, ["closed"], 1),

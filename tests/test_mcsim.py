@@ -103,25 +103,69 @@ class TestGeometry:
         net = make_network(densities=(2.0,), powers=(1.0,), thresholds=(2.0,),
                            shapes=(1,))
         sim = sim_config(region_radius=5.0)
-        stream = mcsim._stream
+        at = mcsim._Streams.at
 
         class FirstZero:
             def __init__(self, rng):
                 self.rng, self.first = rng, True
 
-            def random(self, size):
-                u = self.rng.random(size)
+            def random(self, size=None, out=None):
+                u = self.rng.random(size, out=out)
                 if self.first:
-                    u[0], self.first = 0.0, False
+                    u.flat[0], self.first = 0.0, False
                 return u
 
-        monkeypatch.setattr(mcsim, "_stream", lambda *args: FirstZero(stream(*args)))
+        monkeypatch.setattr(mcsim._Streams, "at", lambda *args: FirstZero(at(*args)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             d = sample_geometry(net, sim, 0).distances[0]
         assert d[0] == 0.0
         assert len(d) > 100  # 157 expected
         assert np.all(d < 5.0)
+
+    def test_range_row_whose_chunk_ends_inside_the_disk(self, monkeypatch):
+        # Geometry 5's uniforms are scaled down, so its gaps are short and
+        # its first chunk of draws ends inside the disk.  Its row of the
+        # range, and every other row, equals sample_geometry's and the
+        # one-geometry loop drawn from numpy's jumped(g), byte for byte.
+        net = make_network(densities=(2.0, 0.5), powers=(1.0, 4.0), thresholds=(2.0, 2.0))
+        sim = sim_config(region_radius=4.0)
+        scale, dense = 0.25, 5
+        at = mcsim._Streams.at
+
+        class Scaled:
+            def __init__(self, rng):
+                self.rng, self.bit_generator = rng, rng.bit_generator
+
+            def random(self, size=None, out=None):
+                u = self.rng.random(size, out=out)
+                u *= scale
+                return u
+
+        monkeypatch.setattr(mcsim._Streams, "at", lambda self, g, tier: (
+            Scaled(at(self, g, tier)) if g == dense else at(self, g, tier)))
+
+        def loop(g, tier):
+            rng = np.random.Generator(np.random.PCG64DXSM(
+                np.random.SeedSequence((sim.seed, tier, _GEOMETRY_STREAM))).jumped(g))
+            factor = scale if g == dense else 1.0
+            rate, r2_max = net.tiers[tier].density * math.pi, sim.region_radius ** 2
+            expected = rate * r2_max
+            chunk = max(16, int(expected + 6.0 * math.sqrt(expected + 1.0)))
+            arrivals = np.cumsum(-np.log(1.0 - factor * rng.random(chunk))) / rate
+            while arrivals[-1] < r2_max:
+                gaps = -np.log(1.0 - factor * rng.random(max(16, chunk // 4)))
+                arrivals = np.concatenate([arrivals, arrivals[-1] + np.cumsum(gaps) / rate])
+            return np.sqrt(arrivals[:np.searchsorted(arrivals, r2_max)]), chunk
+
+        realizations = mcsim.sample_geometries(net, sim, 3, 4)
+        for g, realization in enumerate(realizations, start=3):
+            single = sample_geometry(net, sim, g)
+            for tier, d in enumerate(realization.distances):
+                expected, chunk = loop(g, tier)
+                assert d.tobytes() == expected.tobytes()
+                assert d.tobytes() == single.distances[tier].tobytes()
+                assert (len(d) > chunk) == (g == dense)
 
     def test_fading_prefix_property(self):
         # The first n BSs of a tier draw the same fading whatever follows.
@@ -160,6 +204,20 @@ class TestGeometry:
             rng = _stream(7, g, 1, purpose)
             assert rng.bit_generator.state == base.jumped(g).state
             rng.random(5)
+
+    @pytest.mark.parametrize("purpose", [_GEOMETRY_STREAM, _FADING_STREAM],
+                             ids=["geometry", "fading"])
+    def test_stepped_states_are_jumped_states(self, purpose):
+        # A range's later states are stepped by the jump map, not advanced
+        # from the base state, and are numpy's jumped(g) all the same.
+        first_g = 2**40 + 3
+        streams = mcsim._Streams(7, purpose, 2, first_g, 50)
+        for tier in (1, 0):
+            base = np.random.PCG64DXSM(np.random.SeedSequence((7, tier, purpose)))
+            for g in range(first_g, first_g + 50):
+                rng = streams.at(g, tier)
+                assert rng.bit_generator.state == base.jumped(g).state
+                rng.random(5)
 
     def test_fading_moments(self):
         # Gamma(M, 1): mean M, variance M.
@@ -465,32 +523,34 @@ class TestWorkers:
         assert results == [expected]
         assert_no_child()
 
+    # The failures are injected into `_log_fading`, which the pass calls
+    # once per geometry.
     def test_failing_worker_raises_its_error(self, monkeypatch):
         # With two workers the forked one owns geometries 25..50; forked
         # children inherit the patch.
         self.cpus(monkeypatch, 2)
-        fading = mcsim.sample_fading
+        fading = mcsim._log_fading
 
-        def failing(params, sim, g, counts):
+        def failing(params, n_fading, g, counts, streams):
             if g >= 25:
                 raise ValueError(f"no fading for geometry {g}")
-            return fading(params, sim, g, counts)
+            return fading(params, n_fading, g, counts, streams)
 
-        monkeypatch.setattr(mcsim, "sample_fading", failing)
+        monkeypatch.setattr(mcsim, "_log_fading", failing)
         with pytest.raises(ValueError, match="no fading for geometry 25$"):
             simulate_trials(self.NET, self.SIM)
         assert_no_child()
 
     def test_failing_first_range_leaves_no_worker(self, monkeypatch):
         self.cpus(monkeypatch, 3)
-        fading = mcsim.sample_fading
+        fading = mcsim._log_fading
 
-        def failing(params, sim, g, counts):
+        def failing(params, n_fading, g, counts, streams):
             if g == 0:
                 raise ValueError("no fading for geometry 0")
-            return fading(params, sim, g, counts)
+            return fading(params, n_fading, g, counts, streams)
 
-        monkeypatch.setattr(mcsim, "sample_fading", failing)
+        monkeypatch.setattr(mcsim, "_log_fading", failing)
         with pytest.raises(ValueError, match="geometry 0"):
             simulate_trials(self.NET, self.SIM)
         assert_no_child()
@@ -499,15 +559,31 @@ class TestWorkers:
         self.cpus(monkeypatch, 3)
         expected = simulate_trials(self.NET, self.SIM).received.tobytes()
         parent = os.getpid()
-        fading = mcsim.sample_fading
+        fading = mcsim._log_fading
 
-        def dying(params, sim, g, counts):
+        def dying(*args):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return fading(params, sim, g, counts)
+            return fading(*args)
 
-        monkeypatch.setattr(mcsim, "sample_fading", dying)
+        monkeypatch.setattr(mcsim, "_log_fading", dying)
         assert simulate_trials(self.NET, self.SIM).received.tobytes() == expected
+        assert_no_child()
+
+    def test_invalid_network_rejected_before_any_fork(self, monkeypatch, forks):
+        # Every pass validates at its entry, also the doubled disks' pass
+        # that radius_doubling_drift runs on a given inner pass.
+        self.cpus(monkeypatch, 3)
+        trials = simulate_trials(self.NET, self.SIM)
+        del forks[:]
+        bad = replace(self.NET, tiers=(replace(self.NET.tiers[0], threshold=0.5),
+                                       self.NET.tiers[1]))
+        message = "tier 0: SINR threshold must exceed 1"
+        with pytest.raises(ValueError, match=message):
+            simulate_trials(bad, self.SIM)
+        with pytest.raises(ValueError, match=message):
+            radius_doubling_drift(bad, self.SIM, trials=trials)
+        assert forks == []
         assert_no_child()
 
 

@@ -264,9 +264,8 @@ def run_sweep(config: RunConfig, rate: bool = False, bits: bool = False,
               threads: int = 1) -> list[dict[str, float]]:
     """Evaluate every requested method at every sweep point.
 
-    `threads` is unused: a simulation pass runs one forked worker per CPU
-    of the process's affinity mask, with the same bytes at any count, and
-    takes no count from its caller.  Only the benchmark harness passes it
+    `threads` is unused: a simulation pass is one sequential pass and takes
+    no count from its caller.  Only the benchmark harness passes it
     (`perfbench/rep.py` on every call, and `run.py`'s thread-invariance
     check through `rep.py --threads 2`); it goes together with that check
     (ROADMAP item 8).
@@ -415,8 +414,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         rows, trials = _sweep(config, args.rate, args.bits)
         if args.radius_check:
-            # The sweep's own pass, if it made one, is the inner disk's.
-            drift = mcsim.radius_doubling_drift(config.params, config.sim, trials=trials)
+            # At the first block's network, which the sweep's own pass, if it
+            # made one, simulated as the inner disks.
+            params = _blocks(config, config.sweep.values())[0][0]
+            drift = mcsim.radius_doubling_drift(params, config.sim, trials=trials)
             resolution = 1.0 / (config.sim.n_geometry * config.sim.n_fading)
             print(f"radius-doubling coverage drift: {drift:.3e} "
                   f"(resolution 1/trials = {resolution:.1e})", file=sys.stderr)

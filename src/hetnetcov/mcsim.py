@@ -35,40 +35,23 @@ SeedSequence((seed, tier, purpose)), and geometry g draws from that
 generator's state jumped g times, that is from numpy's documented
 `PCG64DXSM(SeedSequence((seed, tier, purpose))).jumped(g)`.  A jump is
 (golden ratio - 1) * 2**128 draws, so any n geometries start at least
-about 2**128 / (3 n) draws apart and their draws never overlap.  A pass
-reuses its thread's generator.  It reaches the first geometry of its range
-by setting the base state and advancing it by first_g jumps, and each later
-one by the jump map: a jump takes the 128-bit LCG state s to
-a s + c mod 2**128, with a and c read once per (seed, tier, purpose) off
-numpy's own `advance`, so the stepped states are still numpy's `jumped(g)`
-(`_Streams`).  Passes run from several threads at once share no
-generator.  A geometry's draws are thus a pure function of
-(seed, g, tier, purpose), independent of the fading shapes M and of which
-worker runs it, so a fixed seed gives the same results on any number of
-cores.
-
-Workers: a pass splits the geometries into one contiguous range per CPU
-in the process's affinity mask (`taskset -c 0` gives one), at most one
-per geometry and one per `_WORKER_DRAWS` expected draws (M uniforms and
-a received power per BS and fading sample), so a small pass runs as one
-worker.  It forks a child for every range but the first, which it runs
-itself; each child writes its rows into an anonymous shared mapping and
-leaves by `os._exit`.  The parent waits for every child before the pass
-returns or raises, and runs again any range whose child failed, so an
-error is raised as the one-worker pass raises it.  Forking is safe only
-without other Python threads, so the pass runs as one worker off Linux,
-where `os.fork` is missing, or while another Python thread is alive.
+about 2**128 / (3 n) draws apart and their draws never overlap.  A range
+of geometries draws one purpose from a generator of its own
+(`_Streams`).  It reaches the range's first geometry by setting the base
+state and advancing it by first_g jumps, and each later one by the jump
+map: a jump takes the 128-bit LCG state s to a s + c mod 2**128, with a
+and c read once per (seed, tier, purpose) off numpy's own `advance`, so
+the stepped states are still numpy's `jumped(g)`.  A geometry's draws are
+thus a pure function of (seed, g, tier, purpose), independent of the
+fading shapes M.  Every simulation pass is one sequential pass over its
+geometries, and a fixed seed gives the same bytes.  Passes run from
+several threads at once share no generator.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import mmap
-import os
-import signal
-import sys
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -103,7 +86,6 @@ _FADING_STREAM = 1
 # The state step of numpy's PCG64DXSM.jumped(): (golden ratio - 1) * 2**128,
 # rounded to an odd integer.
 _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
-_thread_local = threading.local()
 
 # Expected number of BSs of the common disk whose tail variance the default
 # per-tier disks keep.  Chosen from the disk table in README
@@ -265,39 +247,27 @@ def _jump_map(seed: int, tier_index: int, purpose: int) -> tuple[dict, int, int]
     return base, (jumped[1] - jumped[0]) % 2**128, jumped[0]
 
 
-def _stream(seed: int, geometry_index: int, tier_index: int, purpose: int) -> np.random.Generator:
-    """This thread's generator, in the state of
-    `PCG64DXSM(SeedSequence((seed, tier_index, purpose))).jumped(geometry_index)`.
-
-    The generator is reused: it is valid until the thread's next call.
-    """
-    rng = getattr(_thread_local, "rng", None)
-    if rng is None:
-        rng = _thread_local.rng = np.random.Generator(np.random.PCG64DXSM())
-    bit_generator = rng.bit_generator
-    bit_generator.state = _jump_map(seed, tier_index, purpose)[0]
-    bit_generator.advance(geometry_index * _JUMP % 2**128)
-    return rng
-
-
 class _Streams:
     """One purpose's streams of every tier, for geometries first_g to
-    first_g + n - 1.
+    first_g + n - 1, on a generator of their own.
 
-    `at(g, tier_index)` is `_stream(seed, g, tier_index, purpose)`: this
-    thread's generator in the state of numpy's `jumped(g)`, valid until the
-    thread's next call.  The states of first_g are reached by one `advance`
+    `at(g, tier_index)` is that generator in the state of numpy's
+    `PCG64DXSM(SeedSequence((seed, tier_index, purpose))).jumped(g)`, valid
+    until the next `at`.  The states of first_g are reached by one `advance`
     each; those of the later geometries are stepped by the jump map
     (`_jump_map`), which costs less than an `advance`.
     """
 
     def __init__(self, seed: int, purpose: int, n_tiers: int, first_g: int, n: int):
         self.first_g = first_g
+        self.rng = np.random.Generator(np.random.PCG64DXSM())
+        bit_generator = self.rng.bit_generator
         self.templates, self.states = [], []
         for tier_index in range(n_tiers):
-            _, a, c = _jump_map(seed, tier_index, purpose)
-            self.rng = _stream(seed, first_g, tier_index, purpose)
-            template = self.rng.bit_generator.state
+            base, a, c = _jump_map(seed, tier_index, purpose)
+            bit_generator.state = base
+            bit_generator.advance(first_g * _JUMP % 2**128)
+            template = bit_generator.state
             s = template["state"]["state"]
             states = [s]
             for _ in range(n - 1):
@@ -451,9 +421,8 @@ def simulate_trials(params: NetworkParams, sim: SimConfig) -> Trials:
     """One simulation pass: per-tier max and total received power per trial.
 
     Tier i is observed in the sim's disk of radius R_i (`sim.region_radius`
-    for every tier, or `default_region_radii`).  The geometries are split
-    into one contiguous range per worker (see Workers in the module
-    docstring); the result does not depend on how many there are.
+    for every tier, or `default_region_radii`).  The geometries run one
+    after another, in one sequential pass.
     """
     return _simulate(params, sim)
 
@@ -463,55 +432,15 @@ def _simulate(params: NetworkParams, sim: SimConfig,
     """`simulate_trials` with tier i observed inside radius radii[i] (by
     default the sim's disks).
 
-    The network is validated here, before any worker is forked, and not
-    again per geometry.
+    The network is validated here, before any draw, and not again per
+    geometry.
     """
     model.require_valid(params)
     if radii is None:
         radii = _radii(params, sim)
-    tail = tail_mean_interference(params, radii)
-    shape = (sim.n_geometry, params.n_tiers + 1, sim.n_fading)
-    # Anonymous shared memory, zero-filled like np.zeros, written by every
-    # worker and returned as it is.
-    out = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
-    workers = _worker_count(params, sim, radii)
-    bounds = [sim.n_geometry * w // workers for w in range(workers + 1)]
-
-    def fill(w: int) -> None:
-        _fill(params, sim, radii, out[bounds[w]:bounds[w + 1]], bounds[w])
-
-    children: dict[int, int] = {}  # pid -> index of its range
-    failed = []
-    try:
-        for w in range(1, workers):
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: those ranges run here
-                failed.extend(range(w, workers))
-                break
-            if pid == 0:
-                status = 1
-                try:
-                    fill(w)
-                    status = 0
-                finally:
-                    os._exit(status)
-            children[pid] = w
-        fill(0)
-    except BaseException:
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, w in children.items():
-            if os.waitpid(pid, 0)[1] != 0:
-                failed.append(w)
-    # A worker that raised or was killed, or could not be started, left its
-    # rows unfinished: they are computed here, so an error surfaces as the
-    # one-worker pass raises it.
-    for w in failed:
-        fill(w)
-    return Trials(received=out, tail=tail, radii=radii)
+    out = np.zeros((sim.n_geometry, params.n_tiers + 1, sim.n_fading))
+    _fill(params, sim, radii, out, 0)
+    return Trials(received=out, tail=tail_mean_interference(params, radii), radii=radii)
 
 
 def _fill(params: NetworkParams, sim: SimConfig, radii: tuple[float, ...],
@@ -534,29 +463,6 @@ def _fill(params: NetworkParams, sim: SimConfig, radii: tuple[float, ...],
                 rows.max(axis=0, out=res[k])
             start += len(d)
         received.sum(axis=0, out=res[n_tiers])
-
-
-# Expected draws a forked range must hold.  A fork, its copy-on-write
-# faults and the child's exit cost the parent about 8 ms (an 83 MB process,
-# 2-core 2.1 GHz Xeon), and a draw 5-8 ns, so a range of this size takes
-# about six forks' time.  Split in two, the Rayleigh pass at 150 x 100
-# trials (7.5e6 draws) saved 13 of 61 ms, and the time of a sweep of two
-# such passes spread twice as widely from run to run as on one core; at
-# M = (2,3), 300 x 100 (2.9e7 draws), two workers took 111 against 168 ms.
-_WORKER_DRAWS = 8_000_000
-
-
-def _worker_count(params: NetworkParams, sim: SimConfig, radii: Sequence[float]) -> int:
-    """CPUs in this process's affinity mask, at most one per geometry and per
-    `_WORKER_DRAWS` expected draws (tier i's disk of radius radii[i]); 1 where
-    forking is unsafe."""
-    if (sys.platform != "linux" or not hasattr(os, "fork")
-            or threading.active_count() > 1):
-        return 1
-    draws = sim.n_geometry * sim.n_fading * math.pi * sum(
-        t.density * (t.nakagami_m + 1) * r * r for t, r in zip(params.tiers, radii))
-    return max(1, min(len(os.sched_getaffinity(0)), sim.n_geometry,
-                      int(draws // _WORKER_DRAWS)))
 
 
 def tier_max_sinr(trials: Trials, noise: float) -> np.ndarray:

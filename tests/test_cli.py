@@ -84,10 +84,6 @@ class TestLoadConfig:
             assert main(["--config", write_config(tmp_path, cfg)]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
-        # The radius check alone measures at the config's own network.
-        cfg["tiers"][0]["beta_db"] = 0.0
-        assert main(["--config", write_config(tmp_path, cfg), "--radius-check"]) == 1
-        assert "validation error" in capsys.readouterr().err
 
     def test_beta1_sweep_start_validated(self, tmp_path, capsys):
         cfg = base_config()
@@ -522,12 +518,37 @@ class TestMain:
                         "points": 2, "methods": ["mc"]}
         path = write_config(tmp_path, cfg)
         config = load_config(path)
-        expected = mcsim.radius_doubling_drift(config.params, config.sim)
+        # At the network of the sweep's first point.
+        expected = mcsim.radius_doubling_drift(_params_at(config, 1.0), config.sim)
         calls = [0]
         counted = counting(mcsim._simulate, calls)
         monkeypatch.setattr(mcsim, "_simulate", counted)
         assert main(["--config", path, "--radius-check"]) == 0
         assert calls[0] == passes
+        resolution = 1.0 / (config.sim.n_geometry * config.sim.n_fading)
+        assert (f"radius-doubling coverage drift: {expected:.3e} "
+                f"(resolution 1/trials = {resolution:.1e})\n") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, edit, first_point", [
+        ("fig1_nakagami23", lambda cfg: cfg["tiers"][0].update(beta_db=0.0),
+         lambda p: replace(p, tiers=(replace(p.tiers[0], threshold=db_to_linear(1.0)),
+                                     p.tiers[1]))),
+        ("fig2_coverage_noise", lambda cfg: cfg.update(noise_db=40.0),
+         lambda p: replace(p, noise=db_to_linear(-20.0))),
+    ], ids=["beta1_db-config-threshold-0dB", "noise_db-config-noise-40dB"])
+    def test_radius_check_at_the_sweeps_network(self, tmp_path, capsys, name, edit,
+                                                first_point):
+        # The config's own value of the swept field is neither validated nor
+        # simulated: the drift is measured at the network of the sweep's
+        # first point, whose pass the sweep ran (beta_1 = 1 dB, noise -20 dB).
+        with open(f"configs/{name}.json") as fh:
+            cfg = json.load(fh)
+        cfg["sim"]["n_geometry"] = 200
+        edit(cfg)
+        path = write_config(tmp_path, cfg)
+        config = load_config(path)
+        expected = mcsim.radius_doubling_drift(first_point(config.params), config.sim)
+        assert main(["--config", path, "--radius-check"]) == 0
         resolution = 1.0 / (config.sim.n_geometry * config.sim.n_fading)
         assert (f"radius-doubling coverage drift: {expected:.3e} "
                 f"(resolution 1/trials = {resolution:.1e})\n") in capsys.readouterr().err

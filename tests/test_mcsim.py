@@ -2,14 +2,11 @@
 
 Distributional checks (Poisson counts, the disk distance law), a
 brute-force SINR oracle for the simulator pass, determinism under
-concurrent callers and at any worker count, failing workers, and the
-common-random-numbers prefix property behind the radius-doubling
-self-check.
+concurrent callers, and the common-random-numbers prefix property behind
+the radius-doubling self-check.
 """
 
 import math
-import os
-import signal
 import sys
 import threading
 import warnings
@@ -36,7 +33,7 @@ from hetnetcov.mcsim import (
     tail_mean_interference,
     tier_max_sinr,
 )
-from hetnetcov.mcsim import _FADING_STREAM, _GEOMETRY_STREAM, _stream
+from hetnetcov.mcsim import _FADING_STREAM, _GEOMETRY_STREAM
 from hetnetcov.model import MAX_NAKAGAMI_M, NetworkParams, TierParams
 
 
@@ -197,11 +194,10 @@ class TestGeometry:
                              ids=["geometry", "fading"])
     def test_stream_is_jumped_base_stream(self, purpose):
         # Geometry g draws from numpy's documented jumped(g) of its
-        # (seed, tier, purpose) stream, whatever the thread's reused
-        # generator drew before.
+        # (seed, tier, purpose) stream.
         base = np.random.PCG64DXSM(np.random.SeedSequence((7, 1, purpose)))
         for g in (0, 1, 2**40 + 3, 0):
-            rng = _stream(7, g, 1, purpose)
+            rng = mcsim._Streams(7, purpose, 2, g, 1).at(g, 1)
             assert rng.bit_generator.state == base.jumped(g).state
             rng.random(5)
 
@@ -417,174 +413,18 @@ class TestEstimates:
         assert est.std_error > 0.0
         assert est.n_samples == 1000
 
-
-def assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-class TestWorkers:
-    """A pass split over forked workers, one per CPU of the affinity mask."""
-
-    NET = make_network(shapes=(2, 3))
-    SIM = sim_config(n_geometry=51, n_fading=20, seed=4)  # odd G: unequal ranges
-    WORKER_DRAWS = mcsim._WORKER_DRAWS
-
-    @pytest.fixture(autouse=True)
-    def any_size(self, monkeypatch):
-        """Split passes of any size, so a small one exercises the workers."""
-        monkeypatch.setattr(mcsim, "_WORKER_DRAWS", 1)
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """Pids of the workers forked by the test, in order."""
-        pids = []
-        fork = os.fork
-
-        def counted():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", counted)
-        return pids
-
-    @staticmethod
-    def cpus(monkeypatch, n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-    def test_worker_count_invariance(self, monkeypatch, forks):
-        received = {}
-        for n in (1, 2, 3):
-            self.cpus(monkeypatch, n)
-            del forks[:]
-            received[n] = simulate_trials(self.NET, self.SIM).received.tobytes()
-            assert len(forks) == n - 1
-            assert_no_child()
-        assert received[2] == received[1]
-        assert received[3] == received[1]
-
-    def test_one_geometry_forks_nothing(self, monkeypatch, forks):
-        self.cpus(monkeypatch, 3)
-        simulate_trials(self.NET, sim_config(n_geometry=1, n_fading=1000))
-        assert forks == []
-
-    def test_small_pass_runs_as_one_worker(self, monkeypatch, forks):
-        monkeypatch.setattr(mcsim, "_WORKER_DRAWS", self.WORKER_DRAWS)
-        self.cpus(monkeypatch, 3)
-        # 51 x 20 trials of 57 BSs at M + 1 = 3 and 38 at M + 1 = 4: 3.3e5 draws.
-        assert simulate_trials(self.NET, self.SIM).received.tobytes() == \
-            simulate_trials(self.NET, self.SIM).received.tobytes()
-        assert forks == []
-
-    # Expected draws at 100 fading samples in the default per-tier disks:
-    # 52 + 31 BSs at M = (1,1), 57 + 38 at M = (2,3).
-    @pytest.mark.parametrize("shapes, n_geometry, n_cpus, workers", [
-        ((1, 1), 150, 2, 1),   # 2.5e6 draws
-        ((1, 1), 170, 2, 1),   # 2.8e6
-        ((1, 1), 330, 2, 1),   # 5.5e6
-        ((2, 3), 300, 2, 1),   # 9.7e6: one range of _WORKER_DRAWS
-        ((2, 3), 300, 3, 1),
-        ((2, 3), 300, 8, 1),
-        ((2, 3), 10000, 8, 8),
-        ((1, 1), 480, 2, 1),   # 7.9e6
-        ((1, 1), 970, 2, 2),   # 1.6e7: two
-        ((2, 3), 750, 8, 3),   # 2.4e7
-    ])
-    def test_worker_count_by_pass_size(self, monkeypatch, shapes, n_geometry, n_cpus,
-                                       workers):
-        monkeypatch.setattr(mcsim, "_WORKER_DRAWS", self.WORKER_DRAWS)
-        self.cpus(monkeypatch, n_cpus)
-        net = make_network(shapes=shapes)
-        sim = sim_config(n_geometry=n_geometry, n_fading=100)
-        assert mcsim._worker_count(net, sim, default_region_radii(net)) == workers
-
-    def test_pass_from_a_thread_with_another_alive(self, monkeypatch, forks):
-        # Forking a process with other Python threads is unsafe, so the
-        # pass runs as one worker; its bytes are those of three.
-        self.cpus(monkeypatch, 3)
-        expected = simulate_trials(self.NET, self.SIM).received.tobytes()
-        del forks[:]
-        release = threading.Event()
-        idle = threading.Thread(target=release.wait)
-        results = []
-        caller = threading.Thread(target=lambda: results.append(
-            simulate_trials(self.NET, self.SIM).received.tobytes()))
-        idle.start()
-        try:
-            caller.start()
-            caller.join(timeout=120)
-        finally:
-            release.set()
-            idle.join()
-        assert not caller.is_alive()
-        assert forks == []
-        assert results == [expected]
-        assert_no_child()
-
-    # The failures are injected into `_log_fading`, which the pass calls
-    # once per geometry.
-    def test_failing_worker_raises_its_error(self, monkeypatch):
-        # With two workers the forked one owns geometries 25..50; forked
-        # children inherit the patch.
-        self.cpus(monkeypatch, 2)
-        fading = mcsim._log_fading
-
-        def failing(params, n_fading, g, counts, streams):
-            if g >= 25:
-                raise ValueError(f"no fading for geometry {g}")
-            return fading(params, n_fading, g, counts, streams)
-
-        monkeypatch.setattr(mcsim, "_log_fading", failing)
-        with pytest.raises(ValueError, match="no fading for geometry 25$"):
-            simulate_trials(self.NET, self.SIM)
-        assert_no_child()
-
-    def test_failing_first_range_leaves_no_worker(self, monkeypatch):
-        self.cpus(monkeypatch, 3)
-        fading = mcsim._log_fading
-
-        def failing(params, n_fading, g, counts, streams):
-            if g == 0:
-                raise ValueError("no fading for geometry 0")
-            return fading(params, n_fading, g, counts, streams)
-
-        monkeypatch.setattr(mcsim, "_log_fading", failing)
-        with pytest.raises(ValueError, match="geometry 0"):
-            simulate_trials(self.NET, self.SIM)
-        assert_no_child()
-
-    def test_killed_worker_rows_are_recomputed(self, monkeypatch):
-        self.cpus(monkeypatch, 3)
-        expected = simulate_trials(self.NET, self.SIM).received.tobytes()
-        parent = os.getpid()
-        fading = mcsim._log_fading
-
-        def dying(*args):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return fading(*args)
-
-        monkeypatch.setattr(mcsim, "_log_fading", dying)
-        assert simulate_trials(self.NET, self.SIM).received.tobytes() == expected
-        assert_no_child()
-
-    def test_invalid_network_rejected_before_any_fork(self, monkeypatch, forks):
+    def test_invalid_network_rejected_by_every_pass(self):
         # Every pass validates at its entry, also the doubled disks' pass
         # that radius_doubling_drift runs on a given inner pass.
-        self.cpus(monkeypatch, 3)
-        trials = simulate_trials(self.NET, self.SIM)
-        del forks[:]
-        bad = replace(self.NET, tiers=(replace(self.NET.tiers[0], threshold=0.5),
-                                       self.NET.tiers[1]))
+        net = make_network(shapes=(2, 3))
+        sim = sim_config(n_geometry=51, n_fading=20, seed=4)
+        trials = simulate_trials(net, sim)
+        bad = replace(net, tiers=(replace(net.tiers[0], threshold=0.5), net.tiers[1]))
         message = "tier 0: SINR threshold must exceed 1"
         with pytest.raises(ValueError, match=message):
-            simulate_trials(bad, self.SIM)
+            simulate_trials(bad, sim)
         with pytest.raises(ValueError, match=message):
-            radius_doubling_drift(bad, self.SIM, trials=trials)
-        assert forks == []
-        assert_no_child()
+            radius_doubling_drift(bad, sim, trials=trials)
 
 
 def tail_variance(net, radii):

@@ -7,6 +7,10 @@ densities 1 and 5; powers 25 and 1; beta_1 = 5 dB, beta_2 = 1 dB), it
 prints one markdown row:
 
   - the expected number of BSs in the per-tier disks;
+  - the expected fading BSs and ring BSs of the pass (`mcsim._ring_radii`:
+    a tier with M >= 2 draws fading inside r_i and takes the BSs between
+    r_i and 2 R_i at their mean), and the uniforms the fading draws per
+    fading column, sum_i M_i times tier i's fading BSs;
   - the pass's seconds;
   - the MC coverage and its geometry-clustered SE;
   - z = (MC - exact) / SE against `analysis.coverage_reference`;
@@ -57,8 +61,9 @@ def main() -> int:
 
     print(f"{args.geometries} geometries x {args.fading} draws, seed {args.seed}; "
           f"drift resolution 1/trials = {1.0 / n_trials:.0e}\n")
-    print("| anchor | BSs | M | σ² | s/pass | coverage | SE | z | drift |")
-    print("|---|---|---|---|---|---|---|---|---|")
+    print("| anchor | BSs | fading BSs | ring BSs | uniforms | M | σ² | s/pass | coverage | SE "
+          "| z | drift |")
+    print("|---|---|---|---|---|---|---|---|---|---|---|---|")
     rows = {}
     for shapes in SHAPES:
         net = figure_network(shapes)
@@ -66,7 +71,11 @@ def main() -> int:
             sim = mcsim.SimConfig(n_geometry=args.geometries, n_fading=args.fading,
                                   seed=args.seed)
             radii = mcsim.default_region_radii(net, count)
-            n_bs = sum(t.density * math.pi * r * r for t, r in zip(net.tiers, radii))
+            fading, outer = mcsim._ring_radii(net, radii)
+            n_bs, n_fading, n_outer = (
+                [t.density * math.pi * r * r for t, r in zip(net.tiers, disks)]
+                for disks in (radii, fading, outer))
+            uniforms = sum(t.nakagami_m * n for t, n in zip(net.tiers, n_fading))
             start = time.perf_counter()
             trials = mcsim._simulate(net, sim, radii)
             seconds = time.perf_counter() - start
@@ -79,7 +88,9 @@ def main() -> int:
                 drift = round(mcsim.radius_doubling_drift(params, sim, trials=trials)
                               * n_trials) / n_trials
                 rows[count, (shapes, noise)] = (est.std_error, drift)
-                print(f"| {count:,.0f} | {n_bs:.0f} | ({shapes[0]},{shapes[1]}) | {noise:g} "
+                print(f"| {count:,.0f} | {sum(n_bs):.0f} | {sum(n_fading):.0f} "
+                      f"| {sum(n_outer) - sum(n_fading):.0f} | {uniforms:.0f} "
+                      f"| ({shapes[0]},{shapes[1]}) | {noise:g} "
                       f"| {seconds:.2f} "
                       f"| {est.mean:.4f} | {est.std_error:.5f} | {z:+.2f} | {drift:.1e} |")
 

@@ -275,7 +275,7 @@ def run_sweep(config: RunConfig, rate: bool = False, bits: bool = False,
 
 def _sweep(config: RunConfig, rate: bool,
            bits: bool) -> tuple[list[dict[str, float]], mcsim.Trials | None]:
-    """`run_sweep`'s rows, and the simulation pass shared by every point, if any.
+    """`run_sweep`'s rows, and the first block's simulation pass, if any.
 
     A threshold or noise sweep is one block of points that differ only in
     their thresholds and noise power, so each analytic column is one array
@@ -292,11 +292,13 @@ def _sweep(config: RunConfig, rate: bool,
     # A coverage, like any x / 1.0, is left as it is.
     unit = math.log(2.0) if bits and rate else 1.0
     columns: dict[str, list[float]] = {}
-    trials = None
+    first = None
     for params, thresholds, noises in _blocks(config, values):
         for method in dict.fromkeys(sweep.methods):
             if method == "mc":
                 trials = mcsim.simulate_trials(params, config.sim)
+                if first is None:
+                    first = trials
                 estimates = _mc_column(trials, thresholds, noises, rate)
                 columns.setdefault("mc", []).extend(e.mean / unit for e in estimates)
                 columns.setdefault("mc_se", []).extend(e.std_error / unit for e in estimates)
@@ -311,7 +313,7 @@ def _sweep(config: RunConfig, rate: bool,
         if "mc" in row and not math.isfinite(row["mc"]):
             raise ArithmeticError(f"mc {'rate' if rate else 'coverage'} is {row['mc']}, "
                                   f"not finite, at sweep_db = {row['sweep_db']:.10g}")
-    return rows, None if sweep.variable == "nakagami_pair" else trials
+    return rows, first
 
 
 def _blocks(config: RunConfig, values) -> list[tuple[NetworkParams, list, list]]:

@@ -8,9 +8,9 @@ times of a rate lambda*pi process, with gaps -ln(1 - U), which (a)
 reproduces the disk PPP exactly (Poisson count, d = R sqrt(u) distance
 law) and (b) keeps the near-field points identical when a radius is
 enlarged, so the radius-doubling self-check measures truncation bias
-rather than resampling noise.  A pass samples a tier's arrivals for its
-whole range of geometries as one array, a row per geometry
-(`sample_geometries`).  Fading power is Gamma(M, 1) with integer
+rather than resampling noise.  A pass samples a tier's arrivals for a
+block of geometries as one array, a row per geometry, as
+`sample_geometries` does.  Fading power is Gamma(M, 1) with integer
 M, drawn as -ln prod_{j<M} U_j from M uniforms U_j on (0, 1] into one
 (BS, draw) block per geometry.  Each BS takes exactly M * n_fading
 consecutive values of its tier's stream, BS-major, so the draws of the
@@ -23,6 +23,20 @@ the draws where that fold's error comes from: they hold its variance at
 that of one common disk of `_DEFAULT_TARGET_COUNT` BSs with the fewest
 expected draws, and give every tier enough BSs that a serving BS beyond
 its disk is rare (see `default_region_radii`).
+
+At the default radii a tier with M_i >= 2 draws fading only in a smaller
+disk of radius r_i, inside a ring that runs out to Q_i = 2 R_i.  A ring
+BS draws no fading: it enters every trial of its geometry at its mean
+received power P_i M_i d^-alpha, summed once per geometry from the
+arrivals the pass draws anyway, and the tail mean starts at Q_i.  Given
+the positions, the mean drops only the BS's fading variance, so r_i is
+chosen to leave the dropped variance at that of the disk R_i
+(`default_region_radii` derives it): at alpha = 3 it is 0.768 R_i at
+M = 2 and 0.716 R_i at M = 3, about 40% fewer fading BSs.  A tier with
+M_i = 1, and every tier of a config that sets `sim.region_radius`, keeps
+its disk (r_i = Q_i = R_i).  The fading BSs are the nearest arrivals, a
+prefix of the ring's, so doubling R_i, which doubles r_i and Q_i unless
+r_i's floor binds, keeps the inner fading draws.
 
 Coverage and rate depend on a trial only through each tier's largest
 received power and the total received power.  One pass (`simulate_trials`)
@@ -96,6 +110,11 @@ _DEFAULT_TARGET_COUNT = 250.0
 # Bound on the coverage the default disks may miss by leaving a serving BS
 # outside, the same tenth of criterion 7's bound (see default_region_radii).
 _MISSED_COVERAGE = 1e-4
+# Outer radius of a tier's ring, in units of its disk radius R_i (see
+# default_region_radii).
+_RING_FACTOR = 2.0
+# Expected arrivals per block of geometries that a pass draws at once.
+_BLOCK_ARRIVALS = 2.0 ** 19
 
 
 @dataclass(frozen=True)
@@ -138,10 +157,12 @@ class Trials:
 
     received : (n_geometry, K+1, n_fading).  Row k < K is tier k's largest
                received power P d^-alpha h (0 where the tier has no BS);
-               row K is the total received power over every BS in the disks.
-    tail     : mean interference from beyond the disks, added to every
-               denominator.
-    radii    : tier i's disk radius, per tier.
+               row K is the total received power over every BS in the disks,
+               ring BSs at their mean.
+    tail     : mean interference from beyond the disks and rings, added to
+               every denominator.
+    radii    : tier i's disk radius R_i, per tier (its ring, if any, runs
+               out to 2 R_i).
 
     Neither thresholds nor the noise power enter, so one pass serves any
     threshold or noise sweep point (`tier_max_sinr`).
@@ -196,18 +217,44 @@ def default_region_radii(params: NetworkParams,
     serving BSs has a variance that measures that cut, not the tail.  Each
     R_i is then raised to hold n_min BSs.  A wider disk only lowers V, so
     the result keeps at least the common disk's accuracy by V.
+
+    Ring.  A pass at these radii draws no fading for a tier-i BS with
+    M_i >= 2 between a radius r_i < R_i and Q_i = 2 R_i: it enters at its
+    mean, P_i M_i d^-alpha, summed from the drawn positions.  Given the
+    positions, that drops only the BS's fading variance P_i^2 d^-2alpha M_i,
+    1/(M_i + 1) of its Campbell second moment.  The tier's dropped variance,
+    the ring's fading part plus the whole of what lies beyond Q_i, is then
+    lam_i P_i^2 M_i pi (r_i^(2 - 2 alpha) + M_i Q_i^(2 - 2 alpha)) / (alpha - 1),
+    and it equals V's tier-i term, the quantity the anchor fixes, at
+        r_i^(2 - 2 alpha) = (M_i + 1) R_i^(2 - 2 alpha) - M_i Q_i^(2 - 2 alpha),
+    with r_i raised to hold n_min BSs (it then drops less) but not past
+    R_i.  At alpha = 3 that is r_i = 0.768 R_i at M = 2 and 0.716 R_i at
+    M = 3.  A fading BS costs M_i uniforms per fading sample, a ring BS one
+    uniform per geometry, so the fading disk shrinks by about 40% in BSs.
+    Why Q_i = 2 R_i: as Q_i grows, r_i^(2 - 2 alpha) tends to (M_i + 1)
+    R_i^(2 - 2 alpha), and Q_i = 2 R_i reaches 1 - 2^(2 - 2 alpha) of that
+    gain (94% at alpha = 3) with 4x the arrivals of the disk R_i; the last
+    6% would take 4x more.  At M_i = 1 a fading BS costs one uniform and
+    the mean keeps half its second moment, so the ring gains least and the
+    tier keeps its disk.
     """
     a = params.alpha
     top = max(t.power for t in params.tiers)
     c = [t.density * (t.nakagami_m + 1) for t in params.tiers]
     w = [(t.power / top) ** 2 * t.nakagami_m for t in params.tiers]
-    n_min = 2.0 * math.log(2.0 * params.n_tiers / _MISSED_COVERAGE)
+    n_min = _serving_count(params)
     common2 = max(target_count / (math.pi * sum(t.density for t in params.tiers)),
                   n_min / (math.pi * min(t.density for t in params.tiers)))
     s2 = common2 * (sum(ci * wi ** (1.0 / a) for ci, wi in zip(c, w))
                     / sum(ci * wi for ci, wi in zip(c, w))) ** (1.0 / (a - 1.0))
     return tuple(math.sqrt(max(s2 * wi ** (1.0 / a), n_min / (math.pi * t.density)))
                  for t, wi in zip(params.tiers, w))
+
+
+def _serving_count(params: NetworkParams) -> float:
+    """n_min, the expected BSs a tier's disk holds at least (see
+    `default_region_radii`)."""
+    return 2.0 * math.log(2.0 * params.n_tiers / _MISSED_COVERAGE)
 
 
 def _radii(params: NetworkParams, sim: SimConfig) -> tuple[float, ...]:
@@ -310,16 +357,41 @@ def sample_geometries(params: NetworkParams, sim: SimConfig, first_g: int, n: in
     model.require_valid(params)
     if radii is None:
         radii = _radii(params, sim)
-    streams = _Streams(sim.seed, _GEOMETRY_STREAM, params.n_tiers, first_g, n)
-    per_tier = [_distances(streams, tier_index, tier.density * math.pi, radius * radius, n)
-                for tier_index, (tier, radius) in enumerate(zip(params.tiers, radii, strict=True))]
-    return [Realization(distances=distances) for distances in zip(*per_tier)]
+    distances, _ = _arrivals(params, sim.seed, first_g, n, radii, radii)
+    return [Realization(distances=d) for d in distances]
 
 
-def _distances(streams: _Streams, tier_index: int, rate: float, r2_max: float,
-               n: int) -> list[np.ndarray]:
+def _arrivals(params: NetworkParams, seed: int, first_g: int, n: int,
+              fading_radii: Sequence[float],
+              outer_radii: Sequence[float]) -> tuple[list[tuple], np.ndarray | None]:
+    """Geometries first_g, ..., first_g + n - 1, drawn out to the outer radii.
+
+    Returns each geometry's per-tier sorted distances of the arrivals
+    inside the fading radii, and each geometry's ring term, the sum over
+    tiers of P_i M_i d^-alpha over tier i's arrivals between its fading
+    and outer radius (None where every tier's two radii are equal).
+    """
+    streams = _Streams(seed, _GEOMETRY_STREAM, params.n_tiers, first_g, n)
+    per_tier, ring = [], None
+    for tier_index, (tier, r, q) in enumerate(
+            zip(params.tiers, fading_radii, outer_radii, strict=True)):
+        distances, sums = _distances(streams, tier_index, tier.density * math.pi, q * q, n,
+                                     r * r if r < q else None, params.alpha)
+        per_tier.append(distances)
+        if sums is not None:
+            term = tier.power * tier.nakagami_m * sums
+            ring = term if ring is None else ring + term
+    return list(zip(*per_tier)), ring
+
+
+def _distances(streams: _Streams, tier_index: int, rate: float, r2_max: float, n: int,
+               r2_fading: float | None,
+               alpha: float) -> tuple[list[np.ndarray], np.ndarray | None]:
     """Sorted distances of one tier's arrivals of rate `rate` below `r2_max`,
-    for each of the n geometries of `streams`."""
+    for each of the n geometries of `streams`, and None; with `r2_fading`,
+    only the distances below it, and each geometry's sum of d^-alpha over
+    the rest, its ring.
+    """
     expected = rate * r2_max
     chunk = max(16, int(expected + 6.0 * math.sqrt(expected + 1.0)))
     arrivals = np.empty((n, chunk))
@@ -333,7 +405,18 @@ def _distances(streams: _Streams, tier_index: int, rate: float, r2_max: float,
     counts = np.count_nonzero(arrivals < r2_max, axis=1)
     # Rows whose chunk ends inside the disk, before the square root.
     short = {i: arrivals[i].copy() for i in np.flatnonzero(counts == chunk)}
-    np.sqrt(arrivals, out=arrivals)
+    ring = None
+    if r2_fading is not None:
+        inner = np.count_nonzero(arrivals < r2_fading, axis=1)
+        # d^-alpha = (d^2)^(-alpha/2), kept on the ring's columns only; the
+        # rows are sorted, so those are inner[i] <= j < counts[i].
+        terms = np.power(arrivals, -0.5 * alpha)
+        terms *= (arrivals >= r2_fading) & (arrivals < r2_max)
+        ring = terms.sum(axis=1)
+        counts = inner
+    # Only the columns that hold a returned distance need the square root.
+    head = arrivals[:, :counts.max(initial=0)]
+    np.sqrt(head, out=head)
     distances = [row[:count] for row, count in zip(arrivals, counts)]
     for i, row in short.items():
         rng = streams.at(streams.first_g + i, tier_index)
@@ -341,8 +424,13 @@ def _distances(streams: _Streams, tier_index: int, rate: float, r2_max: float,
         while row[-1] < r2_max:
             gaps = -np.log(1.0 - rng.random(max(16, chunk // 4)))
             row = np.concatenate([row, row[-1] + np.cumsum(gaps) / rate])
-        distances[i] = np.sqrt(row[:np.searchsorted(row, r2_max)])
-    return distances
+        row = row[:np.searchsorted(row, r2_max)]
+        if ring is not None:
+            inside = np.searchsorted(row, r2_fading)
+            ring[i] = np.sum(row[inside:] ** (-0.5 * alpha))
+            row = row[:inside]
+        distances[i] = np.sqrt(row)
+    return distances, ring
 
 
 def sample_fading(
@@ -421,16 +509,17 @@ def simulate_trials(params: NetworkParams, sim: SimConfig) -> Trials:
     """One simulation pass: per-tier max and total received power per trial.
 
     Tier i is observed in the sim's disk of radius R_i (`sim.region_radius`
-    for every tier, or `default_region_radii`).  The geometries run one
-    after another, in one sequential pass.
+    for every tier, or `default_region_radii`, with its ring for M_i >= 2).
+    The geometries run one after another, in one sequential pass.
     """
     return _simulate(params, sim)
 
 
 def _simulate(params: NetworkParams, sim: SimConfig,
               radii: tuple[float, ...] | None = None) -> Trials:
-    """`simulate_trials` with tier i observed inside radius radii[i] (by
-    default the sim's disks).
+    """`simulate_trials` with tier i observed at radius radii[i] (by default
+    the sim's disks): a ring out to 2 radii[i] for M_i >= 2 unless the sim
+    sets `region_radius` (`_ring_radii`).
 
     The network is validated here, before any draw, and not again per
     geometry.
@@ -438,31 +527,70 @@ def _simulate(params: NetworkParams, sim: SimConfig,
     model.require_valid(params)
     if radii is None:
         radii = _radii(params, sim)
+    fading, outer = (radii, radii) if sim.region_radius is not None else _ring_radii(params, radii)
     out = np.zeros((sim.n_geometry, params.n_tiers + 1, sim.n_fading))
-    _fill(params, sim, radii, out, 0)
-    return Trials(received=out, tail=tail_mean_interference(params, radii), radii=radii)
+    _fill(params, sim, fading, outer, out)
+    return Trials(received=out, tail=tail_mean_interference(params, outer), radii=radii)
 
 
-def _fill(params: NetworkParams, sim: SimConfig, radii: tuple[float, ...],
-          out: np.ndarray, first_g: int) -> None:
-    """Write the pass's rows of geometries first_g, first_g + 1, ... into `out`."""
+def _ring_radii(params: NetworkParams,
+                radii: Sequence[float]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(fading radii r_i, outer radii Q_i) of tiers observed at radii R_i.
+
+    A tier with M_i = 1 keeps its disk, r_i = Q_i = R_i.  One with M_i >= 2
+    has Q_i = 2 R_i and r_i^(2 - 2 alpha) = (M_i + 1) R_i^(2 - 2 alpha) -
+    M_i Q_i^(2 - 2 alpha), raised to hold `_serving_count` BSs but never
+    past R_i (the derivation is in `default_region_radii`).
+    """
+    e = 2.0 - 2.0 * params.alpha
+    n_min = _serving_count(params)
+    fading, outer = [], []
+    for t, radius in zip(params.tiers, radii, strict=True):
+        m = t.nakagami_m
+        if m == 1:
+            fading.append(radius)
+            outer.append(radius)
+            continue
+        q = _RING_FACTOR * radius
+        r = ((m + 1) * radius ** e - m * q ** e) ** (1.0 / e)
+        fading.append(min(radius, max(r, math.sqrt(n_min / (math.pi * t.density)))))
+        outer.append(q)
+    return tuple(fading), tuple(outer)
+
+
+def _fill(params: NetworkParams, sim: SimConfig, fading_radii: Sequence[float],
+          outer_radii: Sequence[float], out: np.ndarray) -> None:
+    """Write the pass's rows into `out`, tier i's fading BSs inside
+    fading_radii[i] and its ring out to outer_radii[i].
+
+    The geometries are drawn in blocks of about `_BLOCK_ARRIVALS` expected
+    arrivals, so the arrival arrays stay bounded at any n_geometry.  A
+    geometry's draws do not depend on its block.
+    """
     n_tiers = params.n_tiers
-    realizations = sample_geometries(params, sim, first_g, len(out), radii)
-    fading = _Streams(sim.seed, _FADING_STREAM, n_tiers, first_g, len(out))
+    per_geometry = sum(t.density * math.pi * q * q for t, q in zip(params.tiers, outer_radii))
+    block = max(1, int(_BLOCK_ARRIVALS / per_geometry))
     # Negative: `_log_fading` gives -h, and (-P) w (-h) is P w h exactly.
     scales = [-tier.power for tier in params.tiers]
-    for g, (realization, res) in enumerate(zip(realizations, out), start=first_g):
-        counts = [len(d) for d in realization.distances]
-        # Scaled in place to the received powers P d^-alpha h.
-        received = _log_fading(params, sim.n_fading, g, counts, fading)
-        start = 0
-        for k, (scale, d) in enumerate(zip(scales, realization.distances)):
-            if len(d):
-                rows = received[start:start + len(d)]
-                rows *= (scale * d ** -params.alpha)[:, None]
-                rows.max(axis=0, out=res[k])
-            start += len(d)
-        received.sum(axis=0, out=res[n_tiers])
+    for first_g in range(0, len(out), block):
+        rows = out[first_g:first_g + block]
+        distances, ring = _arrivals(params, sim.seed, first_g, len(rows), fading_radii,
+                                    outer_radii)
+        fading = _Streams(sim.seed, _FADING_STREAM, n_tiers, first_g, len(rows))
+        for g, (tiers, res) in enumerate(zip(distances, rows), start=first_g):
+            counts = [len(d) for d in tiers]
+            # Scaled in place to the received powers P d^-alpha h.
+            received = _log_fading(params, sim.n_fading, g, counts, fading)
+            start = 0
+            for k, (scale, d) in enumerate(zip(scales, tiers)):
+                if len(d):
+                    tier_rows = received[start:start + len(d)]
+                    tier_rows *= (scale * d ** -params.alpha)[:, None]
+                    tier_rows.max(axis=0, out=res[k])
+                start += len(d)
+            received.sum(axis=0, out=res[n_tiers])
+        if ring is not None:
+            rows[:, n_tiers] += ring[:, None]
 
 
 def tier_max_sinr(trials: Trials, noise: float) -> np.ndarray:

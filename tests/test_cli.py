@@ -506,13 +506,14 @@ class TestMain:
         assert f"'tiers[1].m' must be an integer, got {shown}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("variable, passes", [("beta1_db", 2), ("noise_db", 2),
-                                                  ("nakagami_pair", 4)])
+                                                  ("nakagami_pair", 3)])
     def test_radius_check_reuses_sweep_pass(self, tmp_path, capsys, monkeypatch,
                                             variable, passes):
-        # A threshold or noise sweep's own pass is the drift's inner disk;
-        # only the doubled disk is simulated again.  A nakagami_pair sweep
-        # (two points here) simulates each point, and the drift both disks.
-        # Every pass, the doubled disks' too, runs through mcsim._simulate.
+        # The sweep's first pass is the drift's inner disk; only the doubled
+        # disk is simulated again.  A nakagami_pair sweep (two points here)
+        # simulates each point, and the drift the first point's doubled
+        # disk.  Every pass, the doubled disks' too, runs through
+        # mcsim._simulate.
         cfg = base_config()
         cfg["sweep"] = {"variable": variable, "start": 1.0, "stop": 2.0,
                         "points": 2, "methods": ["mc"]}

@@ -343,10 +343,10 @@ class TestUnionSemantics:
 
 class TestEstimates:
     def test_thread_generators_not_shared_under_switching(self):
-        # Each thread reuses its own generator and resets it per geometry;
-        # with passes started from several caller threads at once, more
-        # threads than cores and a thread switch every few bytecodes, a
-        # generator shared between threads would mix draws.
+        # Each pass builds its own generator; with passes started from
+        # several caller threads at once, more threads than cores and a
+        # thread switch every few bytecodes, a generator shared between
+        # threads would mix draws.
         net = make_network(shapes=(2, 1))
         sim = sim_config(n_geometry=50, n_fading=20, seed=9)
         single = simulate_trials(net, sim)
@@ -556,3 +556,163 @@ class TestTruncation:
             assert radius_doubling_drift(net, sim) < 1e-3
         est = mc_coverage(net, sim_config(n_geometry=4000, n_fading=20, seed=8))
         assert abs(est.mean - analysis.coverage_reference(net).value) <= 3.0 * est.std_error
+
+
+def received_oracle(net, sim, radii):
+    """(n_geometry, K+1, n_fading) received powers of a pass with every BS
+    inside `radii` faded, built from the public samplers: each tier's
+    largest P d^-alpha h, then the total over every BS."""
+    out = np.zeros((sim.n_geometry, net.n_tiers + 1, sim.n_fading))
+    for g in range(sim.n_geometry):
+        rz = sample_geometry(net, sim, g, radii)
+        counts = [len(d) for d in rz.distances]
+        w = np.concatenate([t.power * d ** -net.alpha for t, d in zip(net.tiers, rz.distances)])
+        received = w[:, None] * sample_fading(net, sim, g, counts)
+        offsets = np.cumsum([0] + counts)
+        for k in range(net.n_tiers):
+            if counts[k]:
+                out[g, k] = received[offsets[k]:offsets[k + 1]].max(axis=0)
+        out[g, -1] = received.sum(axis=0)
+    return out
+
+
+def dropped_variance(t, alpha, r, q):
+    """Tier t's fading variance left out inside the ring r..q plus its
+    whole second moment beyond q, over lam P^2 M pi / (alpha - 1)."""
+    e = 2.0 - 2.0 * alpha
+    return r ** e + t.nakagami_m * q ** e
+
+
+class TestRing:
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
+    @pytest.mark.parametrize("m", range(2, MAX_NAKAGAMI_M + 1))
+    def test_rule_keeps_the_dropped_variance(self, m, alpha):
+        # r^(2-2a) = (M+1) R^(2-2a) - M Q^(2-2a) at Q = 2R: the ring's fading
+        # variance plus the whole second moment beyond Q equals what the
+        # disk R left out, unless the n_min floor raises r.  Tier 2 of the
+        # figure network sits on its floor at some (M, alpha); at alpha =
+        # 2.5 its disk R is the floor, so r = R there.
+        for net in (make_network(alpha=alpha, shapes=(m, m)),
+                    make_network(alpha=alpha, densities=(2.0,), powers=(7.0,),
+                                 thresholds=(2.0,), shapes=(m,))):
+            radii = default_region_radii(net)
+            fading, outer = mcsim._ring_radii(net, radii)
+            floors = [math.sqrt(mcsim._serving_count(net) / (math.pi * t.density))
+                      for t in net.tiers]
+            for t, big_r, r, q, floor in zip(net.tiers, radii, fading, outer, floors):
+                assert q == 2.0 * big_r
+                assert r <= big_r
+                today = (m + 1) * big_r ** (2.0 - 2.0 * alpha)
+                if r > floor:
+                    assert dropped_variance(t, alpha, r, q) == pytest.approx(today, rel=1e-12)
+                else:
+                    assert r == floor
+                    assert dropped_variance(t, alpha, r, q) < today
+
+    def test_rule_at_the_figure_network(self):
+        # alpha = 3: r = 0.768 R at M = 2, and 0.716 R at M = 3 where the
+        # floor does not bind; M = 1 keeps its disk.
+        net = make_network(shapes=(2, 1))
+        radii = default_region_radii(net)
+        fading, outer = mcsim._ring_radii(net, radii)
+        assert fading[0] / radii[0] == pytest.approx(0.76796, abs=1e-5)
+        assert (fading[1], outer[1]) == (radii[1], radii[1])
+        net = make_network(densities=(1.0,), powers=(1.0,), thresholds=(2.0,), shapes=(3,))
+        (radius,) = default_region_radii(net)
+        (r,), _ = mcsim._ring_radii(net, (radius,))
+        assert r / radius == pytest.approx(0.71564, abs=1e-5)
+
+    @pytest.mark.parametrize("short", [False, True], ids=["plain", "chunk-ends-inside"])
+    def test_ring_term_equals_explicit_sum(self, monkeypatch, short):
+        # Each geometry's ring term is sum_i P_i M_i sum d^-alpha over tier
+        # i's arrivals between r_i and Q_i, the arrivals taken from
+        # sample_geometries at radius Q_i.  With `short`, geometry 5's
+        # uniforms are scaled down, so its first chunk of draws ends inside
+        # Q and its ring is summed from the extended row.  The pass adds
+        # the term to the total of every trial of its geometry.
+        if short:
+            at = mcsim._Streams.at
+
+            class Scaled:
+                def __init__(self, rng):
+                    self.rng, self.bit_generator = rng, rng.bit_generator
+
+                def random(self, size=None, out=None):
+                    u = self.rng.random(size, out=out)
+                    u *= 0.25
+                    return u
+
+            monkeypatch.setattr(mcsim._Streams, "at", lambda self, g, tier: (
+                Scaled(at(self, g, tier)) if g == 5 else at(self, g, tier)))
+        net = make_network(shapes=(2, 3))
+        sim = sim_config(n_geometry=8, n_fading=5)
+        fading, outer = mcsim._ring_radii(net, default_region_radii(net))
+        distances, ring = mcsim._arrivals(net, sim.seed, 0, sim.n_geometry, fading, outer)
+        realizations = mcsim.sample_geometries(net, sim, 0, sim.n_geometry, outer)
+        trials = simulate_trials(net, sim)
+        for g, (inner, rz) in enumerate(zip(distances, realizations)):
+            expected = 0.0
+            for t, r, d, d_inner in zip(net.tiers, fading, rz.distances, inner):
+                n_inner = int(np.searchsorted(d, r))
+                assert len(d_inner) == n_inner
+                expected += t.power * t.nakagami_m * sum(x ** -net.alpha for x in d[n_inner:])
+            assert ring[g] == pytest.approx(expected, rel=1e-12)
+            counts = [len(d) for d in inner]
+            w = np.concatenate([t.power * d ** -net.alpha for t, d in zip(net.tiers, inner)])
+            received = w[:, None] * sample_fading(net, sim, g, counts)
+            np.testing.assert_array_equal(trials.received[g, -1],
+                                          received.sum(axis=0) + ring[g])
+        assert trials.tail == tail_mean_interference(net, outer)
+
+    def test_fading_bss_are_a_prefix_of_the_ring(self):
+        # The fading BSs are the nearest arrivals of the ring's.  Doubling
+        # R, as radius_doubling_drift does, doubles Q and r (or raises r
+        # from its floor), so the inner fading BSs, and with them their
+        # draws, stay.
+        net = make_network(shapes=(2, 3))
+        sim = sim_config(n_geometry=6, n_fading=5)
+        radii = default_region_radii(net)
+        small = mcsim._ring_radii(net, radii)
+        large = mcsim._ring_radii(net, tuple(2.0 * r for r in radii))
+        assert large[1] == tuple(2.0 * q for q in small[1])
+        assert all(b >= a for a, b in zip(small[0], large[0]))
+        inner, _ = mcsim._arrivals(net, sim.seed, 0, sim.n_geometry, *small)
+        doubled, _ = mcsim._arrivals(net, sim.seed, 0, sim.n_geometry, *large)
+        for g in range(sim.n_geometry):
+            ring = sample_geometry(net, sim, g, small[1]).distances
+            for d_inner, d_doubled, d_ring in zip(inner[g], doubled[g], ring):
+                assert len(d_inner) < len(d_ring)
+                assert len(d_inner) <= len(d_doubled)
+                np.testing.assert_array_equal(d_inner, d_ring[:len(d_inner)])
+                np.testing.assert_array_equal(d_inner, d_doubled[:len(d_inner)])
+            counts = [len(d) for d in inner[g]]
+            h_inner = sample_fading(net, sim, g, counts)
+            h_doubled = np.split(sample_fading(net, sim, g, [len(d) for d in doubled[g]]),
+                                 [len(doubled[g][0])])
+            np.testing.assert_array_equal(h_inner[:counts[0]], h_doubled[0][:counts[0]])
+            np.testing.assert_array_equal(h_inner[counts[0]:], h_doubled[1][:counts[1]])
+
+    @pytest.mark.parametrize("shapes, region_radius", [
+        ((1, 1), None), ((2, 3), 3.0), ((1, 1), 3.0),
+    ], ids=["M11-default", "M23-region-radius", "M11-region-radius"])
+    def test_no_ring_gives_the_disk_only_pass(self, shapes, region_radius):
+        # With M = 1 on every tier, or with region_radius set, every BS in
+        # the disk R_i is faded and nothing lies beyond it but the tail.
+        net = make_network(shapes=shapes)
+        sim = sim_config(n_geometry=30, n_fading=10, region_radius=region_radius)
+        radii = mcsim._radii(net, sim)
+        trials = simulate_trials(net, sim)
+        assert np.array_equal(trials.received, received_oracle(net, sim, radii))
+        assert trials.tail == tail_mean_interference(net, radii)
+        assert trials.radii == radii
+
+    @pytest.mark.parametrize("shapes", [(1, 1), (2, 3)])
+    def test_blocks_leave_the_bytes(self, monkeypatch, shapes):
+        # A pass draws its geometries in blocks of bounded size; a block of
+        # a few geometries gives the bytes of one block for all.
+        net = make_network(shapes=shapes)
+        sim = sim_config(n_geometry=40, n_fading=10)
+        whole = simulate_trials(net, sim)
+        monkeypatch.setattr(mcsim, "_BLOCK_ARRIVALS", 1000.0)
+        blocked = simulate_trials(net, sim)
+        assert np.array_equal(blocked.received, whole.received)

@@ -50,6 +50,24 @@ def sim_config(n_geometry=200, n_fading=20, seed=7, **kw):
     return SimConfig(n_geometry=n_geometry, n_fading=n_fading, seed=seed, **kw)
 
 
+def scale_first_chunk(monkeypatch, seed, g, n_tiers, scale):
+    """Scale geometry g's first chunk of arrival uniforms, on every tier, by
+    `scale`: `mcsim._draw` is patched to scale what it draws from a state
+    that is one of those geometry streams' jumped(g)."""
+    starts = {mcsim._stream(seed, tier, _GEOMETRY_STREAM, g).bit_generator.state["state"]["state"]
+              for tier in range(n_tiers)}
+    draw = mcsim._draw
+
+    def scaled(rng, out):
+        hit = rng.bit_generator.state["state"]["state"] in starts
+        draw(rng, out)
+        if hit:
+            out *= scale
+        return out
+
+    monkeypatch.setattr(mcsim, "_draw", scaled)
+
+
 class TestGeometry:
     def test_poisson_count_moments(self):
         # Single tier, lambda pi R^2 = 100: sample counts should have mean
@@ -100,19 +118,14 @@ class TestGeometry:
         net = make_network(densities=(2.0,), powers=(1.0,), thresholds=(2.0,),
                            shapes=(1,))
         sim = sim_config(region_radius=5.0)
-        at = mcsim._Streams.at
+        draw = mcsim._draw
 
-        class FirstZero:
-            def __init__(self, rng):
-                self.rng, self.first = rng, True
+        def first_zero(rng, out):
+            draw(rng, out)
+            out.flat[0] = 0.0
+            return out
 
-            def random(self, size=None, out=None):
-                u = self.rng.random(size, out=out)
-                if self.first:
-                    u.flat[0], self.first = 0.0, False
-                return u
-
-        monkeypatch.setattr(mcsim._Streams, "at", lambda *args: FirstZero(at(*args)))
+        monkeypatch.setattr(mcsim, "_draw", first_zero)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             d = sample_geometry(net, sim, 0).distances[0]
@@ -121,26 +134,14 @@ class TestGeometry:
         assert np.all(d < 5.0)
 
     def test_range_row_whose_chunk_ends_inside_the_disk(self, monkeypatch):
-        # Geometry 5's uniforms are scaled down, so its gaps are short and
-        # its first chunk of draws ends inside the disk.  Its row of the
+        # Geometry 5's first chunk of uniforms is scaled down, so its gaps
+        # are short and the chunk ends inside the disk.  Its row of the
         # range, and every other row, equals sample_geometry's and the
         # one-geometry loop drawn from numpy's jumped(g), byte for byte.
         net = make_network(densities=(2.0, 0.5), powers=(1.0, 4.0), thresholds=(2.0, 2.0))
         sim = sim_config(region_radius=4.0)
         scale, dense = 0.25, 5
-        at = mcsim._Streams.at
-
-        class Scaled:
-            def __init__(self, rng):
-                self.rng, self.bit_generator = rng, rng.bit_generator
-
-            def random(self, size=None, out=None):
-                u = self.rng.random(size, out=out)
-                u *= scale
-                return u
-
-        monkeypatch.setattr(mcsim._Streams, "at", lambda self, g, tier: (
-            Scaled(at(self, g, tier)) if g == dense else at(self, g, tier)))
+        scale_first_chunk(monkeypatch, sim.seed, dense, net.n_tiers, scale)
 
         def loop(g, tier):
             rng = np.random.Generator(np.random.PCG64DXSM(
@@ -151,14 +152,15 @@ class TestGeometry:
             chunk = max(16, int(expected + 6.0 * math.sqrt(expected + 1.0)))
             arrivals = np.cumsum(-np.log(1.0 - factor * rng.random(chunk))) / rate
             while arrivals[-1] < r2_max:
-                gaps = -np.log(1.0 - factor * rng.random(max(16, chunk // 4)))
+                gaps = -np.log(1.0 - rng.random(max(16, chunk // 4)))
                 arrivals = np.concatenate([arrivals, arrivals[-1] + np.cumsum(gaps) / rate])
             return np.sqrt(arrivals[:np.searchsorted(arrivals, r2_max)]), chunk
 
-        realizations = mcsim.sample_geometries(net, sim, 3, 4)
-        for g, realization in enumerate(realizations, start=3):
+        radii = (sim.region_radius,) * net.n_tiers
+        distances, _ = mcsim._arrivals(net, sim.seed, 3, 4, radii, radii)
+        for g, tiers in enumerate(distances, start=3):
             single = sample_geometry(net, sim, g)
-            for tier, d in enumerate(realization.distances):
+            for tier, d in enumerate(tiers):
                 expected, chunk = loop(g, tier)
                 assert d.tobytes() == expected.tobytes()
                 assert d.tobytes() == single.distances[tier].tobytes()
@@ -197,23 +199,36 @@ class TestGeometry:
         # (seed, tier, purpose) stream.
         base = np.random.PCG64DXSM(np.random.SeedSequence((7, 1, purpose)))
         for g in (0, 1, 2**40 + 3, 0):
-            rng = mcsim._Streams(7, purpose, 2, g, 1).at(g, 1)
+            rng = mcsim._stream(7, 1, purpose, g)
             assert rng.bit_generator.state == base.jumped(g).state
             rng.random(5)
 
     @pytest.mark.parametrize("purpose", [_GEOMETRY_STREAM, _FADING_STREAM],
                              ids=["geometry", "fading"])
     def test_stepped_states_are_jumped_states(self, purpose):
-        # A range's later states are stepped by the jump map, not advanced
+        # A pass's later states are stepped by its draws, not advanced
         # from the base state, and are numpy's jumped(g) all the same.
         first_g = 2**40 + 3
-        streams = mcsim._Streams(7, purpose, 2, first_g, 50)
         for tier in (1, 0):
             base = np.random.PCG64DXSM(np.random.SeedSequence((7, tier, purpose)))
+            rng = mcsim._stream(7, tier, purpose, first_g)
             for g in range(first_g, first_g + 50):
-                rng = streams.at(g, tier)
                 assert rng.bit_generator.state == base.jumped(g).state
-                rng.random(5)
+                mcsim._draw(rng, np.empty(5))
+
+    @pytest.mark.parametrize("k", [0, 1, 37, 318])
+    def test_draw_steps_to_the_next_geometry(self, k):
+        # Drawing k values, k = 0 being an empty tier's fading, leaves the
+        # generator at the next geometry's state, and the values are the
+        # first k of the geometry's own stream.
+        g = 2**40 + 3
+        for purpose in (_GEOMETRY_STREAM, _FADING_STREAM):
+            for tier in (0, 1):
+                base = np.random.PCG64DXSM(np.random.SeedSequence((7, tier, purpose)))
+                rng = mcsim._stream(7, tier, purpose, g)
+                values = mcsim._draw(rng, np.empty(k))
+                assert rng.bit_generator.state == base.jumped(g + 1).state
+                assert values.tobytes() == np.random.Generator(base.jumped(g)).random(k).tobytes()
 
     def test_fading_moments(self):
         # Gamma(M, 1): mean M, variance M.
@@ -390,18 +405,22 @@ class TestEstimates:
         assert r_hi.mean > r_lo.mean
 
     def test_small_trial_warning(self):
-        with pytest.warns(UserWarning, match="noisy"):
+        # The warning names the line that built the config.
+        with pytest.warns(UserWarning, match="noisy") as record:
             SimConfig(n_geometry=10, n_fading=10, seed=1)
+        assert record[0].filename == __file__
 
     @pytest.mark.parametrize("field, value, message", [
         ("n_geometry", True, "n_geometry must be an integer, got True"),
         ("n_fading", 100.0, "n_fading must be an integer, got 100.0"),
         ("seed", False, "seed must be an integer, got False"),
         ("seed", -3, "seed must be non-negative, got -3"),
+        ("region_radius", math.inf, "region_radius must be positive and finite, got inf"),
     ])
     def test_invalid_counts_and_seed_rejected(self, field, value, message):
-        # True would otherwise run one geometry, and numpy's error for a
-        # negative seed names no field.
+        # True would otherwise run one geometry, numpy's error for a
+        # negative seed names no field, and an infinite radius would pass
+        # until the pass's arrival count overflowed.
         kw = {"n_geometry": 100, "n_fading": 100, "seed": 1, field: value}
         with pytest.raises(ValueError, match=message):
             SimConfig(**kw)
@@ -626,33 +645,21 @@ class TestRing:
     def test_ring_term_equals_explicit_sum(self, monkeypatch, short):
         # Each geometry's ring term is sum_i P_i M_i sum d^-alpha over tier
         # i's arrivals between r_i and Q_i, the arrivals taken from
-        # sample_geometries at radius Q_i.  With `short`, geometry 5's
-        # uniforms are scaled down, so its first chunk of draws ends inside
-        # Q and its ring is summed from the extended row.  The pass adds
+        # _arrivals at radius Q_i.  With `short`, geometry 5's first chunk
+        # of uniforms is scaled down, so it ends inside Q and its ring is
+        # summed from the extended row.  The pass adds
         # the term to the total of every trial of its geometry.
         if short:
-            at = mcsim._Streams.at
-
-            class Scaled:
-                def __init__(self, rng):
-                    self.rng, self.bit_generator = rng, rng.bit_generator
-
-                def random(self, size=None, out=None):
-                    u = self.rng.random(size, out=out)
-                    u *= 0.25
-                    return u
-
-            monkeypatch.setattr(mcsim._Streams, "at", lambda self, g, tier: (
-                Scaled(at(self, g, tier)) if g == 5 else at(self, g, tier)))
+            scale_first_chunk(monkeypatch, 7, 5, 2, 0.25)
         net = make_network(shapes=(2, 3))
         sim = sim_config(n_geometry=8, n_fading=5)
         fading, outer = mcsim._ring_radii(net, default_region_radii(net))
         distances, ring = mcsim._arrivals(net, sim.seed, 0, sim.n_geometry, fading, outer)
-        realizations = mcsim.sample_geometries(net, sim, 0, sim.n_geometry, outer)
+        arrivals, _ = mcsim._arrivals(net, sim.seed, 0, sim.n_geometry, outer, outer)
         trials = simulate_trials(net, sim)
-        for g, (inner, rz) in enumerate(zip(distances, realizations)):
+        for g, (inner, whole) in enumerate(zip(distances, arrivals)):
             expected = 0.0
-            for t, r, d, d_inner in zip(net.tiers, fading, rz.distances, inner):
+            for t, r, d, d_inner in zip(net.tiers, fading, whole, inner):
                 n_inner = int(np.searchsorted(d, r))
                 assert len(d_inner) == n_inner
                 expected += t.power * t.nakagami_m * sum(x ** -net.alpha for x in d[n_inner:])

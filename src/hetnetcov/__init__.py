@@ -12,13 +12,11 @@ from .analysis import (
     Method,
     RateResult,
     average_rate,
-    conditional_ccdf,
     coverage_probability,
     coverage_rayleigh,
     coverage_reference,
     rate_exact,
     rate_rayleigh,
-    rate_reference,
 )
 from .model import (
     NetworkParams,

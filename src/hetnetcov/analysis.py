@@ -27,11 +27,9 @@ from enum import Enum
 from functools import partial
 
 import numpy as np
-from scipy import integrate
 
 from . import model, pla
 from .model import NetworkParams
-from .pla import QuadratureError
 
 __all__ = [
     "Method",
@@ -43,21 +41,17 @@ __all__ = [
     "coverage_rayleigh_at",
     "coverage_reference",
     "coverage_reference_at",
-    "conditional_ccdf",
     "average_rate",
     "average_rate_at",
     "rate_rayleigh",
     "rate_rayleigh_at",
     "rate_exact",
     "rate_exact_at",
-    "rate_reference",
 ]
 
 # A closed-form probability outside [0,1] by more than this is a formula
 # bug, not floating-point noise.
 _CLAMP_TOL = 1e-9
-# Relative accuracy `rate_reference` demands of each quadrature piece.
-_RATE_REL_TOL = 1e-8
 
 
 class Method(Enum):
@@ -110,31 +104,18 @@ def _per_noise(build, noises: np.ndarray) -> np.ndarray:
 
 
 def _tier_weights(params: NetworkParams, thresholds: np.ndarray, factors,
-                  scale: float = 1.0, y: float = 0.0) -> list[np.ndarray]:
-    """scale lambda_i P_i^(2/a) max(y, beta_i)^(-2/a) f_i for each tier, at each point.
+                  scale: float = 1.0) -> list[np.ndarray]:
+    """scale lambda_i P_i^(2/a) beta_i^(-2/a) f_i for each tier, at each point.
 
     `thresholds` is (K, n), and factors[i] is a float or an (n,) array: the
-    closed form's I_i or, for the exact forms, E[h_i^(2/a)].  With y = 0
-    (below every threshold) these are the tiers' coverage masses;
-    scale = pi makes them the tiers' coverage terms.
+    closed form's I_i or, for the exact forms, E[h_i^(2/a)].  These are the
+    tiers' coverage masses; scale = pi makes them the tiers' coverage terms.
     """
     e = 2.0 / params.alpha
     return [
-        scale * t.density * t.power**e * np.maximum(y, beta) ** -e * f
+        scale * t.density * t.power**e * beta ** -e * f
         for t, beta, f in zip(params.tiers, thresholds, factors)
     ]
-
-
-def _conditional_ccdf(params: NetworkParams):
-    """y -> P(X > y | coverage) = sum_i w_i(y) / sum_i w_i(0) of `params`, once it is checked.
-
-    w_i from `_tier_weights`, with the closed form's I_i (`model._script_i_at`)
-    at the network's own thresholds and noise power.
-    """
-    thresholds, noises = model._points(params, *_own_point(params))
-    script_i = model._script_i_at(params, noises)
-    den = sum(_tier_weights(params, thresholds, script_i))
-    return lambda y: (sum(_tier_weights(params, thresholds, script_i, y=y)) / den).item()
 
 
 def _coverage_closed(params: NetworkParams, thresholds: np.ndarray, script_i) -> np.ndarray:
@@ -269,17 +250,6 @@ def coverage_rayleigh_at(params: NetworkParams, thresholds, noises) -> np.ndarra
     return _clamp_probability(p, "rayleigh coverage")
 
 
-def conditional_ccdf(params: NetworkParams, y: float) -> float:
-    """P(X > y | coverage): raised-threshold coverage over baseline coverage.
-
-    Equals 1 for y <= min_i beta_i, is non-increasing, and -> 0 as y -> inf.
-    """
-    ccdf = _conditional_ccdf(params)
-    if y < 0:
-        raise ValueError(f"conditional_ccdf requires y >= 0, got {y}")
-    return ccdf(y)
-
-
 def _mean_rate_constant(params: NetworkParams, thresholds: np.ndarray, factors,
                         method: Method) -> np.ndarray:
     """The per-tier rate constants averaged with the tiers' coverage masses, at each point."""
@@ -347,37 +317,3 @@ def rate_exact_at(params: NetworkParams, thresholds, noises) -> np.ndarray:
     thresholds, _ = model._points(params, thresholds, noises)
     return _mean_rate_constant(params, thresholds, _fading_moments(params),
                                Method.QUADRATURE_REFERENCE)
-
-
-def rate_reference(params: NetworkParams) -> RateResult:
-    """Quadrature of int_0^inf P(X > y | C) / (1 + y) dy.
-
-    Integrated piecewise between the tier thresholds (the CCDF has kinks
-    there) plus an analytic-free tail integral; agrees with `average_rate`
-    to quadrature accuracy since the closed form integrates the same CCDF
-    exactly.  It integrates the PLA closed form's CCDF; `rate_exact` is the
-    exact rate.
-    """
-    ccdf = _conditional_ccdf(params)
-    thresholds = sorted({t.threshold for t in params.tiers})
-
-    total = 0.0
-    # Below min beta the CCDF is exactly 1.
-    total += math.log1p(thresholds[0])
-    for lo, hi in zip(thresholds, thresholds[1:]):
-        part, err = integrate.quad(lambda y: ccdf(y) / (1.0 + y), lo, hi,
-                                   epsabs=0.0, epsrel=_RATE_REL_TOL * 0.01, limit=200)
-        _check_quad(part, err)
-        total += part
-    tail, err = integrate.quad(lambda y: ccdf(y) / (1.0 + y), thresholds[-1],
-                               math.inf, epsabs=0.0, epsrel=_RATE_REL_TOL * 0.01, limit=200)
-    _check_quad(tail, err)
-    total += tail
-    return RateResult(value=total, method=Method.QUADRATURE_REFERENCE)
-
-
-def _check_quad(value: float, abserr: float) -> None:
-    if value != 0.0 and abserr > _RATE_REL_TOL * abs(value):
-        raise QuadratureError(
-            f"rate quadrature did not converge: value={value}, abserr={abserr}"
-        )

@@ -72,14 +72,10 @@ from .model import NetworkParams
 
 __all__ = [
     "SimConfig",
-    "Realization",
     "Estimate",
     "Trials",
     "default_region_radii",
     "tail_mean_interference",
-    "sample_geometry",
-    "sample_fading",
-    "snapshot_sinrs",
     "simulate_trials",
     "tier_max_sinr",
     "coverage_from_tier_max",
@@ -139,13 +135,6 @@ class SimConfig:
                 f"only {self.n_geometry * self.n_fading} trials; estimates will be noisy",
                 stacklevel=3,
             )
-
-
-@dataclass(frozen=True)
-class Realization:
-    """Per-tier BS distances from the origin; angles are irrelevant at the origin."""
-
-    distances: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -291,39 +280,19 @@ def _draw(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_geometry(params: NetworkParams, sim: SimConfig, stream_index: int,
-                    radii: Sequence[float] | None = None) -> Realization:
-    """One PPP realization: sorted per-tier BS distances, tier i's inside
-    radius radii[i] (by default the sim's disks).
-
-    The gaps between squared distances are -ln(1 - U) / (lam pi), U from
-    `Generator.random` on [0, 1), so no gap is infinite.  A tier draws one
-    chunk of its expected count plus six standard deviations (at least 16)
-    and, should the chunk end inside the disk (a chance below 3e-6 for any
-    expected count), further chunks of its stream.
-    """
-    model.require_valid(params)
-    if radii is None:
-        radii = _radii(params, sim)
-    (distances,), _ = _arrivals(params, sim.seed, stream_index, 1, radii, radii)
-    return Realization(distances=distances)
-
-
 def _arrivals(params: NetworkParams, seed: int, first_g: int, n: int,
               fading_radii: Sequence[float], outer_radii: Sequence[float],
-              streams: Sequence[np.random.Generator] | None = None,
+              streams: Sequence[np.random.Generator],
               ) -> tuple[list[tuple], np.ndarray | None]:
     """Geometries first_g, ..., first_g + n - 1, drawn out to the outer radii.
 
-    `streams` holds tier i's geometry generator at geometry first_g (by
-    default built there) and is left at first_g + n.  Returns each
-    geometry's per-tier sorted distances of the arrivals inside the fading
-    radii, and each geometry's ring term, the sum over tiers of
-    P_i M_i d^-alpha over tier i's arrivals between its fading and outer
-    radius (None where every tier's two radii are equal).
+    `streams` holds tier i's geometry generator at geometry first_g, and is
+    left at first_g + n.  Returns each geometry's per-tier sorted distances
+    of the arrivals inside the fading radii, and each geometry's ring term,
+    the sum over tiers of P_i M_i d^-alpha over tier i's arrivals between
+    its fading and outer radius (None where every tier's two radii are
+    equal).
     """
-    if streams is None:
-        streams = [_stream(seed, i, _GEOMETRY_STREAM, first_g) for i in range(params.n_tiers)]
     per_tier, ring = [], None
     for tier_index, (tier, r, q, rng) in enumerate(
             zip(params.tiers, fading_radii, outer_radii, streams, strict=True)):
@@ -348,7 +317,11 @@ def _distances(rng: np.random.Generator, key: tuple[int, int, int], rate: float,
 
     Each row is one chunk of uniforms from its geometry's stream, and the
     gaps, their running sums and the distances are taken for all rows at
-    once.
+    once.  The gaps between squared distances are -ln(1 - U) / rate, U
+    from `Generator.random` on [0, 1), so no gap is infinite.  A chunk
+    holds the expected count plus six standard deviations (at least 16);
+    a row whose chunk ends inside the disk (a chance below 3e-6 for any
+    expected count) draws further chunks of its stream.
     """
     expected = rate * r2_max
     chunk = max(16, int(expected + 6.0 * math.sqrt(expected + 1.0)))
@@ -392,32 +365,22 @@ def _distances(rng: np.random.Generator, key: tuple[int, int, int], rate: float,
     return distances, ring
 
 
-def sample_fading(
-    params: NetworkParams, sim: SimConfig, stream_index: int, counts: Sequence[int]
-) -> np.ndarray:
-    """(sum(counts), n_fading) block of Gamma(M_i, 1) fading power draws.
+def _log_fading(params: NetworkParams, n_fading: int, counts: Sequence[int],
+                streams: Sequence[np.random.Generator]) -> np.ndarray:
+    """(sum(counts), n_fading) block of ln prod_{j<M} U_j, the negated
+    Gamma(M_i, 1) fading powers, tier i's drawn from streams[i] at some
+    geometry g, which `_draw` leaves at g + 1.
 
     Rows run in tier order, then BS order: tier i owns the `counts[i]` rows
     after those of the tiers before it.  For integer M, Gamma(M, 1) is
     -ln prod_{j<M} U_j with U_j independent uniforms on (0, 1].  Each tier
     draws one (BS, M, n_fading) array of `Generator.random` values from its
     own stream, BS-major (at M = 1 straight into its output rows), and
-    takes U = 1 - value, so no factor is 0.  BS b
-    of a tier thus uses exactly the M * n_fading stream values after the
-    first b * M * n_fading, and the draws of the first n BSs do not depend
-    on how many BSs follow them (needed by the radius-doubling
-    common-random-numbers check).
+    takes U = 1 - value, so no factor is 0.  BS b of a tier thus uses
+    exactly the M * n_fading stream values after the first b * M * n_fading,
+    and the draws of the first n BSs do not depend on how many BSs follow
+    them (needed by the radius-doubling common-random-numbers check).
     """
-    model.require_valid(params)
-    streams = [_stream(sim.seed, i, _FADING_STREAM, stream_index) for i in range(params.n_tiers)]
-    block = _log_fading(params, sim.n_fading, counts, streams)
-    return np.negative(block, out=block)
-
-
-def _log_fading(params: NetworkParams, n_fading: int, counts: Sequence[int],
-                streams: Sequence[np.random.Generator]) -> np.ndarray:
-    """`sample_fading`'s block, negated: ln prod_{j<M} U_j, tier i's drawn
-    from streams[i] at some geometry g, which `_draw` leaves at g + 1."""
     block = np.empty((sum(counts), n_fading))
     start = 0
     for tier, n_bs, rng in zip(params.tiers, counts, streams):
@@ -434,34 +397,6 @@ def _log_fading(params: NetworkParams, n_fading: int, counts: Sequence[int],
         np.log(rows, out=rows)
         start += n_bs
     return block
-
-
-def snapshot_sinrs(
-    params: NetworkParams, realization: Realization, fading_draws: Sequence[np.ndarray]
-) -> list[tuple[int, float]]:
-    """SINR of every BS for a single fading snapshot (one draw per BS).
-
-    Plain restatement of the SINR definition; the denominator of BS b is
-    the sum over every other BS (b's term replaced by an exact 0, nothing
-    subtracted) plus noise, with no tail compensation.  Used directly by
-    tests; the batched simulator pass is checked against it.
-    """
-    model.require_valid(params)
-    received = []
-    for tier_index, (tier, d, h) in enumerate(
-        zip(params.tiers, realization.distances, fading_draws)
-    ):
-        h = np.asarray(h, dtype=float).reshape(-1)
-        if h.shape[0] != d.shape[0]:
-            raise ValueError(f"tier {tier_index}: {d.shape[0]} BSs but {h.shape[0]} fading draws")
-        for dist, fade in zip(d, h):
-            received.append((tier_index, tier.power * fade * dist ** -params.alpha))
-    powers = np.array([r for _, r in received])
-    others = np.where(np.eye(len(powers), dtype=bool), 0.0, powers).sum(axis=1)
-    return [
-        (tier_index, r / (other + params.noise))
-        for (tier_index, r), other in zip(received, others)
-    ]
 
 
 def simulate_trials(params: NetworkParams, sim: SimConfig) -> Trials:
@@ -567,17 +502,23 @@ def tier_max_sinr(trials: Trials, noise: float) -> np.ndarray:
     return strongest / ((total + (noise + trials.tail)) - strongest)
 
 
+def _covered(tier_max: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
+    """(n_geometry, n_fading) flags of the trials in which some tier's
+    maximum SINR beats its threshold, one threshold per tier."""
+    beta = np.asarray(thresholds)
+    if beta.shape != (tier_max.shape[1],):
+        raise ValueError(f"{beta.size} thresholds for {tier_max.shape[1]} tiers")
+    return (tier_max > beta[None, :, None]).any(axis=1)
+
+
 def coverage_from_tier_max(tier_max: np.ndarray, thresholds: Sequence[float]) -> Estimate:
     """Coverage estimate from a `tier_max_sinr` array at given thresholds."""
-    beta = np.asarray(thresholds)
-    covered = (tier_max > beta[None, :, None]).any(axis=1)
-    return _cluster_mean(covered)
+    return _cluster_mean(_covered(tier_max, thresholds))
 
 
 def rate_from_tier_max(tier_max: np.ndarray, thresholds: Sequence[float]) -> tuple[Estimate, Estimate]:
     """(conditional rate, coverage) estimates from a `tier_max_sinr` array."""
-    beta = np.asarray(thresholds)
-    covered = (tier_max > beta[None, :, None]).any(axis=1)
+    covered = _covered(tier_max, thresholds)
     if not covered.any():
         raise RuntimeError("no covered trials; cannot condition the rate estimate")
     log_rate = np.log1p(tier_max.max(axis=1))

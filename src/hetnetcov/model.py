@@ -184,6 +184,11 @@ def interference_constant(params: NetworkParams) -> float:
     return total
 
 
+def _check_tier_index(params: NetworkParams, tier_index: int) -> None:
+    if not (0 <= tier_index < params.n_tiers):
+        raise IndexError(f"tier_index {tier_index} out of range for K={params.n_tiers}")
+
+
 def tier_script_I(params: NetworkParams, tier_index: int, kernel=None) -> float:
     """Per-tier coverage kernel I_i; see `_script_i_at`.
 
@@ -194,8 +199,7 @@ def tier_script_I(params: NetworkParams, tier_index: int, kernel=None) -> float:
     the default gives `_script_i_at`'s I_i at the network's noise power bit
     for bit.
     """
-    if not (0 <= tier_index < params.n_tiers):
-        raise IndexError(f"tier_index {tier_index} out of range for K={params.n_tiers}")
+    _check_tier_index(params, tier_index)
     if kernel is None:
         kernel = pla.approx_gamma_kernel_integral
     m_shape = params.tiers[tier_index].nakagami_m
@@ -298,6 +302,7 @@ def rate_constant(params: NetworkParams, tier_index: int) -> float:
     The length-1 case of `rate_constants_at`.
     """
     require_valid(params)
+    _check_tier_index(params, tier_index)
     return float(rate_constants_at(params.alpha, [params.tiers[tier_index].threshold])[0])
 
 

@@ -40,7 +40,6 @@ __all__ = [
     "PlaCoefficients",
     "QuadratureError",
     "pla_coefficients",
-    "pla_surrogate",
     "approx_gamma_kernel_integral",
     "approx_kernel_error_bound",
     "check_kernel_regime",
@@ -104,15 +103,6 @@ def pla_coefficients(alpha: float) -> PlaCoefficients:
     x1 = (1.0 - c) / m
     x2 = -c / m
     return PlaCoefficients(alpha=alpha, m=m, c=c, x0=x0, x1=x1, x2=x2)
-
-
-def pla_surrogate(x: float, coeff: PlaCoefficients) -> float:
-    """The three-piece approximation itself (used by tests and plots)."""
-    if x <= coeff.x1:
-        return 1.0
-    if x >= coeff.x2:
-        return 0.0
-    return coeff.m * x + coeff.c
 
 
 def approx_gamma_kernel_integral(u, v: float, power: float, alpha: float):

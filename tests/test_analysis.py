@@ -6,7 +6,7 @@ Independent oracles:
 * the displacement-theorem coverage against the paper's triple sum on
   the exact kernel, and its noise-free sin limit,
 * the arctan closed form of the alpha = 4 rate hypergeometric,
-* the piecewise CCDF quadrature in rate_reference.
+* the piecewise CCDF quadrature of `oracles.rate_reference`.
 """
 
 import math
@@ -21,7 +21,6 @@ from hetnetcov.analysis import (
     Method,
     average_rate,
     average_rate_at,
-    conditional_ccdf,
     coverage_probability,
     coverage_probability_at,
     coverage_rayleigh,
@@ -32,7 +31,6 @@ from hetnetcov.analysis import (
     rate_exact_at,
     rate_rayleigh,
     rate_rayleigh_at,
-    rate_reference,
 )
 from hetnetcov import pla
 from hetnetcov.model import (
@@ -41,6 +39,7 @@ from hetnetcov.model import (
     rate_constant,
     tier_script_I,
 )
+from oracles import conditional_ccdf, rate_reference
 
 
 def make_network(alpha=3.0, noise=1e-4, densities=(1.0, 5.0), powers=(25.0, 1.0),

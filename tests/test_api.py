@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -13,6 +16,9 @@ from hetnetcov import pla
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = ("analysis", "cli", "mcsim", "model", "pla")
+# Oracles that only tests call; they live in tests/oracles.py.
+TEST_ORACLES = ("rate_reference", "conditional_ccdf", "snapshot_sinrs", "sample_geometry",
+                "sample_fading", "Realization", "pla_surrogate")
 
 
 def library_example() -> str:
@@ -47,3 +53,22 @@ def test_package_imports_are_exported():
     unexported = [f"{module}.{name}" for module, name in imported
                   if name not in importlib.import_module(f"hetnetcov.{module}").__all__]
     assert unexported == []
+
+
+def test_test_oracles_are_not_shipped():
+    modules = [hetnetcov] + [importlib.import_module(f"hetnetcov.{name}") for name in MODULES]
+    shipped = [f"{module.__name__}.{name}" for module in modules for name in TEST_ORACLES
+               if hasattr(module, name)]
+    assert shipped == []
+
+
+def test_import_leaves_out_integrate_and_optimize():
+    # A fresh interpreter, since other tests import scipy.integrate into this one.
+    src = str(Path(hetnetcov.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, hetnetcov, hetnetcov.cli; "
+            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert run.stdout.strip() == "[]"

@@ -26,15 +26,13 @@ from hetnetcov.mcsim import (
     mc_coverage,
     radius_doubling_drift,
     rate_from_tier_max,
-    sample_fading,
-    sample_geometry,
     simulate_trials,
-    snapshot_sinrs,
     tail_mean_interference,
     tier_max_sinr,
 )
 from hetnetcov.mcsim import _FADING_STREAM, _GEOMETRY_STREAM
 from hetnetcov.model import MAX_NAKAGAMI_M, NetworkParams, TierParams
+from oracles import geometry_range, sample_fading, sample_geometry, snapshot_sinrs
 
 
 def make_network(alpha=3.0, noise=1e-4, densities=(1.0, 5.0), powers=(25.0, 1.0),
@@ -77,7 +75,7 @@ class TestGeometry:
         radius = math.sqrt(100.0 / math.pi)
         sim = sim_config(n_geometry=10000, n_fading=1, region_radius=radius)
         counts = np.array([
-            len(sample_geometry(net, sim, g).distances[0]) for g in range(10000)
+            len(sample_geometry(net, sim, g)[0]) for g in range(10000)
         ])
         assert counts.mean() == pytest.approx(100.0, rel=0.01)
         assert counts.var() / counts.mean() == pytest.approx(1.0, abs=0.05)
@@ -89,7 +87,7 @@ class TestGeometry:
         sim = sim_config(n_geometry=2000, n_fading=1, region_radius=5.0)
         inner = total = 0
         for g in range(2000):
-            d = sample_geometry(net, sim, g).distances[0]
+            d = sample_geometry(net, sim, g)[0]
             inner += int((d <= 2.5).sum())
             total += len(d)
         assert inner / total == pytest.approx(0.25, abs=0.01)
@@ -97,8 +95,7 @@ class TestGeometry:
     def test_distances_sorted_and_bounded(self):
         net = make_network()
         sim = sim_config(region_radius=4.0)
-        rz = sample_geometry(net, sim, 0)
-        for d in rz.distances:
+        for d in sample_geometry(net, sim, 0):
             assert np.all(np.diff(d) >= 0)
             assert d[-1] < 4.0
 
@@ -108,7 +105,7 @@ class TestGeometry:
         net = make_network()
         small = sample_geometry(net, sim_config(region_radius=3.0), 5)
         large = sample_geometry(net, sim_config(region_radius=6.0), 5)
-        for ds, dl in zip(small.distances, large.distances):
+        for ds, dl in zip(small, large):
             np.testing.assert_array_equal(ds, dl[: len(ds)])
 
     def test_zero_uniform_gives_a_zero_gap(self, monkeypatch):
@@ -128,7 +125,7 @@ class TestGeometry:
         monkeypatch.setattr(mcsim, "_draw", first_zero)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d = sample_geometry(net, sim, 0).distances[0]
+            d = sample_geometry(net, sim, 0)[0]
         assert d[0] == 0.0
         assert len(d) > 100  # 157 expected
         assert np.all(d < 5.0)
@@ -157,13 +154,13 @@ class TestGeometry:
             return np.sqrt(arrivals[:np.searchsorted(arrivals, r2_max)]), chunk
 
         radii = (sim.region_radius,) * net.n_tiers
-        distances, _ = mcsim._arrivals(net, sim.seed, 3, 4, radii, radii)
+        distances, _ = geometry_range(net, sim.seed, 3, 4, radii, radii)
         for g, tiers in enumerate(distances, start=3):
             single = sample_geometry(net, sim, g)
             for tier, d in enumerate(tiers):
                 expected, chunk = loop(g, tier)
                 assert d.tobytes() == expected.tobytes()
-                assert d.tobytes() == single.distances[tier].tobytes()
+                assert d.tobytes() == single[tier].tobytes()
                 assert (len(d) > chunk) == (g == dense)
 
     def test_fading_prefix_property(self):
@@ -263,11 +260,11 @@ def snapshot_tier_max(net, sim, trials, n_geometry):
     oracle_net = replace(net, noise=net.noise + trials.tail)
     best = np.empty((n_geometry, net.n_tiers, sim.n_fading))
     for g in range(n_geometry):
-        rz = sample_geometry(net, sim, g)
-        counts = [len(d) for d in rz.distances]
+        distances = sample_geometry(net, sim, g)
+        counts = [len(d) for d in distances]
         h = np.split(sample_fading(net, sim, g, counts), np.cumsum(counts)[:-1])
         for f in range(sim.n_fading):
-            sinrs = snapshot_sinrs(oracle_net, rz, [x[:, f] for x in h])
+            sinrs = snapshot_sinrs(oracle_net, distances, [x[:, f] for x in h])
             for tier in range(net.n_tiers):
                 best[g, tier, f] = max(s for t, s in sinrs if t == tier)
     return best
@@ -319,9 +316,9 @@ class TestKernels:
         denom_const = noise + tail_mean_interference(net, (3.0,) * n_tiers)
         expected = np.zeros((sim.n_geometry, n_tiers, sim.n_fading))
         for g in range(sim.n_geometry):
-            rz = sample_geometry(net, sim, g)
-            counts = [len(d) for d in rz.distances]
-            w = np.concatenate([t.power * d ** -net.alpha for t, d in zip(net.tiers, rz.distances)])
+            distances = sample_geometry(net, sim, g)
+            counts = [len(d) for d in distances]
+            w = np.concatenate([t.power * d ** -net.alpha for t, d in zip(net.tiers, distances)])
             received = w[:, None] * sample_fading(net, sim, g, counts)
             total = received.sum(axis=0) + denom_const
             offsets = np.cumsum([0] + counts)
@@ -354,6 +351,14 @@ class TestUnionSemantics:
         tier_max = np.array([[[2.0], [1.5]]])
         with pytest.raises(RuntimeError, match="no covered trials"):
             rate_from_tier_max(tier_max, [1e6, 1e6])
+
+    @pytest.mark.parametrize("thresholds", [[3.16], [3.16, 1.26, 1.26]], ids=["short", "long"])
+    @pytest.mark.parametrize("estimator", [coverage_from_tier_max, rate_from_tier_max])
+    def test_one_threshold_per_tier(self, estimator, thresholds):
+        # One threshold for two tiers would be broadcast to both.
+        tier_max = np.full((3, 2, 4), 2.0)
+        with pytest.raises(ValueError, match=f"{len(thresholds)} thresholds for 2 tiers"):
+            estimator(tier_max, thresholds)
 
 
 class TestEstimates:
@@ -579,13 +584,13 @@ class TestTruncation:
 
 def received_oracle(net, sim, radii):
     """(n_geometry, K+1, n_fading) received powers of a pass with every BS
-    inside `radii` faded, built from the public samplers: each tier's
+    inside `radii` faded, built from the oracle samplers: each tier's
     largest P d^-alpha h, then the total over every BS."""
     out = np.zeros((sim.n_geometry, net.n_tiers + 1, sim.n_fading))
     for g in range(sim.n_geometry):
-        rz = sample_geometry(net, sim, g, radii)
-        counts = [len(d) for d in rz.distances]
-        w = np.concatenate([t.power * d ** -net.alpha for t, d in zip(net.tiers, rz.distances)])
+        distances = sample_geometry(net, sim, g, radii)
+        counts = [len(d) for d in distances]
+        w = np.concatenate([t.power * d ** -net.alpha for t, d in zip(net.tiers, distances)])
         received = w[:, None] * sample_fading(net, sim, g, counts)
         offsets = np.cumsum([0] + counts)
         for k in range(net.n_tiers):
@@ -654,8 +659,8 @@ class TestRing:
         net = make_network(shapes=(2, 3))
         sim = sim_config(n_geometry=8, n_fading=5)
         fading, outer = mcsim._ring_radii(net, default_region_radii(net))
-        distances, ring = mcsim._arrivals(net, sim.seed, 0, sim.n_geometry, fading, outer)
-        arrivals, _ = mcsim._arrivals(net, sim.seed, 0, sim.n_geometry, outer, outer)
+        distances, ring = geometry_range(net, sim.seed, 0, sim.n_geometry, fading, outer)
+        arrivals, _ = geometry_range(net, sim.seed, 0, sim.n_geometry, outer, outer)
         trials = simulate_trials(net, sim)
         for g, (inner, whole) in enumerate(zip(distances, arrivals)):
             expected = 0.0
@@ -683,10 +688,10 @@ class TestRing:
         large = mcsim._ring_radii(net, tuple(2.0 * r for r in radii))
         assert large[1] == tuple(2.0 * q for q in small[1])
         assert all(b >= a for a, b in zip(small[0], large[0]))
-        inner, _ = mcsim._arrivals(net, sim.seed, 0, sim.n_geometry, *small)
-        doubled, _ = mcsim._arrivals(net, sim.seed, 0, sim.n_geometry, *large)
+        inner, _ = geometry_range(net, sim.seed, 0, sim.n_geometry, *small)
+        doubled, _ = geometry_range(net, sim.seed, 0, sim.n_geometry, *large)
         for g in range(sim.n_geometry):
-            ring = sample_geometry(net, sim, g, small[1]).distances
+            ring = sample_geometry(net, sim, g, small[1])
             for d_inner, d_doubled, d_ring in zip(inner[g], doubled[g], ring):
                 assert len(d_inner) < len(d_ring)
                 assert len(d_inner) <= len(d_doubled)

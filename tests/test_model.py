@@ -245,6 +245,12 @@ class TestRateConstant:
         net = make_network(alpha=3.0, thresholds=(1.2589, 1.2589))
         assert rate_constant(net, 0) == pytest.approx(1.990057262609446, rel=1e-10)
 
+    @pytest.mark.parametrize("tier_index", [-1, 2])
+    def test_tier_index_bounds(self, tier_index):
+        # -1 would pick the last tier; K = 2 is one past it.
+        with pytest.raises(IndexError, match=f"tier_index {tier_index} out of range for K=2"):
+            rate_constant(make_network(), tier_index)
+
 
 def counting(kernel, calls):
     """`kernel`, appending the t-exponent of every call to `calls`."""

@@ -15,8 +15,8 @@ from hetnetcov.pla import (
     check_kernel_regime,
     exact_gamma_kernel_integral,
     pla_coefficients,
-    pla_surrogate,
 )
+from oracles import pla_surrogate
 
 
 # Ten times the exact kernel's own tolerance, pla._AGREE: errors below it are

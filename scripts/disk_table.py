@@ -83,7 +83,7 @@ def main() -> int:
                 params = replace(net, noise=noise)
                 est = mcsim.coverage_from_tier_max(mcsim.tier_max_sinr(trials, noise),
                                                    [t.threshold for t in params.tiers])
-                z = (est.mean - analysis.coverage_reference(params).value) / est.std_error
+                z = (est.mean - analysis.coverage_reference(params)) / est.std_error
                 # A whole number of trials changing outcome, up to rounding.
                 drift = round(mcsim.radius_doubling_drift(params, sim, trials=trials)
                               * n_trials) / n_trials

@@ -8,9 +8,6 @@ simulation of the Poisson network.
 """
 
 from .analysis import (
-    CoverageResult,
-    Method,
-    RateResult,
     average_rate,
     coverage_probability,
     coverage_rayleigh,

@@ -193,7 +193,7 @@ def load_config(path: str) -> RunConfig:
     n_fading = _optional_integer(sm, "n_fading", "sim", 100)
     seed = _optional_integer(sm, "seed", "sim", 0)
     region_radius = (_require_number(sm, "region_radius", "sim")
-                     if sm.get("region_radius") is not None else None)
+                     if "region_radius" in sm else None)
     # SimConfig checks these too, but its messages cannot name the field.
     for key, value in (("n_geometry", n_geometry), ("n_fading", n_fading),
                        ("region_radius", region_radius)):
@@ -279,7 +279,7 @@ def _sweep(config: RunConfig, rate: bool,
 
     A threshold or noise sweep is one block of points that differ only in
     their thresholds and noise power, so each analytic column is one array
-    call over the block (`analysis.coverage_probability_at` and its
+    call over the block's points (`analysis.coverage_probability` and its
     siblings), which builds the closed form's constants and the reference's
     kernel once per distinct noise power, and the simulated statistic, which
     depends on neither, is one pass.  A nakagami_pair point changes the
@@ -331,11 +331,11 @@ def _blocks(config: RunConfig, values) -> list[tuple[NetworkParams, list, list]]
 def _analytic_column(method: str, rate: bool, params: NetworkParams, thresholds,
                      noises) -> np.ndarray:
     if method == "closed":
-        route = analysis.average_rate_at if rate else analysis.coverage_probability_at
+        route = analysis.average_rate if rate else analysis.coverage_probability
     elif method == "rayleigh":
-        route = analysis.rate_rayleigh_at if rate else analysis.coverage_rayleigh_at
+        route = analysis.rate_rayleigh if rate else analysis.coverage_rayleigh
     else:
-        route = analysis.rate_exact_at if rate else analysis.coverage_reference_at
+        route = analysis.rate_exact if rate else analysis.coverage_reference
     return route(params, thresholds, noises)
 
 

@@ -12,7 +12,7 @@ closed-form coverage/rate expressions need three derived quantities:
 
 A and the I_i involve no threshold; `_script_i_at` builds the I_i for
 every noise power of a sweep at once, as arrays over the noise, which
-every threshold of the sweep shares (see `analysis`'s `_at` forms).
+every threshold of the sweep shares (see `analysis`'s routes).
 Likewise `rate_constants_at` gives the A_i at an array of thresholds, and
 `rate_constant` is its length-1 case.
 
@@ -83,14 +83,23 @@ class NetworkParams:
         return len(self.tiers)
 
 
-def _points(params: NetworkParams, thresholds, noises) -> tuple[np.ndarray, np.ndarray]:
-    """The (K, n) thresholds and (n,) noise powers of n points of `params`, once each is checked.
+def _points(params: NetworkParams, thresholds=None, noises=None):
+    """(thresholds, noises, finish) of n points of `params`, once each is checked.
 
     `thresholds` holds one row of K linear thresholds per point and `noises`
-    one noise power per point; `params` must be valid, but its own
-    thresholds and noise power are not used.
+    one noise power per point; they come back as (K, n) and (n,) arrays,
+    and `finish` gives a route's (n,) result back as it is.  With neither,
+    the one point is `params`' own and `finish` returns a float; `params`
+    must be valid either way.
     """
     require_valid(params)
+    if thresholds is None and noises is None:
+        thresholds, noises = [[t.threshold for t in params.tiers]], [params.noise]
+        finish = np.ndarray.item
+    elif thresholds is None or noises is None:
+        raise ValueError("give both thresholds and noise powers, or neither")
+    else:
+        finish = np.asarray
     noises = np.atleast_1d(np.asarray(noises, dtype=float))
     if noises.ndim != 1:
         raise ValueError(f"noise powers must be a 1-d sequence, got shape {noises.shape}")
@@ -107,7 +116,7 @@ def _points(params: NetworkParams, thresholds, noises) -> tuple[np.ndarray, np.n
         point, tier = np.argwhere(bad)[0]
         raise ValueError("invalid network parameters: "
                          + _threshold_error(int(tier), float(thresholds[point, tier])))
-    return np.ascontiguousarray(thresholds.T), noises
+    return np.ascontiguousarray(thresholds.T), noises, finish
 
 
 def _threshold_error(tier_index: int, threshold: float) -> str:

@@ -44,7 +44,6 @@ __all__ = [
     "approx_kernel_error_bound",
     "check_kernel_regime",
     "exact_gamma_kernel_integral",
-    "lower_incomplete_gamma",
 ]
 
 # A closed-form kernel whose a-priori relative error bound exceeds this
@@ -168,21 +167,11 @@ def check_kernel_regime(u, v: float, power: float, alpha: float):
     return bound
 
 
-def lower_incomplete_gamma(s: float, x):
-    """gamma(s, x) = int_0^x t^(s-1) e^(-t) dt for s > 0, x >= 0.
+def _lower_gamma(s: float, x):
+    """gamma(s, x) = int_0^x t^(s-1) e^(-t) dt for s > 0 and x >= 0, unchecked.
 
     scipy's regularized `gammainc` times Gamma(s); `x` may be an array.
     """
-    if not (s > 0):
-        raise ValueError(f"lower_incomplete_gamma requires s > 0, got s={s}")
-    if np.less(x, 0).any():
-        raise ValueError(f"lower_incomplete_gamma requires x >= 0, got x={x}")
-    value = _lower_gamma(s, x)
-    return value if np.ndim(x) else float(value)
-
-
-def _lower_gamma(s: float, x):
-    """`lower_incomplete_gamma` without its domain checks."""
     return special.gammainc(s, x) * math.gamma(s)
 
 

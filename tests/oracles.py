@@ -22,8 +22,7 @@ from typing import Sequence
 import numpy as np
 from scipy import integrate
 
-from hetnetcov import analysis, mcsim, model
-from hetnetcov.analysis import Method, RateResult
+from hetnetcov import mcsim, model
 from hetnetcov.model import NetworkParams
 from hetnetcov.pla import PlaCoefficients, QuadratureError
 
@@ -38,7 +37,7 @@ def _conditional_ccdf(params: NetworkParams):
     form's I_i (`model._script_i_at`) at the network's own thresholds and
     noise power.
     """
-    thresholds, noises = model._points(params, *analysis._own_point(params))
+    thresholds, noises, _ = model._points(params)
     script_i = model._script_i_at(params, noises)
     e = 2.0 / params.alpha
 
@@ -61,14 +60,14 @@ def conditional_ccdf(params: NetworkParams, y: float) -> float:
     return ccdf(y)
 
 
-def rate_reference(params: NetworkParams) -> RateResult:
+def rate_reference(params: NetworkParams) -> float:
     """Quadrature of int_0^inf P(X > y | C) / (1 + y) dy.
 
     Integrated piecewise between the tier thresholds (the CCDF has kinks
     there) plus an analytic-free tail integral; agrees with `average_rate`
     to quadrature accuracy since the closed form integrates the same CCDF
     exactly.  It integrates the PLA closed form's CCDF; `rate_exact` is the
-    exact rate.
+    exact rate.  A total that is not finite raises ArithmeticError.
     """
     ccdf = _conditional_ccdf(params)
     thresholds = sorted({t.threshold for t in params.tiers})
@@ -85,7 +84,9 @@ def rate_reference(params: NetworkParams) -> RateResult:
                                math.inf, epsabs=0.0, epsrel=_RATE_REL_TOL * 0.01, limit=200)
     _check_quad(tail, err)
     total += tail
-    return RateResult(value=total, method=Method.QUADRATURE_REFERENCE)
+    if not math.isfinite(total):
+        raise ArithmeticError(f"rate reference is {total}, not finite")
+    return total
 
 
 def _check_quad(value: float, abserr: float) -> None:

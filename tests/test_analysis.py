@@ -18,19 +18,12 @@ import pytest
 import scipy.integrate
 
 from hetnetcov.analysis import (
-    Method,
     average_rate,
-    average_rate_at,
     coverage_probability,
-    coverage_probability_at,
     coverage_rayleigh,
-    coverage_rayleigh_at,
     coverage_reference,
-    coverage_reference_at,
     rate_exact,
-    rate_exact_at,
     rate_rayleigh,
-    rate_rayleigh_at,
 )
 from hetnetcov import pla
 from hetnetcov.model import (
@@ -89,21 +82,21 @@ class TestCoverage:
         for alpha in (2.5, 3.0, 4.0):
             for noise in (1e-4, 1e-2, 1.0):
                 net = make_network(alpha=alpha, noise=noise)
-                a = coverage_probability(net).value
-                b = coverage_rayleigh(net).value
+                a = coverage_probability(net)
+                b = coverage_rayleigh(net)
                 assert a == pytest.approx(b, rel=1e-10)
 
     def test_reference_matches_polar_quadrature(self):
         for alpha in (2.5, 3.0, 4.0):
             net = make_network(alpha=alpha, thresholds=(2.0, 1.5))
-            assert coverage_reference(net).value == pytest.approx(
+            assert coverage_reference(net) == pytest.approx(
                 coverage_polar_quadrature(net), rel=1e-8
             )
 
     def test_closed_form_near_reference(self):
         net = make_network(shapes=(2, 3), thresholds=(2.0, 1.5))
-        approx = coverage_probability(net).value
-        exact = coverage_reference(net).value
+        approx = coverage_probability(net)
+        exact = coverage_reference(net)
         assert approx == pytest.approx(exact, rel=0.02)
 
     def test_monotone_in_threshold(self):
@@ -111,7 +104,7 @@ class TestCoverage:
         for beta_db in (1.0, 3.0, 6.0, 10.0, 15.0):
             beta = 10.0 ** (beta_db / 10.0)
             net = make_network(thresholds=(beta, 1.2589))
-            values.append(coverage_probability(net).value)
+            values.append(coverage_probability(net))
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_monotone_in_noise(self):
@@ -120,7 +113,7 @@ class TestCoverage:
         # the curve is flat to rounding, so probe the noise-limited side.
         for noise in (1.0, 100.0, 1e4, 1e6):
             net = make_network(noise=noise)
-            values.append(coverage_probability(net).value)
+            values.append(coverage_probability(net))
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_power_noise_scale_invariance(self):
@@ -130,19 +123,13 @@ class TestCoverage:
         for s in (0.1, 10.0):
             scaled = make_network(noise=base.noise * s,
                                   powers=(25.0 * s, 1.0 * s), shapes=(2, 1))
-            assert coverage_probability(scaled).value == pytest.approx(
-                coverage_probability(base).value, rel=1e-12
+            assert coverage_probability(scaled) == pytest.approx(
+                coverage_probability(base), rel=1e-12
             )
 
     def test_vanishes_at_extreme_threshold(self):
         net = make_network(thresholds=(1e9, 1e9))
-        assert coverage_probability(net).value < 1e-4
-
-    def test_method_tags(self):
-        net = make_network()
-        assert coverage_probability(net).method is Method.CLOSED_FORM
-        assert coverage_rayleigh(net).method is Method.RAYLEIGH_CLOSED_FORM
-        assert coverage_reference(net).method is Method.QUADRATURE_REFERENCE
+        assert coverage_probability(net) < 1e-4
 
     def test_rayleigh_rejects_general_shapes(self):
         with pytest.raises(ValueError, match="M_i = 1"):
@@ -199,7 +186,7 @@ class TestDisplacementReference:
                         * tier_script_I(net, i, kernel=pla.exact_gamma_kernel_integral)
                         for i, t in enumerate(net.tiers)
                     )
-                    reference = coverage_reference(net).value
+                    reference = coverage_reference(net)
                     worst = max(worst, abs(triple_sum - reference) / reference)
         assert worst < 1e-11
 
@@ -214,7 +201,7 @@ class TestDisplacementReference:
         masses = displacement_masses(net)
         limit = (math.sin(math.pi * e) / (math.pi * e)
                  * sum(a * t.threshold**-e for a, t in zip(masses, net.tiers)) / sum(masses))
-        assert coverage_reference(net).value == pytest.approx(limit, rel=1e-14)
+        assert coverage_reference(net) == pytest.approx(limit, rel=1e-14)
 
 
 class TestConditionalCcdf:
@@ -240,14 +227,14 @@ class TestRate:
         # With every M equal the kernel factor cancels from the weighted
         # mean, so the general and Rayleigh forms coincide exactly.
         net = make_network(thresholds=(2.0, 1.5))
-        assert average_rate(net).value == pytest.approx(
-            rate_rayleigh(net).value, rel=1e-14
+        assert average_rate(net) == pytest.approx(
+            rate_rayleigh(net), rel=1e-14
         )
 
     def test_rayleigh_noise_invariance(self):
         net_lo = make_network(noise=1e-6, thresholds=(2.0, 1.5))
         net_hi = make_network(noise=10.0, thresholds=(2.0, 1.5))
-        assert rate_rayleigh(net_lo).value == rate_rayleigh(net_hi).value
+        assert rate_rayleigh(net_lo) == rate_rayleigh(net_hi)
 
     def test_exact_rate_weights(self):
         # The rate constants averaged with the displacement masses
@@ -258,17 +245,17 @@ class TestRate:
         weights = [a * t.threshold**-e for a, t in zip(displacement_masses(net), net.tiers)]
         expected = (sum(w * rate_constant(net, i) for i, w in enumerate(weights))
                     / sum(weights))
-        assert rate_exact(net).value == pytest.approx(expected, rel=1e-14)
+        assert rate_exact(net) == pytest.approx(expected, rel=1e-14)
         assert rate_exact(replace(net, noise=1e4)) == rate_exact(net)
         rayleigh = make_network(thresholds=(2.0, 1.4))
-        assert rate_exact(rayleigh).value == pytest.approx(rate_rayleigh(rayleigh).value,
+        assert rate_exact(rayleigh) == pytest.approx(rate_rayleigh(rayleigh),
                                                            rel=1e-14)
 
     def test_against_ccdf_quadrature(self):
         for shapes in ((1, 1), (2, 3)):
             net = make_network(thresholds=(2.0, 1.4), shapes=shapes)
-            closed = average_rate(net).value
-            quad = rate_reference(net).value
+            closed = average_rate(net)
+            quad = rate_reference(net)
             assert closed == pytest.approx(quad, rel=1e-6)
 
     def test_single_tier_arctan_value(self):
@@ -280,7 +267,7 @@ class TestRate:
                            thresholds=(beta,), shapes=(1,))
         x = 1.0 / beta
         expected = 1.0 + 2.0 * math.atan(math.sqrt(x)) / math.sqrt(x)
-        assert average_rate(net).value == pytest.approx(expected, rel=1e-12)
+        assert average_rate(net) == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_in_threshold(self):
         # Raising a threshold discards the low-SINR covered region, so the
@@ -288,12 +275,12 @@ class TestRate:
         values = []
         for beta in (1.2, 2.0, 5.0, 20.0):
             net = make_network(thresholds=(beta, beta))
-            values.append(average_rate(net).value)
+            values.append(average_rate(net))
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_rate_exceeds_log_threshold_floor(self):
         net = make_network(thresholds=(2.0, 1.5), shapes=(2, 1))
-        assert average_rate(net).value > math.log1p(1.5)
+        assert average_rate(net) > math.log1p(1.5)
 
 
 class TestPrebuiltConstants:
@@ -319,18 +306,17 @@ class TestPrebuiltConstants:
         net = make_network(shapes=shapes)
         noises = [10.0 ** (db / 10.0) for db in range(-60, 61, 5)]
         thresholds = [[t.threshold for t in net.tiers]] * len(noises)
-        assert coverage_reference_at(net, thresholds, noises).tolist() == [
-            coverage_reference(replace(net, noise=noise)).value for noise in noises]
+        assert coverage_reference(net, thresholds, noises).tolist() == [
+            coverage_reference(replace(net, noise=noise)) for noise in noises]
         with pytest.raises(ValueError, match="noise power must be positive"):
-            coverage_reference_at(net, thresholds[:2], [1e-3, -1.0])
+            coverage_reference(net, thresholds[:2], [1e-3, -1.0])
 
 
 class TestArrayRoutes:
-    """An `_at` form at n points equals its route on each point's network, bit for bit."""
+    """A route at n points equals the route on each point's network, bit for bit."""
 
-    ROUTES = [(coverage_probability, coverage_probability_at), (average_rate, average_rate_at),
-              (coverage_reference, coverage_reference_at), (rate_exact, rate_exact_at),
-              (coverage_rayleigh, coverage_rayleigh_at), (rate_rayleigh, rate_rayleigh_at)]
+    ROUTES = [coverage_probability, average_rate, coverage_reference, rate_exact,
+              coverage_rayleigh, rate_rayleigh]
 
     @pytest.mark.parametrize("shapes", [(1, 1, 1), (2, 3, 1)])
     def test_equal_to_route_at_each_point(self, shapes):
@@ -347,17 +333,32 @@ class TestArrayRoutes:
         rayleigh = set(shapes) == {1}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", pla.PlaAccuracyWarning)
-            for route, route_at in self.ROUTES[:4] + self.ROUTES[4:] * rayleigh:
-                values = route_at(net, thresholds, noises)
-                assert values.tolist() == [route(p).value for p in points], route.__name__
+            for route in self.ROUTES[:4] + self.ROUTES[4:] * rayleigh:
+                values = route(net, thresholds, noises)
+                assert values.tolist() == [route(p) for p in points], route.__name__
+
+    @pytest.mark.parametrize("route", ROUTES, ids=lambda route: route.__name__)
+    def test_own_point_is_a_float(self, route):
+        # Without points a route evaluates the network's own point, as the
+        # one element of the route at that point given as arrays.
+        net = make_network(thresholds=(2.0, 1.5))
+        value = route(net)
+        assert type(value) is float
+        at = route(net, [[t.threshold for t in net.tiers]], [net.noise])
+        assert at.shape == (1,)
+        assert value == at[0]
+        with pytest.raises(ValueError, match="or neither"):
+            route(net, thresholds=[[2.0, 1.5]])
+        with pytest.raises(ValueError, match="or neither"):
+            route(net, noises=[net.noise])
 
     def test_points_validated(self):
         net = make_network()
         with pytest.raises(ValueError, match=r"tier 1: SINR threshold must exceed 1 .*got 1.0"):
-            coverage_probability_at(net, [[2.0, 2.0], [2.0, 1.0]], [1e-3, 1e-3])
+            coverage_probability(net, [[2.0, 2.0], [2.0, 1.0]], [1e-3, 1e-3])
         with pytest.raises(ValueError, match=r"noise power must be positive \(got 0.0\)"):
-            average_rate_at(net, [[2.0, 2.0]], [0.0])
+            average_rate(net, [[2.0, 2.0]], [0.0])
         with pytest.raises(ValueError, match=r"shape \(points, tiers\) = \(1, 2\)"):
-            rate_exact_at(net, [[2.0, 2.0, 2.0]], [1e-3])
+            rate_exact(net, [[2.0, 2.0, 2.0]], [1e-3])
         with pytest.raises(ValueError, match="M_i = 1"):
-            coverage_rayleigh_at(make_network(shapes=(2, 1)), [[2.0, 2.0]], [1e-3])
+            coverage_rayleigh(make_network(shapes=(2, 1)), [[2.0, 2.0]], [1e-3])

@@ -188,6 +188,8 @@ STRICT_CASES = {
                       "at 'sweep.start' = -3.0: tier 0: SINR threshold must exceed 1"),
     "region_radius-string": (("sim", "region_radius"), "big",
                              "'sim.region_radius' must be a number, got \"big\""),
+    "region_radius-null": (("sim", "region_radius"), None,
+                           "'sim.region_radius' must be a number, got null"),
     "tiers-not-list": (("tiers",), {"lambda": 1.0}, "'tiers' must be a JSON list"),
     "tier-not-object": (("tiers", 0), 3, "'tiers[0]' must be a JSON object"),
     "sweep-not-object": (("sweep",), [], "'sweep' must be a JSON object"),
@@ -265,7 +267,7 @@ class TestSharedConstants:
                                 "reference": analysis.coverage_reference(params)}
                     if "rayleigh" in methods:
                         expected["rayleigh"] = analysis.coverage_rayleigh(params)
-                assert {m: row[m] for m in methods} == {m: r.value for m, r in expected.items()}
+                assert {m: row[m] for m in methods} == expected
 
     @pytest.mark.parametrize("variable, points", [("beta1_db", 6), ("noise_db", 300)])
     def test_exact_kernel_calls(self, tmp_path, monkeypatch, variable, points):
@@ -324,7 +326,7 @@ class TestSharedConstants:
                 else:
                     routes = (analysis.coverage_probability(params),
                               analysis.coverage_reference(params))
-                rows.append({"closed": routes[0].value, "reference": routes[1].value})
+                rows.append({"closed": routes[0], "reference": routes[1]})
             return rows
 
         with warnings.catch_warnings(record=True) as caught:

@@ -579,7 +579,7 @@ class TestTruncation:
             sim = sim_config(n_geometry=n_geometry, n_fading=n_fading, seed=5)
             assert radius_doubling_drift(net, sim) < 1e-3
         est = mc_coverage(net, sim_config(n_geometry=4000, n_fading=20, seed=8))
-        assert abs(est.mean - analysis.coverage_reference(net).value) <= 3.0 * est.std_error
+        assert abs(est.mean - analysis.coverage_reference(net)) <= 3.0 * est.std_error
 
 
 def received_oracle(net, sim, radii):

@@ -16,7 +16,7 @@ import scipy.integrate
 import scipy.special
 
 from hetnetcov import model, pla
-from hetnetcov.analysis import average_rate, coverage_probability, coverage_probability_at
+from hetnetcov.analysis import average_rate, coverage_probability
 from hetnetcov.model import (
     MAX_NAKAGAMI_M,
     NetworkParams,
@@ -276,7 +276,7 @@ class TestClosedFormBuild:
         weights = [t.density * t.power**e * t.threshold**-e * tier_script_I(net, i)
                    for i, t in enumerate(net.tiers)]
         expected = sum(w * rate_constant(net, i) for i, w in enumerate(weights)) / sum(weights)
-        assert average_rate(net).value == pytest.approx(expected, rel=1e-14)
+        assert average_rate(net) == pytest.approx(expected, rel=1e-14)
 
     def test_one_kernel_call_per_distinct_exponent(self, monkeypatch):
         # At alpha = 3, M = 2 needs the exponents {0, 1.5, 1} and M = 3
@@ -297,7 +297,7 @@ class TestClosedFormBuild:
         calls = []
         monkeypatch.setattr(pla, "approx_gamma_kernel_integral",
                             counting(pla.approx_gamma_kernel_integral, calls))
-        coverage_probability_at(net, thresholds, [net.noise] * len(thresholds))
+        coverage_probability(net, thresholds, [net.noise] * len(thresholds))
         assert sorted(calls) == [0.0, 1.0, 1.5, 2.0, 2.5, 3.0]
 
     def test_shapes_computed_once(self, monkeypatch):
@@ -323,15 +323,15 @@ class TestClosedFormBuild:
                             counting(pla.approx_gamma_kernel_integral, calls))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", pla.PlaAccuracyWarning)
-            coverage_probability_at(make_network(shapes=(2, 3)),
-                                    [[2.0, 1.5]] * self.NOISES.size, self.NOISES)
+            coverage_probability(make_network(shapes=(2, 3)),
+                                 [[2.0, 1.5]] * self.NOISES.size, self.NOISES)
         assert sorted(calls) == [0.0, 1.0, 1.5, 2.0, 2.5, 3.0]
 
     def test_noise_powers_validated(self):
         net = make_network()
         with pytest.raises(ValueError, match=r"noise power must be positive \(got 0.0\)"):
-            coverage_probability_at(net, [[2.0, 1.5]] * 2, [1e-3, 0.0])
+            coverage_probability(net, [[2.0, 1.5]] * 2, [1e-3, 0.0])
         with pytest.raises(ValueError, match="1-d"):
-            coverage_probability_at(net, [[2.0, 1.5]], [[1e-3]])
+            coverage_probability(net, [[2.0, 1.5]], [[1e-3]])
         with pytest.raises(ValueError, match="alpha"):
-            coverage_probability_at(make_network(alpha=2.0), [[2.0, 1.5]], [1e-3])
+            coverage_probability(make_network(alpha=2.0), [[2.0, 1.5]], [1e-3])

@@ -77,7 +77,7 @@ def main() -> int:
                 for disks in (radii, fading, outer))
             uniforms = sum(t.nakagami_m * n for t, n in zip(net.tiers, n_fading))
             start = time.perf_counter()
-            trials = mcsim._simulate(net, sim, radii)
+            trials = mcsim.simulate_trials(net, sim, radii)
             seconds = time.perf_counter() - start
             for noise in NOISES:
                 params = replace(net, noise=noise)

@@ -19,11 +19,9 @@ from .model import (
     NetworkParams,
     TierParams,
     interference_constant,
-    rate_constant,
-    tier_script_I,
     validate,
 )
-from .mcsim import Estimate, SimConfig, mc_conditional_rate, mc_coverage
+from .mcsim import Estimate, SimConfig
 from .pla import (
     PlaAccuracyWarning,
     PlaCoefficients,

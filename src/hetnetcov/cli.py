@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -183,6 +184,9 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("sweep.start must be less than sweep.stop")
     if sweep.points < 2:
         raise ConfigError("sweep.points must be at least 2")
+    if variable == "nakagami_pair" and len(sweep.values()) < 2:
+        raise ConfigError(f"'sweep.start' = {sweep.start} and 'sweep.stop' = {sweep.stop} "
+                          "round to one Nakagami shape; a nakagami_pair sweep needs at least 2")
     if "rayleigh" in methods:
         if any(t.nakagami_m != 1 for t in params.tiers) or variable == "nakagami_pair":
             raise ConfigError("method 'rayleigh' requires M_i = 1 on every tier")
@@ -347,7 +351,7 @@ def _mc_column(trials: mcsim.Trials, thresholds: list, noises: list,
     for point_thresholds, noise in zip(thresholds, noises):
         if noise != tier_max_noise:
             tier_max, tier_max_noise = mcsim.tier_max_sinr(trials, noise), noise
-        estimates.append(mcsim.rate_from_tier_max(tier_max, point_thresholds)[0] if rate
+        estimates.append(mcsim.rate_from_tier_max(tier_max, point_thresholds) if rate
                          else mcsim.coverage_from_tier_max(tier_max, point_thresholds))
     return estimates
 
@@ -405,7 +409,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     if args.seed is not None:
-        config = replace(config, sim=replace(config.sim, seed=args.seed))
+        # load_config has warned already if the trial count is small; the
+        # rebuilt SimConfig would warn again, from inside dataclasses.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            config = replace(config, sim=replace(config.sim, seed=args.seed))
 
     # Checked again by the write itself; this fails before the sweep runs.
     problem = _output_problem(args.output) if args.output else None

@@ -80,8 +80,6 @@ __all__ = [
     "tier_max_sinr",
     "coverage_from_tier_max",
     "rate_from_tier_max",
-    "mc_coverage",
-    "mc_conditional_rate",
     "radius_doubling_drift",
 ]
 
@@ -163,7 +161,6 @@ class Trials:
 class Estimate:
     mean: float
     std_error: float
-    n_samples: int
 
 
 def default_region_radii(params: NetworkParams,
@@ -399,24 +396,16 @@ def _log_fading(params: NetworkParams, n_fading: int, counts: Sequence[int],
     return block
 
 
-def simulate_trials(params: NetworkParams, sim: SimConfig) -> Trials:
+def simulate_trials(params: NetworkParams, sim: SimConfig,
+                    radii: tuple[float, ...] | None = None) -> Trials:
     """One simulation pass: per-tier max and total received power per trial.
 
-    Tier i is observed in the sim's disk of radius R_i (`sim.region_radius`
-    for every tier, or `default_region_radii`, with its ring for M_i >= 2).
-    The geometries run one after another, in one sequential pass.
-    """
-    return _simulate(params, sim)
-
-
-def _simulate(params: NetworkParams, sim: SimConfig,
-              radii: tuple[float, ...] | None = None) -> Trials:
-    """`simulate_trials` with tier i observed at radius radii[i] (by default
-    the sim's disks): a ring out to 2 radii[i] for M_i >= 2 unless the sim
-    sets `region_radius` (`_ring_radii`).
-
-    The network is validated here, before any draw, and not again per
-    geometry.
+    Tier i is observed at radius radii[i], by default the sim's disk R_i
+    (`sim.region_radius` for every tier, or `default_region_radii`).  Unless
+    the sim sets `region_radius`, a tier with M_i >= 2 draws fading only
+    inside r_i <= radii[i], with a ring out to 2 radii[i] (`_ring_radii`).
+    The geometries run one after another, in one sequential pass.  The
+    network is validated here, before any draw, and not again per geometry.
     """
     model.require_valid(params)
     if radii is None:
@@ -512,12 +501,17 @@ def _covered(tier_max: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
 
 
 def coverage_from_tier_max(tier_max: np.ndarray, thresholds: Sequence[float]) -> Estimate:
-    """Coverage estimate from a `tier_max_sinr` array at given thresholds."""
-    return _cluster_mean(_covered(tier_max, thresholds))
+    """Coverage estimate, with its geometry-clustered standard error, from a
+    `tier_max_sinr` array at given thresholds."""
+    geo_means = _covered(tier_max, thresholds).mean(axis=1)
+    n_geo = geo_means.shape[0]
+    se = float(np.std(geo_means, ddof=1) / math.sqrt(n_geo)) if n_geo > 1 else math.inf
+    return Estimate(mean=float(geo_means.mean()), std_error=se)
 
 
-def rate_from_tier_max(tier_max: np.ndarray, thresholds: Sequence[float]) -> tuple[Estimate, Estimate]:
-    """(conditional rate, coverage) estimates from a `tier_max_sinr` array."""
+def rate_from_tier_max(tier_max: np.ndarray, thresholds: Sequence[float]) -> Estimate:
+    """Estimate of the mean of ln(1 + max SINR) over the covered trials of a
+    `tier_max_sinr` array."""
     covered = _covered(tier_max, thresholds)
     if not covered.any():
         raise RuntimeError("no covered trials; cannot condition the rate estimate")
@@ -531,28 +525,7 @@ def rate_from_tier_max(tier_max: np.ndarray, thresholds: Sequence[float]) -> tup
         se = float(np.std(resid, ddof=1) / math.sqrt(n_geo) / b.mean())
     else:
         se = math.inf
-    rate = Estimate(mean=float(ratio), std_error=se, n_samples=int(covered.sum()))
-    return rate, _cluster_mean(covered)
-
-
-def _cluster_mean(per_trial: np.ndarray) -> Estimate:
-    """Mean and geometry-clustered standard error of a (G, n_fading) array."""
-    geo_means = per_trial.mean(axis=1)
-    n_geo = geo_means.shape[0]
-    se = float(np.std(geo_means, ddof=1) / math.sqrt(n_geo)) if n_geo > 1 else math.inf
-    return Estimate(mean=float(geo_means.mean()), std_error=se, n_samples=per_trial.size)
-
-
-def mc_coverage(params: NetworkParams, sim: SimConfig) -> Estimate:
-    """Fraction of trials in which some BS beats its tier threshold."""
-    tier_max = tier_max_sinr(simulate_trials(params, sim), params.noise)
-    return coverage_from_tier_max(tier_max, [t.threshold for t in params.tiers])
-
-
-def mc_conditional_rate(params: NetworkParams, sim: SimConfig) -> tuple[Estimate, Estimate]:
-    """Mean of ln(1 + max SINR) over covered trials, plus the coverage fraction."""
-    tier_max = tier_max_sinr(simulate_trials(params, sim), params.noise)
-    return rate_from_tier_max(tier_max, [t.threshold for t in params.tiers])
+    return Estimate(mean=float(ratio), std_error=se)
 
 
 def radius_doubling_drift(params: NetworkParams, sim: SimConfig,
@@ -568,7 +541,7 @@ def radius_doubling_drift(params: NetworkParams, sim: SimConfig,
     if trials is None:
         trials = simulate_trials(params, sim)
     thresholds = [t.threshold for t in params.tiers]
-    doubled = _simulate(params, sim, tuple(2.0 * r for r in trials.radii))
+    doubled = simulate_trials(params, sim, tuple(2.0 * r for r in trials.radii))
     small, large = (coverage_from_tier_max(tier_max_sinr(t, params.noise), thresholds)
                     for t in (trials, doubled))
     return abs(large.mean - small.mean)

@@ -13,8 +13,7 @@ closed-form coverage/rate expressions need three derived quantities:
 A and the I_i involve no threshold; `_script_i_at` builds the I_i for
 every noise power of a sweep at once, as arrays over the noise, which
 every threshold of the sweep shares (see `analysis`'s routes).
-Likewise `rate_constants_at` gives the A_i at an array of thresholds, and
-`rate_constant` is its length-1 case.
+Likewise `rate_constants_at` gives the A_i at an array of thresholds.
 
 Thresholds and powers are linear-scale throughout; dB conversion is the
 CLI's job.
@@ -37,10 +36,8 @@ __all__ = [
     "validate",
     "require_valid",
     "interference_constant",
-    "tier_script_I",
     "bell_table",
     "hyp2f1_rate",
-    "rate_constant",
     "rate_constants_at",
     "closed_form_in_range",
 ]
@@ -193,33 +190,6 @@ def interference_constant(params: NetworkParams) -> float:
     return total
 
 
-def _check_tier_index(params: NetworkParams, tier_index: int) -> None:
-    if not (0 <= tier_index < params.n_tiers):
-        raise IndexError(f"tier_index {tier_index} out of range for K={params.n_tiers}")
-
-
-def tier_script_I(params: NetworkParams, tier_index: int, kernel=None) -> float:
-    """Per-tier coverage kernel I_i; see `_script_i_at`.
-
-    `kernel` defaults to the PLA closed form; `pla.exact_gamma_kernel_integral`,
-    the exact kernel, evaluates the paper's triple sum without the
-    approximation.  It is called as kernel(noise, A, power, alpha) with the
-    float noise power, and the sum runs as `_script_i_at`'s at length 1, so
-    the default gives `_script_i_at`'s I_i at the network's noise power bit
-    for bit.
-    """
-    _check_tier_index(params, tier_index)
-    if kernel is None:
-        kernel = pla.approx_gamma_kernel_integral
-    m_shape = params.tiers[tier_index].nakagami_m
-    a_const = interference_constant(params)
-    by_shape = _script_i_by_shape(
-        params.alpha, np.array([params.noise]), a_const, (m_shape,),
-        lambda power: kernel(params.noise, a_const, power, params.alpha),
-    )
-    return float(by_shape[m_shape][0])
-
-
 def bell_table(x: list[float]) -> list[list[float]]:
     """Partial Bell polynomials B_{l,r}(x_1, ..., x_{l-r+1}) as table[l][r], 0 <= r <= l <= len(x).
 
@@ -305,21 +275,10 @@ def hyp2f1_rate(alpha: float, beta_threshold):
     return value if betas.ndim else float(value)
 
 
-def rate_constant(params: NetworkParams, tier_index: int) -> float:
-    """A_i = ln(1 + beta_i) + (alpha/2) 2F1(1, 2/a; 1+2/a; -1/beta_i).
-
-    The length-1 case of `rate_constants_at`.
-    """
-    require_valid(params)
-    _check_tier_index(params, tier_index)
-    return float(rate_constants_at(params.alpha, [params.tiers[tier_index].threshold])[0])
-
-
 def rate_constants_at(alpha: float, thresholds) -> np.ndarray:
     """ln(1 + beta) + (alpha/2) 2F1(1, 2/a; 1+2/a; -1/beta) at each threshold of a 1-d array.
 
     The rate constant A_i of a tier at each of its thresholds in a sweep.
-    Element j equals `rate_constant` at thresholds[j], bit for bit.
     """
     betas = np.array(thresholds, dtype=float, ndmin=1)
     return np.log1p(betas) + (alpha / 2.0) * hyp2f1_rate(alpha, betas)

@@ -11,7 +11,9 @@ Nothing here is used by the command line or by the library routes:
   geometry's stream state;
 * `snapshot_sinrs`, the SINR definition restated per BS, which the
   simulator pass is checked against;
-* `pla_surrogate`, the PLA's three-piece line itself.
+* `pla_surrogate`, the PLA's three-piece line itself;
+* `script_i`, the per-tier triple sum I_i on any kernel, the exact one
+  included.
 """
 
 from __future__ import annotations
@@ -160,3 +162,14 @@ def pla_surrogate(x: float, coeff: PlaCoefficients) -> float:
     if x >= coeff.x2:
         return 0.0
     return coeff.m * x + coeff.c
+
+
+def script_i(params: NetworkParams, kernel) -> list[float]:
+    """Each tier's I_i at the network's own noise power, the triple sum of
+    `model._script_i_by_shape` on kernel(noise, A, power, alpha)."""
+    a_const = model.interference_constant(params)
+    shapes = [t.nakagami_m for t in params.tiers]
+    by_shape = model._script_i_by_shape(
+        params.alpha, np.array([params.noise]), a_const, shapes,
+        lambda power: kernel(params.noise, a_const, power, params.alpha))
+    return [float(by_shape[m][0]) for m in shapes]

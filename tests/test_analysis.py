@@ -26,13 +26,8 @@ from hetnetcov.analysis import (
     rate_rayleigh,
 )
 from hetnetcov import pla
-from hetnetcov.model import (
-    NetworkParams,
-    TierParams,
-    rate_constant,
-    tier_script_I,
-)
-from oracles import conditional_ccdf, rate_reference
+from hetnetcov.model import NetworkParams, TierParams, rate_constants_at
+from oracles import conditional_ccdf, rate_reference, script_i
 
 
 def make_network(alpha=3.0, noise=1e-4, densities=(1.0, 5.0), powers=(25.0, 1.0),
@@ -182,9 +177,9 @@ class TestDisplacementReference:
                     net = make_network(alpha=alpha, noise=noise, thresholds=(3.1623, 1.2589),
                                        shapes=(m, 17 - m))
                     triple_sum = sum(
-                        math.pi * t.density * t.power**e * t.threshold**-e
-                        * tier_script_I(net, i, kernel=pla.exact_gamma_kernel_integral)
-                        for i, t in enumerate(net.tiers)
+                        math.pi * t.density * t.power**e * t.threshold**-e * i_i
+                        for t, i_i in zip(net.tiers,
+                                          script_i(net, pla.exact_gamma_kernel_integral))
                     )
                     reference = coverage_reference(net)
                     worst = max(worst, abs(triple_sum - reference) / reference)
@@ -243,8 +238,8 @@ class TestRate:
         net = make_network(thresholds=(2.0, 1.4), shapes=(2, 3))
         e = 2.0 / net.alpha
         weights = [a * t.threshold**-e for a, t in zip(displacement_masses(net), net.tiers)]
-        expected = (sum(w * rate_constant(net, i) for i, w in enumerate(weights))
-                    / sum(weights))
+        rates = rate_constants_at(net.alpha, [t.threshold for t in net.tiers])
+        expected = sum(w * a_i for w, a_i in zip(weights, rates)) / sum(weights)
         assert rate_exact(net) == pytest.approx(expected, rel=1e-14)
         assert rate_exact(replace(net, noise=1e4)) == rate_exact(net)
         rayleigh = make_network(thresholds=(2.0, 1.4))

@@ -130,6 +130,13 @@ class TestLoadConfig:
         cfg["sweep"]["start"] = cfg["sweep"]["stop"]
         with pytest.raises(ConfigError, match="start"):
             load_config(write_config(tmp_path, cfg))
+        # Five points from 1.0 to 1.4 all round to M = 1: one row.
+        cfg = base_config()
+        cfg["sweep"] = {"variable": "nakagami_pair", "start": 1.0, "stop": 1.4,
+                        "points": 5, "methods": ["closed"]}
+        with pytest.raises(ConfigError, match=re.escape(
+                "'sweep.start' = 1.0 and 'sweep.stop' = 1.4 round to one Nakagami shape")):
+            load_config(write_config(tmp_path, cfg))
 
     @pytest.mark.parametrize("variable, start, stop, key", [
         ("noise_db", -20.0, 4000.0, "'sweep.stop' is 4000.0 dB, too large for a float"),
@@ -401,10 +408,10 @@ class TestRunSweep:
         rows = run_sweep(config, rate=rate)
         for row in rows:
             params = _params_at(config, row["sweep_db"])
-            if rate:
-                est, _ = mcsim.mc_conditional_rate(params, config.sim)
-            else:
-                est = mcsim.mc_coverage(params, config.sim)
+            tier_max = mcsim.tier_max_sinr(mcsim.simulate_trials(params, config.sim),
+                                           params.noise)
+            estimator = mcsim.rate_from_tier_max if rate else mcsim.coverage_from_tier_max
+            est = estimator(tier_max, [t.threshold for t in params.tiers])
             assert row["mc"] == est.mean
             assert row["mc_se"] == est.std_error
 
@@ -446,6 +453,17 @@ class TestMain:
         assert main(["--config", path, "--output", str(a), "--seed", "1"]) == 0
         assert main(["--config", path, "--output", str(b), "--seed", "2"]) == 0
         assert a.read_bytes() != b.read_bytes()
+
+    def test_seed_override_warns_once(self, tmp_path, capsys):
+        # A small trial count warns once, naming load_config's line; the
+        # SimConfig that --seed rebuilds does not warn again.
+        cfg = base_config(sim={"n_geometry": 10, "n_fading": 10, "seed": 11})
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--config", path, "--seed", "3"]) == 0
+        noisy = [w for w in caught if "estimates will be noisy" in str(w.message)]
+        assert [w.filename for w in noisy] == [load_config.__code__.co_filename]
 
     def test_rate_flag(self, tmp_path, capsys):
         cfg = base_config()
@@ -515,7 +533,7 @@ class TestMain:
         # disk is simulated again.  A nakagami_pair sweep (two points here)
         # simulates each point, and the drift the first point's doubled
         # disk.  Every pass, the doubled disks' too, runs through
-        # mcsim._simulate.
+        # mcsim.simulate_trials.
         cfg = base_config()
         cfg["sweep"] = {"variable": variable, "start": 1.0, "stop": 2.0,
                         "points": 2, "methods": ["mc"]}
@@ -524,8 +542,7 @@ class TestMain:
         # At the network of the sweep's first point.
         expected = mcsim.radius_doubling_drift(_params_at(config, 1.0), config.sim)
         calls = [0]
-        counted = counting(mcsim._simulate, calls)
-        monkeypatch.setattr(mcsim, "_simulate", counted)
+        monkeypatch.setattr(mcsim, "simulate_trials", counting(mcsim.simulate_trials, calls))
         assert main(["--config", path, "--radius-check"]) == 0
         assert calls[0] == passes
         resolution = 1.0 / (config.sim.n_geometry * config.sim.n_fading)

@@ -22,8 +22,6 @@ from hetnetcov.mcsim import (
     SimConfig,
     coverage_from_tier_max,
     default_region_radii,
-    mc_conditional_rate,
-    mc_coverage,
     radius_doubling_drift,
     rate_from_tier_max,
     simulate_trials,
@@ -343,8 +341,7 @@ class TestUnionSemantics:
 
     def test_rate_uses_overall_max(self):
         tier_max = np.array([[[2.0], [1.5]]])
-        rate, cov = rate_from_tier_max(tier_max, [100.0, 1.1])
-        assert cov.mean == 1.0
+        rate = rate_from_tier_max(tier_max, [100.0, 1.1])
         assert rate.mean == pytest.approx(math.log1p(2.0))
 
     def test_no_covered_trials_raises(self):
@@ -392,21 +389,22 @@ class TestEstimates:
     def test_same_seed_reproducible(self):
         net = make_network()
         sim = sim_config(n_geometry=50, n_fading=20)
-        a = mc_coverage(net, sim)
-        b = mc_coverage(net, sim)
+        a, b = (coverage_from_tier_max(tier_max_sinr(simulate_trials(net, sim), net.noise),
+                                       [t.threshold for t in net.tiers]) for _ in range(2))
         assert a == b
 
     def test_extreme_threshold_kills_coverage(self):
         net = make_network(thresholds=(1e12, 1e12))
-        est = mc_coverage(net, sim_config(n_geometry=100, n_fading=10))
+        trials = simulate_trials(net, sim_config(n_geometry=100, n_fading=10))
+        est = coverage_from_tier_max(tier_max_sinr(trials, net.noise), [1e12, 1e12])
         assert est.mean == 0.0
 
     def test_rate_monotone_in_threshold(self):
-        net_lo = make_network(thresholds=(1.2589, 1.2589))
-        net_hi = make_network(thresholds=(4.0, 4.0))
-        sim = sim_config(n_geometry=400, n_fading=20)
-        r_lo, _ = mc_conditional_rate(net_lo, sim)
-        r_hi, _ = mc_conditional_rate(net_hi, sim)
+        net = make_network()
+        tier_max = tier_max_sinr(simulate_trials(net, sim_config(n_geometry=400, n_fading=20)),
+                                 net.noise)
+        r_lo = rate_from_tier_max(tier_max, [1.2589, 1.2589])
+        r_hi = rate_from_tier_max(tier_max, [4.0, 4.0])
         assert r_hi.mean > r_lo.mean
 
     def test_small_trial_warning(self):
@@ -431,11 +429,13 @@ class TestEstimates:
             SimConfig(**kw)
 
     def test_estimate_fields(self):
-        est = mc_coverage(make_network(), sim_config(n_geometry=100, n_fading=10))
+        net = make_network()
+        trials = simulate_trials(net, sim_config(n_geometry=100, n_fading=10))
+        est = coverage_from_tier_max(tier_max_sinr(trials, net.noise),
+                                     [t.threshold for t in net.tiers])
         assert isinstance(est, Estimate)
         assert 0.0 < est.mean < 1.0
         assert est.std_error > 0.0
-        assert est.n_samples == 1000
 
     def test_invalid_network_rejected_by_every_pass(self):
         # Every pass validates at its entry, also the doubled disks' pass
@@ -578,7 +578,9 @@ class TestTruncation:
         for n_geometry, n_fading in ((500, 10), (3000, 50)):
             sim = sim_config(n_geometry=n_geometry, n_fading=n_fading, seed=5)
             assert radius_doubling_drift(net, sim) < 1e-3
-        est = mc_coverage(net, sim_config(n_geometry=4000, n_fading=20, seed=8))
+        trials = simulate_trials(net, sim_config(n_geometry=4000, n_fading=20, seed=8))
+        est = coverage_from_tier_max(tier_max_sinr(trials, net.noise),
+                                     [t.threshold for t in net.tiers])
         assert abs(est.mean - analysis.coverage_reference(net)) <= 3.0 * est.std_error
 
 

@@ -4,7 +4,7 @@ Oracles:
 
 * interference constant A re-summed in-test with scipy.special.beta,
 * the rate constant re-derived through its tail-integral form,
-* the M = 1 collapse of tier_script_I to a single kernel evaluation.
+* the M = 1 collapse of the I_i to a single kernel evaluation.
 """
 
 import math
@@ -23,11 +23,11 @@ from hetnetcov.model import (
     TierParams,
     bell_table,
     interference_constant,
-    rate_constant,
+    rate_constants_at,
     require_valid,
-    tier_script_I,
     validate,
 )
+from oracles import script_i
 
 
 def make_network(alpha=3.0, noise=1e-4, densities=(1.0, 5.0), powers=(25.0, 1.0),
@@ -146,28 +146,24 @@ class TestTierScriptI:
         net = make_network()
         a_const = interference_constant(net)
         expected = pla.approx_gamma_kernel_integral(net.noise, a_const, 0.0, net.alpha)
-        assert tier_script_I(net, 0) == expected
-        assert tier_script_I(net, 1) == expected
         assert script_i_at_own_noise(net).tolist() == [expected, expected]
 
     def test_depends_only_on_shape(self):
         net = make_network(shapes=(3, 3))
-        assert tier_script_I(net, 0) == tier_script_I(net, 1)
-        script_i = script_i_at_own_noise(net)
-        assert script_i[0] == script_i[1]
+        by_tier = script_i_at_own_noise(net)
+        assert by_tier[0] == by_tier[1]
 
     def test_kernel_override_matches_quadrature_reference(self):
         net = make_network(shapes=(2, 3))
-        for i in range(net.n_tiers):
-            approx = tier_script_I(net, i)
-            exact = tier_script_I(net, i, kernel=pla.exact_gamma_kernel_integral)
-            assert approx == pytest.approx(exact, rel=0.02)
+        approx = script_i_at_own_noise(net).tolist()
+        exact = script_i(net, pla.exact_gamma_kernel_integral)
+        assert approx == pytest.approx(exact, rel=0.02)
 
     def test_every_term_non_negative(self):
         # Every term of the triple sum has sign +1 (the proof is in
         # _script_i_by_shape's docstring), so it cannot cancel.  Re-sum it
         # term by term on both kernels over a seeded grid of networks: each
-        # term is >= 0, and together they give tier_script_I.
+        # term is >= 0, and together they give the I_i.
         rng = np.random.default_rng(1604)
         n_terms = 0
         for _ in range(40):
@@ -198,7 +194,7 @@ class TestTierScriptI:
                 assert min(terms) >= 0.0, (alpha, m, net.noise, kernel.__name__)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", pla.PlaAccuracyWarning)
-                    total = tier_script_I(net, 0, kernel=kernel)
+                    total = script_i(net, kernel)[0]
                 assert math.fsum(terms) == pytest.approx(total, rel=1e-12)
                 n_terms += len(terms)
         assert n_terms > 10000
@@ -206,15 +202,7 @@ class TestTierScriptI:
     def test_positive_over_shapes(self):
         for m in (1, 2, 4, 8):
             net = make_network(shapes=(m, 1))
-            assert tier_script_I(net, 0) > 0.0
             assert script_i_at_own_noise(net)[0] > 0.0
-
-    def test_tier_index_bounds(self):
-        net = make_network()
-        with pytest.raises(IndexError):
-            tier_script_I(net, 2)
-        with pytest.raises(IndexError):
-            tier_script_I(net, -1)
 
 
 class TestRateConstant:
@@ -222,34 +210,25 @@ class TestRateConstant:
         # ln(1+beta) < A_i <= ln(1+beta) + alpha/2 (the 2F1 term lies in (0, 1]).
         for alpha in (2.5, 3.0, 4.0):
             for beta in (1.1, 2.0, 10.0, 100.0):
-                net = make_network(alpha=alpha, thresholds=(beta, beta))
-                value = rate_constant(net, 0)
+                value = rate_constants_at(alpha, [beta])[0]
                 assert math.log1p(beta) < value <= math.log1p(beta) + alpha / 2.0
 
     def test_large_threshold_limit(self):
         # The 2F1 factor tends to 1, so A_i approaches ln(1+beta) + alpha/2.
-        net = make_network(thresholds=(1e8, 1e8))
-        value = rate_constant(net, 0)
-        assert value == pytest.approx(math.log1p(1e8) + net.alpha / 2.0, rel=1e-8)
+        value = rate_constants_at(3.0, [1e8])[0]
+        assert value == pytest.approx(math.log1p(1e8) + 3.0 / 2.0, rel=1e-8)
 
     def test_against_tail_quadrature(self):
         for alpha in (2.5, 3.0, 4.0):
             for beta in (1.2589, 2.0, 7.5, 40.0):
-                net = make_network(alpha=alpha, thresholds=(beta, beta))
-                assert rate_constant(net, 0) == pytest.approx(
+                assert rate_constants_at(alpha, [beta])[0] == pytest.approx(
                     rate_constant_quadrature(alpha, beta), rel=1e-8
                 )
 
     def test_frozen_spot_value(self):
         # alpha = 3, beta = 1.2589 (1 dB); oracle: tail quadrature above.
-        net = make_network(alpha=3.0, thresholds=(1.2589, 1.2589))
-        assert rate_constant(net, 0) == pytest.approx(1.990057262609446, rel=1e-10)
-
-    @pytest.mark.parametrize("tier_index", [-1, 2])
-    def test_tier_index_bounds(self, tier_index):
-        # -1 would pick the last tier; K = 2 is one past it.
-        with pytest.raises(IndexError, match=f"tier_index {tier_index} out of range for K=2"):
-            rate_constant(make_network(), tier_index)
+        assert rate_constants_at(3.0, [1.2589])[0] == pytest.approx(1.990057262609446,
+                                                                    rel=1e-10)
 
 
 def counting(kernel, calls):
@@ -273,9 +252,10 @@ class TestClosedFormBuild:
         # lambda_i P_i^(2/a) beta_i^(-2/a) I_i.
         net = make_network(shapes=(2, 1))
         e = 2.0 / net.alpha
-        weights = [t.density * t.power**e * t.threshold**-e * tier_script_I(net, i)
-                   for i, t in enumerate(net.tiers)]
-        expected = sum(w * rate_constant(net, i) for i, w in enumerate(weights)) / sum(weights)
+        weights = [t.density * t.power**e * t.threshold**-e * i_i
+                   for t, i_i in zip(net.tiers, script_i_at_own_noise(net))]
+        rates = rate_constants_at(net.alpha, [t.threshold for t in net.tiers])
+        expected = sum(w * a_i for w, a_i in zip(weights, rates)) / sum(weights)
         assert average_rate(net) == pytest.approx(expected, rel=1e-14)
 
     def test_one_kernel_call_per_distinct_exponent(self, monkeypatch):
@@ -314,7 +294,7 @@ class TestClosedFormBuild:
         monkeypatch.setattr(pla, "approx_gamma_kernel_integral",
                             counting(pla.approx_gamma_kernel_integral, calls))
         coverage_probability(make_network())
-        tier_script_I(make_network(), 0)
+        script_i_at_own_noise(make_network())
         assert calls == [0.0, 0.0]
 
     def test_one_kernel_call_per_exponent_for_all_noises(self, monkeypatch):

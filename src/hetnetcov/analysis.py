@@ -11,12 +11,12 @@ Given an (n, K) array of thresholds and an (n,) array of noise powers,
 the route evaluates those n points and returns an (n,) array; given
 neither, it evaluates `params`' own thresholds and noise power and
 returns a float; given one alone, it raises ValueError (`model._points`).
-The threshold-free part (the closed form's I_i, `model._script_i_at`, or
-the reference's one exact kernel) is built once per distinct noise
-power, as one array evaluation, and shared by every threshold of the
-sweep.  The float is the one-point array's element, so element j of an
-array result equals, bit for bit, the route called on the network of
-point j.
+The threshold-free part (the closed form's I_i, `model._script_i_at`'s
+one PLA kernel call for every exponent of the triple sum, or the
+reference's one exact kernel) is built once per distinct noise power, as
+one array evaluation, and shared by every threshold of the sweep.  The
+float is the one-point array's element, so element j of an array result
+equals, bit for bit, the route called on the network of point j.
 """
 
 from __future__ import annotations
@@ -57,11 +57,13 @@ def _clamp_probability(p: np.ndarray, context: str) -> np.ndarray:
     if bad.any():
         raise ArithmeticError(f"{context} produced probability {float(p[bad][0])}, "
                               "outside [0,1]")
-    return np.clip(p, 0.0, 1.0)
+    return p.clip(0.0, 1.0)
 
 
 def _per_noise(build, noises: np.ndarray) -> np.ndarray:
     """build(distinct noise powers), one column per point: one build per distinct noise power."""
+    if noises.size == 1:  # a one-point call skips np.unique's cost
+        return build(noises)
     distinct, at = np.unique(noises, return_inverse=True)
     return build(distinct)[..., at]
 
@@ -86,8 +88,8 @@ def coverage_probability(params: NetworkParams, thresholds=None, noises=None):
 
     Points as in the module docstring; the I_i are built by
     `model._script_i_at`'s triple sum, once, over the distinct noise
-    powers.  Each of its kernel calls raises at most one
-    PlaAccuracyWarning, carrying the noise powers it flags.
+    powers.  Its one kernel call raises at most one PlaAccuracyWarning per
+    t-exponent, carrying the noise powers that exponent flags.
     """
     thresholds, noises, finish = model._points(params, thresholds, noises)
     script_i = _per_noise(partial(model._script_i_at, params), noises)
@@ -165,14 +167,11 @@ def coverage_rayleigh(params: NetworkParams, thresholds=None, noises=None):
         pla.check_kernel_regime(u, v, 0.0, a)
         co = pla.pla_coefficients(a)
         u_e = u**e
-        w = v / u_e
-        e1 = np.exp(-w * co.x1)
-        e2 = np.exp(-w * co.x2)
-        return (
-            (1.0 - e1)
-            + co.c * (e1 - e2)
-            + co.m * (e1 * (co.x1 + u_e / v) - e2 * (co.x2 + u_e / v))
-        )
+        w, u_v = v / u_e, u_e / v
+        e1 = np.exp(w * -co.x1)
+        e2 = np.exp(w * -co.x2)
+        return ((1.0 - e1) + co.c * (e1 - e2)
+                + co.m * (e1 * (co.x1 + u_v) - e2 * (co.x2 + u_v)))
 
     masses = _tier_weights(params, thresholds, (1.0,) * params.n_tiers, scale=math.pi)
     p = sum(m / v for m in masses) * _per_noise(bracket, noises)

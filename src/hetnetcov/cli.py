@@ -249,19 +249,20 @@ def _params_at(config: RunConfig, value: float) -> NetworkParams:
     if config.sweep.variable == "nakagami_pair":
         # The swept integer is applied to every tier.
         return replace(params, tiers=tuple(replace(t, nakagami_m=int(value)) for t in params.tiers))
-    (thresholds,), (noise,) = _swept(config, [value])
-    return replace(params, noise=noise, tiers=tuple(
-        replace(t, threshold=beta) for t, beta in zip(params.tiers, thresholds)))
+    thresholds, noises = _swept(config, [value])
+    return replace(params, noise=noises.item(), tiers=tuple(
+        replace(t, threshold=beta) for t, beta in zip(params.tiers, thresholds[0].tolist())))
 
 
-def _swept(config: RunConfig, values) -> tuple[list[list[float]], list[float]]:
-    """Each point's linear thresholds and noise power, on a beta1_db or noise_db sweep."""
+def _swept(config: RunConfig, values) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, K) linear thresholds and (n,) noise powers of a beta1_db or noise_db sweep."""
     params = config.params
-    linear = [db_to_linear(float(value)) for value in values]
-    thresholds = [t.threshold for t in params.tiers]
+    linear = np.array([db_to_linear(float(value)) for value in values])  # each value alone
+    thresholds = np.tile([t.threshold for t in params.tiers], (linear.size, 1))
     if config.sweep.variable == "beta1_db":
-        return [[beta] + thresholds[1:] for beta in linear], [params.noise] * len(linear)
-    return [thresholds] * len(linear), linear
+        thresholds[:, 0] = linear
+        return thresholds, np.full(linear.size, params.noise)
+    return thresholds, linear
 
 
 def run_sweep(config: RunConfig, rate: bool = False, bits: bool = False,
@@ -309,26 +310,25 @@ def _sweep(config: RunConfig, rate: bool,
             else:
                 column = _analytic_column(method, rate, params, thresholds, noises) / unit
                 columns.setdefault(method, []).extend(column.tolist())
-    rows = [{"sweep_db": float(value)} for value in values]
-    for name, column in columns.items():
-        for row, x in zip(rows, column):
-            row[name] = x
-    for row in rows:
-        if "mc" in row and not math.isfinite(row["mc"]):
-            raise ArithmeticError(f"mc {'rate' if rate else 'coverage'} is {row['mc']}, "
-                                  f"not finite, at sweep_db = {row['sweep_db']:.10g}")
-    return rows, first
+    bad = np.flatnonzero(~np.isfinite(columns.get("mc", [])))
+    if bad.size:
+        point = bad[0]
+        raise ArithmeticError(f"mc {'rate' if rate else 'coverage'} is {columns['mc'][point]}, "
+                              f"not finite, at sweep_db = {float(values[point]):.10g}")
+    names = ["sweep_db", *columns]
+    return [dict(zip(names, row)) for row in zip(map(float, values), *columns.values())], first
 
 
-def _blocks(config: RunConfig, values) -> list[tuple[NetworkParams, list, list]]:
-    """The sweep's points as (network, thresholds, noises) blocks, one row and noise per point.
+def _blocks(config: RunConfig, values) -> list[tuple[NetworkParams, np.ndarray, np.ndarray]]:
+    """The sweep's points as (network, thresholds, noises) blocks: (n, K) and (n,) arrays.
 
     The network fixes all else.  On a threshold or noise sweep it is the
     first point's: the config's own value of the swept field is unused.
     """
     if config.sweep.variable == "nakagami_pair":
         points = [_params_at(config, float(value)) for value in values]
-        return [(p, [[t.threshold for t in p.tiers]], [p.noise]) for p in points]
+        return [(p, np.array([[t.threshold for t in p.tiers]]), np.array([p.noise]))
+                for p in points]
     return [(_params_at(config, float(values[0])), *_swept(config, values))]
 
 
@@ -343,7 +343,7 @@ def _analytic_column(method: str, rate: bool, params: NetworkParams, thresholds,
     return route(params, thresholds, noises)
 
 
-def _mc_column(trials: mcsim.Trials, thresholds: list, noises: list,
+def _mc_column(trials: mcsim.Trials, thresholds: np.ndarray, noises: np.ndarray,
                rate: bool) -> list[mcsim.Estimate]:
     """The estimate at each point of a block that `trials` simulates."""
     estimates = []

@@ -97,20 +97,18 @@ def _points(params: NetworkParams, thresholds=None, noises=None):
         raise ValueError("give both thresholds and noise powers, or neither")
     else:
         finish = np.asarray
-    noises = np.atleast_1d(np.asarray(noises, dtype=float))
+    noises = np.array(noises, dtype=float, ndmin=1)
     if noises.ndim != 1:
         raise ValueError(f"noise powers must be a 1-d sequence, got shape {noises.shape}")
-    bad = ~(noises > 0)
-    if bad.any():
+    if not (noises > 0).all():
         raise ValueError("invalid network parameters: noise power must be positive "
-                         f"(got {float(noises[bad][0])})")
+                         f"(got {float(noises[~(noises > 0)][0])})")
     thresholds = np.asarray(thresholds, dtype=float)
     if thresholds.shape != (noises.size, params.n_tiers):
         raise ValueError(f"thresholds must have shape (points, tiers) = "
                          f"{(noises.size, params.n_tiers)}, got {thresholds.shape}")
-    bad = ~(thresholds > 1)
-    if bad.any():
-        point, tier = np.argwhere(bad)[0]
+    if not (thresholds > 1).all():
+        point, tier = np.argwhere(~(thresholds > 1))[0]
         raise ValueError("invalid network parameters: "
                          + _threshold_error(int(tier), float(thresholds[point, tier])))
     return np.ascontiguousarray(thresholds.T), noises, finish
@@ -216,12 +214,13 @@ def _script_i_by_shape(a: float, sigma2: np.ndarray, a_const: float, shapes,
 
     Triple sum over (k, l, r) of alternating terms, each carrying a partial
     Bell polynomial of D_t = prod_{q<t} (2/alpha - q) and a kernel integral
-    with U = sigma^2, V = A, and t-exponent r + (alpha/2)(k-l);
-    `kernel(power)` returns that integral at every noise power.
-    Shapes share exponents (those of M are a subset of those of M+1), and
-    the kernel is deterministic, so each exponent is evaluated once; every
-    sum keeps its order of terms, and each noise power's arithmetic is
-    elementwise, so it does not depend on the other noise powers.
+    with U = sigma^2, V = A, and t-exponent r + (alpha/2)(k-l).
+    Shapes share exponents (those of M are a subset of those of M+1), so the
+    distinct exponents of every shape are collected first, in the order the
+    sum meets them, and `kernel(powers)` returns the integral at each of
+    them (row) and each noise power (column) in one call.  Every sum keeps
+    its order of terms, and each noise power's arithmetic is elementwise,
+    so it does not depend on the other noise powers.
 
     The sum cannot cancel: every term is non-negative.  Since 2/alpha < 1,
     D_t has t - 1 negative factors, so sign (-1)^(t-1), and each monomial
@@ -229,14 +228,14 @@ def _script_i_by_shape(a: float, sigma2: np.ndarray, a_const: float, shapes,
     term is C(k, l) sigma^(2(k-l)) (-1)^l / k! * (-A)^r * B_{l,r} * K, of
     sign (-1)^(l + r + l - r) = +1 wherever the kernel K is positive.  The
     PLA kernel is bracket / V^(p+1), and where its bracket is <= 0 its
-    error bound reads inf (`pla._error_bound`), which raises
+    error bound reads inf (`pla._bracket_and_bound`), which raises
     PlaAccuracyWarning; the exact kernel raises QuadratureError on a value
     that is not finite and positive.
     """
-    kernel_at: dict[float, np.ndarray] = {}
-    by_shape: dict[int, np.ndarray] = {}
+    row_of: dict[float, int] = {}  # exponent -> its row of the kernel call
+    terms: dict[int, list] = {}  # shape -> (coefficient array, kernel row) per term
     for m_shape in shapes:
-        if m_shape in by_shape:
+        if m_shape in terms:
             continue
         # l < M reads D_1..D_{M-1} only.
         d_t, d_vals = 1.0, []
@@ -244,7 +243,7 @@ def _script_i_by_shape(a: float, sigma2: np.ndarray, a_const: float, shapes,
             d_t *= 2.0 / a - q
             d_vals.append(d_t)
         bell_of = bell_table(d_vals)
-        total = np.zeros(sigma2.size)
+        terms[m_shape] = []
         for k in range(m_shape):
             for l in range(k + 1):
                 outer = math.comb(k, l) * sigma2 ** (k - l) * (-1.0) ** l / math.factorial(k)
@@ -253,11 +252,11 @@ def _script_i_by_shape(a: float, sigma2: np.ndarray, a_const: float, shapes,
                     if bell == 0.0:
                         continue
                     power = r + (a / 2.0) * (k - l)
-                    if power not in kernel_at:
-                        kernel_at[power] = kernel(power)
-                    total += outer * (-a_const) ** r * bell * kernel_at[power]
-        by_shape[m_shape] = total
-    return by_shape
+                    terms[m_shape].append((outer * (-a_const) ** r * bell,
+                                           row_of.setdefault(power, len(row_of))))
+    kernel_at = kernel(np.array(list(row_of)))
+    return {m_shape: sum((c * kernel_at[row] for c, row in shape_terms), np.zeros(sigma2.size))
+            for m_shape, shape_terms in terms.items()}
 
 
 def hyp2f1_rate(alpha: float, beta_threshold):
@@ -278,10 +277,14 @@ def hyp2f1_rate(alpha: float, beta_threshold):
 def rate_constants_at(alpha: float, thresholds) -> np.ndarray:
     """ln(1 + beta) + (alpha/2) 2F1(1, 2/a; 1+2/a; -1/beta) at each threshold of a 1-d array.
 
-    The rate constant A_i of a tier at each of its thresholds in a sweep.
+    The rate constant A_i of a tier at each of its thresholds in a sweep, once per
+    distinct threshold: a beta_1 sweep repeats each tier's but tier 0's, a noise sweep all.
     """
     betas = np.array(thresholds, dtype=float, ndmin=1)
-    return np.log1p(betas) + (alpha / 2.0) * hyp2f1_rate(alpha, betas)
+    distinct, at = betas, ...
+    if betas.size > 1:  # a one-point call skips np.unique's cost
+        distinct, at = np.unique(betas, return_inverse=True)
+    return (np.log1p(distinct) + (alpha / 2.0) * hyp2f1_rate(alpha, distinct))[at]
 
 
 def _script_i_at(params: NetworkParams, noises: np.ndarray) -> np.ndarray:
@@ -290,17 +293,17 @@ def _script_i_at(params: NetworkParams, noises: np.ndarray) -> np.ndarray:
 
     A once, I once per distinct Nakagami shape.  The triple sum runs once
     on the array of noise powers, with one `pla.approx_gamma_kernel_integral`
-    call (as bound on `pla` when called) per distinct t-exponent for the
-    whole array.  `params` must be valid, but its own noise power is not
+    call (as bound on `pla` when called) for every distinct t-exponent and
+    the whole array.  `params` must be valid, but its own noise power is not
     used; the noise powers must be positive (`_points` checks both).
-    Column j does not depend on the other noise powers.  Each kernel call
-    raises at most one PlaAccuracyWarning, carrying every noise power at
-    which its bound exceeds PLA_WARN_BOUND.
+    Column j does not depend on the other noise powers.  The call raises at
+    most one PlaAccuracyWarning per exponent, carrying every noise power at
+    which that exponent's bound exceeds PLA_WARN_BOUND.
     """
     a_const = interference_constant(params)
     shapes = [t.nakagami_m for t in params.tiers]
     by_shape = _script_i_by_shape(
         params.alpha, noises, a_const, shapes,
-        lambda power: pla.approx_gamma_kernel_integral(noises, a_const, power, params.alpha),
+        lambda powers: pla.approx_gamma_kernel_integral(noises, a_const, powers, params.alpha),
     )
     return np.array([by_shape[m] for m in shapes])

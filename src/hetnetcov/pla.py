@@ -15,13 +15,14 @@ approximation loss.
 The surrogate is accurate only where the integrand mass sits near the
 origin.  `approx_kernel_error_bound` bounds its relative error a priori, in
 closed form, and `approx_gamma_kernel_integral` raises one `PlaAccuracyWarning`
-per call whose bound exceeds `PLA_WARN_BOUND` at some point.
+per exponent whose bound exceeds `PLA_WARN_BOUND` at some point.
 
-The PLA kernel, its bound and the exact kernel take U as a float or as a
-1-d array, such as a sweep's noise powers, and evaluate a float as an
-array of length 1: numpy's elementwise operations give the same bits for
-an element whatever the array's length, so a value alone equals, bit for
-bit, the same value computed inside a sweep.
+The PLA kernel, its bound and its regime check take U and the t-exponent
+each as a float or a 1-d array (a sweep's noise powers, the coverage sum's
+exponents), one row per exponent; the exact kernel takes one exponent.  A
+float is evaluated as an array of length 1: numpy's elementwise operations
+give the same bits for an element whatever the array's length, so a value
+alone equals, bit for bit, the same value computed inside a sweep.
 """
 
 from __future__ import annotations
@@ -58,12 +59,12 @@ class QuadratureError(RuntimeError):
 class PlaAccuracyWarning(UserWarning):
     """The PLA kernel is outside its regime: its error bound exceeds PLA_WARN_BOUND.
 
-    One kernel or bound call raises at most one, for all of its points over
-    PLA_WARN_BOUND, and carries them as data:
+    One kernel or bound call raises at most one per exponent, for all of its
+    points over PLA_WARN_BOUND, and carries them as data:
 
     u, bound : tuples of floats, the flagged points' U and error bound, in
                point order;
-    v, power, alpha : the call's V, t-exponent and path-loss exponent.
+    v, power, alpha : the call's V, the exponent and the path-loss exponent.
     """
 
     def __init__(self, message: str, u: tuple = (), bound: tuple = (), v: float = math.nan,
@@ -104,24 +105,24 @@ def pla_coefficients(alpha: float) -> PlaCoefficients:
     return PlaCoefficients(alpha=alpha, m=m, c=c, x0=x0, x1=x1, x2=x2)
 
 
-def approx_gamma_kernel_integral(u, v: float, power: float, alpha: float):
+def approx_gamma_kernel_integral(u, v: float, power, alpha: float):
     """Closed-form approximation of int_0^inf e^(-v t - u t^(alpha/2)) t^power dt.
 
     `power` is the (real, >= 0) exponent of t; the classical statement with
-    integrand t^(n/2) corresponds to power = n/2.  `u` is a float, or a 1-d
-    array for which an array is returned.  Raises one PlaAccuracyWarning,
-    carrying every point where `approx_kernel_error_bound` exceeds
-    PLA_WARN_BOUND, if there is such a point; the returned value is the
-    same either way.
+    integrand t^(n/2) corresponds to power = n/2.  `u` and `power` are floats
+    or 1-d arrays; the result has power's shape, then u's: one row per
+    exponent.  Raises one PlaAccuracyWarning per exponent whose
+    `approx_kernel_error_bound` exceeds PLA_WARN_BOUND at some point, carrying
+    those points; the returned value is the same either way.
     """
-    us = _kernel_args(u, v, power, alpha)
-    coeff = pla_coefficients(alpha)
-    w, bracket = _scaled_bracket(us, v, power, coeff)
-    _warn_outside_regime(_error_bound(w, bracket, power, coeff), us, v, power, alpha)
-    return _shaped_like(u, bracket / v ** (power + 1.0))
+    us, powers, shape = _kernel_args(u, v, power, alpha)
+    bracket, bound = _bracket_and_bound(us, v, powers, alpha)
+    for p, row in zip(powers, bound):
+        _warn_outside_regime(row, us, v, p, alpha)
+    return _shaped(bracket / np.array([[v ** (p + 1.0)] for p in powers]), shape)
 
 
-def approx_kernel_error_bound(u, v: float, power: float, alpha: float):
+def approx_kernel_error_bound(u, v: float, power, alpha: float):
     """A-priori bound on |approx - exact| / exact for the kernel integral.
 
     Substituting x = u^(2/alpha) t scales out u: the relative error depends
@@ -147,75 +148,78 @@ def approx_kernel_error_bound(u, v: float, power: float, alpha: float):
     read as infinite when B_left >= A_hat.  Both B are incomplete gammas and
     A_hat is the closed form itself: no quadrature and no fitted constant.
     The bound is tight as w -> inf, where the overshoot near the origin
-    dominates, and loose at small w.  `u` as in `approx_gamma_kernel_integral`.
+    dominates, and loose at small w.  `u`, `power` and the result's shape as
+    in `approx_gamma_kernel_integral`.
     """
-    us = _kernel_args(u, v, power, alpha)
-    coeff = pla_coefficients(alpha)
-    w, bracket = _scaled_bracket(us, v, power, coeff)
-    return _shaped_like(u, _error_bound(w, bracket, power, coeff))
+    us, powers, shape = _kernel_args(u, v, power, alpha)
+    return _shaped(_bracket_and_bound(us, v, powers, alpha)[1], shape)
 
 
-def check_kernel_regime(u, v: float, power: float, alpha: float):
+def check_kernel_regime(u, v: float, power, alpha: float):
     """Return `approx_kernel_error_bound`, raising PlaAccuracyWarning above PLA_WARN_BOUND.
 
     For closed forms that expand the PLA kernel inline instead of calling
-    `approx_gamma_kernel_integral`; it warns as that does, once for all
-    flagged points.
+    `approx_gamma_kernel_integral`; it warns as that does, once per flagged
+    exponent for all of its flagged points.
     """
-    bound = approx_kernel_error_bound(u, v, power, alpha)
-    _warn_outside_regime(np.atleast_1d(bound), np.atleast_1d(u), v, power, alpha)
-    return bound
+    us, powers, shape = _kernel_args(u, v, power, alpha)
+    bound = _bracket_and_bound(us, v, powers, alpha)[1]
+    for p, row in zip(powers, bound):
+        _warn_outside_regime(row, us, v, p, alpha)
+    return _shaped(bound, shape)
 
 
-def _lower_gamma(s: float, x):
-    """gamma(s, x) = int_0^x t^(s-1) e^(-t) dt for s > 0 and x >= 0, unchecked.
+def _lower_gamma(s, x):
+    """gamma(s, x) = int_0^x t^(s-1) e^(-t) dt for s > 0 and x >= 0, unchecked: scipy's
+    regularized `gammainc` times Gamma(s).  Row j of the result is at s[j] of the sequence
+    `s`; `x` is a float or an array."""
+    return _times_gamma(special.gammainc, s, x)
 
-    scipy's regularized `gammainc` times Gamma(s); `x` may be an array.
+
+def _times_gamma(regularized, s, x):
+    """regularized(s, x) * Gamma(s), Gamma by `math.gamma` (OverflowError past float64),
+    with `s`, `x` and the result's rows as in `_lower_gamma`."""
+    rows = np.array([s, [math.gamma(t) for t in s]])
+    rows.shape += (1,) * np.ndim(x)
+    return regularized(rows[0], x) * rows[1]
+
+
+def _bracket_and_bound(u: np.ndarray, v: float, powers: list[float],
+                       alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """(bracket, bound), each (n_powers, n_u): the closed form is bracket / v^(power+1), and
+    bound is `approx_kernel_error_bound`'s, an overflow or a division by zero giving inf or
+    nan, as in Python float arithmetic, without a RuntimeWarning.
+
+    The bracket's gamma(power + 1, .) and gamma(power + 2, .) at the two knots come from
+    one table over the distinct s: one exponent's power + 2 is often another's power + 1.
     """
-    return special.gammainc(s, x) * math.gamma(s)
-
-
-def _scaled_bracket(u: np.ndarray, v: float, power: float, coeff: PlaCoefficients):
-    """(w, bracket): the closed form is bracket / v^(power+1), or bracket / w^(power+1) scaled."""
-    u_scale = u ** (2.0 / coeff.alpha)
+    coeff = pla_coefficients(alpha)
+    u_scale = u ** (2.0 / alpha)
     w = v / u_scale  # scaled knot argument
+    s_all = [p + 1.0 for p in powers] + [p + 2.0 for p in powers]
+    row_of = {s: row for row, s in enumerate(dict.fromkeys(s_all))}
+    g = _lower_gamma(list(row_of), np.multiply.outer((coeff.x1, coeff.x2), w))
+    g = g.take([row_of[s] for s in s_all], axis=0)
+    g1, g2 = g[:len(powers)], g[len(powers):]  # (n_powers, knot, n_u)
+    bracket = (g1[:, 0] + coeff.c * (g1[:, 1] - g1[:, 0])
+               + (u_scale / v) * coeff.m * (g2[:, 1] - g2[:, 0]))
 
-    g1_x1 = _lower_gamma(power + 1.0, w * coeff.x1)
-    g1_x2 = _lower_gamma(power + 1.0, w * coeff.x2)
-    g2_x1 = _lower_gamma(power + 2.0, w * coeff.x1)
-    g2_x2 = _lower_gamma(power + 2.0, w * coeff.x2)
-
-    bracket = (
-        g1_x1
-        + coeff.c * (g1_x2 - g1_x1)
-        + (u_scale / v) * coeff.m * (g2_x2 - g2_x1)
-    )
-    return w, bracket
-
-
-def _error_bound(w: np.ndarray, bracket: np.ndarray, power: float,
-                 coeff: PlaCoefficients) -> np.ndarray:
-    """The bound of `approx_kernel_error_bound`, with B_left and B_right taken relative to A_hat.
-
-    An overflow or a division by zero gives inf or nan, as in Python float
-    arithmetic, without a RuntimeWarning.
-    """
-    half_alpha = coeff.alpha / 2.0
-    x0 = coeff.x0
+    half_alpha, x0 = alpha / 2.0, coeff.x0
     kappa = half_alpha * x0 ** (half_alpha - 1.0)
+    ratio = w / (w + kappa)
     # B_left / A_hat and B_right / A_hat, with A_hat = bracket / w^(p+1)
-    s_left = power + half_alpha + 1.0
     with np.errstate(all="ignore"):
-        left = special.gammainc(s_left, w * x0) * math.gamma(s_left) / (bracket * w**half_alpha)
-        right = (
-            special.gammaincc(power + 1.0, (w + kappa) * x0) * math.gamma(power + 1.0)
-            * math.exp(kappa * x0 - x0**half_alpha) * (w / (w + kappa)) ** (power + 1.0)
-            / bracket
-        )
+        left = (_lower_gamma([p + half_alpha + 1.0 for p in powers], w * x0)
+                / (bracket * w**half_alpha))
+        # One power of `ratio` per exponent: numpy's power by an exponent broadcast
+        # along a row can differ in the last bit from its power by a scalar.
+        right = (_times_gamma(special.gammaincc, s_all[:len(powers)], (w + kappa) * x0)
+                 * math.exp(kappa * x0 - x0**half_alpha)
+                 * np.array([ratio ** (p + 1.0) for p in powers]) / bracket)
         unbounded = ~(bracket > 0.0) | (left >= 1.0)
         right, left = right / (1.0 + right), left / (1.0 - left)
     # max(right, left) as Python's max takes it: `right` unless `left` is larger.
-    return np.where(unbounded, np.inf, np.where(left > right, left, right))
+    return bracket, np.where(unbounded, np.inf, np.where(left > right, left, right))
 
 
 def _warn_outside_regime(bound: np.ndarray, u: np.ndarray, v: float, power: float,
@@ -306,7 +310,7 @@ def exact_gamma_kernel_integral(u, v: float, power: float, alpha: float):
     _MAX_HALVINGS halvings, or its kernel is not finite and positive, as
     where it underflows float64.
     """
-    us = _kernel_args(u, v, power, alpha)
+    us, (power,), shape = _kernel_args(u, v, power, alpha)  # one exponent
     weight = power + 1.0  # P
     half_alpha = alpha / 2.0
     tau = 1.0 / (v + math.gamma(1.0 + 2.0 / alpha) * us ** (2.0 / alpha))
@@ -347,7 +351,7 @@ def exact_gamma_kernel_integral(u, v: float, power: float, alpha: float):
             f"kernel quadrature (u={float(us[bad][0])}, v={v}, power={power}, alpha={alpha}) "
             f"gave {float(kernel[bad][0])}"
         )
-    return _shaped_like(u, kernel)
+    return _shaped(kernel, shape)
 
 
 def _node_sums(nodes: np.ndarray, weight: float, a: np.ndarray, s_power: np.ndarray,
@@ -370,23 +374,27 @@ def _node_sums(nodes: np.ndarray, weight: float, a: np.ndarray, s_power: np.ndar
         total = np.cumsum(np.column_stack([total, blocks]), axis=1)[:, -1]
     return total
 
-def _kernel_args(u, v: float, power: float, alpha: float) -> np.ndarray:
-    """`u` as a 1-d float array, once every argument is in the kernel's domain."""
-    us = np.array(u, dtype=float, ndmin=1)
-    if us.ndim != 1:
-        raise ValueError(f"kernel integral requires U to be a float or a 1-d array, "
-                         f"got shape {us.shape}")
+def _kernel_args(u, v: float, power, alpha: float) -> tuple[np.ndarray, list[float], tuple]:
+    """`u` as a 1-d float array, `power` as a list of floats and the result's shape, power's
+    then u's, once every argument is in the kernel's domain."""
+    us, powers = np.array(u, dtype=float), np.array(power, dtype=float)
+    for name, values in (("U", us), ("the power", powers)):
+        if values.ndim > 1:
+            raise ValueError(f"kernel integral requires {name} to be a float or a 1-d array, "
+                             f"got shape {values.shape}")
     if not (us > 0).all():
         raise ValueError(f"kernel integral requires U > 0, got {float(us[~(us > 0)][0])}")
     if not (v > 0):
         raise ValueError(f"kernel integral requires V > 0, got {v}")
-    if not (0 <= power < math.inf):
-        raise ValueError(f"kernel integral requires a finite power >= 0, got {power}")
+    shape, powers = powers.shape + us.shape, powers.ravel().tolist()
+    for p in powers:
+        if not (0 <= p < math.inf):
+            raise ValueError(f"kernel integral requires a finite power >= 0, got {p}")
     if not (alpha > 2):
         raise ValueError(f"kernel integral requires alpha > 2, got {alpha}")
-    return us
+    return us.ravel(), powers, shape
 
 
-def _shaped_like(u, values: np.ndarray):
-    """`values` for an array `u`, its one element as a float for a float `u`."""
-    return values if np.ndim(u) else float(values[0])
+def _shaped(values: np.ndarray, shape: tuple):
+    """`values` in `shape`, or its one element as a float if `shape` is ()."""
+    return values.reshape(shape) if shape else values.item()

@@ -30,21 +30,25 @@ def pla_warnings(monkeypatch):
     `pla.approx_gamma_kernel_integral` and `pla.check_kernel_regime` are
     wrapped for the test.  Each of the two lists holds one tuple per item, of
     (U, V, power, alpha, bound) tuples: one item per PlaAccuracyWarning
-    raised, and one per wrapped call whose `pla.approx_kernel_error_bound`
-    exceeds PLA_WARN_BOUND at some point, with its flagged points in order.
-    A run that warns exactly once per flagging call, for exactly its flagged
-    points, gives equal lists once sorted; `sum(items, ())` lists the points.
-    Other warnings are raised again, after the run.
+    raised, and one per (wrapped call, exponent) pair whose
+    `pla.approx_kernel_error_bound` exceeds PLA_WARN_BOUND at some point,
+    with its flagged points in order.  A run that warns exactly once per
+    flagging pair, for exactly its flagged points, gives equal lists once
+    sorted; `sum(items, ())` lists the points.  Other warnings are raised
+    again, after the run.
     """
     flagging: list[tuple] = []
 
     def flags(call):
         def wrapped(u, v, power, alpha):
-            bound = np.atleast_1d(pla.approx_kernel_error_bound(u, v, power, alpha))
-            points = tuple((float(x), v, power, alpha, float(b))
-                           for x, b in zip(np.atleast_1d(u), bound) if b > pla.PLA_WARN_BOUND)
-            if points:
-                flagging.append(points)
+            powers = np.atleast_1d(power).tolist()
+            bounds = np.reshape(pla.approx_kernel_error_bound(u, v, power, alpha),
+                                (len(powers), -1))
+            for p, bound in zip(powers, bounds):
+                points = tuple((float(x), v, p, alpha, float(b))
+                               for x, b in zip(np.atleast_1d(u), bound) if b > pla.PLA_WARN_BOUND)
+                if points:
+                    flagging.append(points)
             return call(u, v, power, alpha)
 
         return wrapped

@@ -166,10 +166,12 @@ def pla_surrogate(x: float, coeff: PlaCoefficients) -> float:
 
 def script_i(params: NetworkParams, kernel) -> list[float]:
     """Each tier's I_i at the network's own noise power, the triple sum of
-    `model._script_i_by_shape` on kernel(noise, A, power, alpha)."""
+    `model._script_i_by_shape` on kernel(noise, A, power, alpha), called once
+    per exponent."""
     a_const = model.interference_constant(params)
     shapes = [t.nakagami_m for t in params.tiers]
     by_shape = model._script_i_by_shape(
         params.alpha, np.array([params.noise]), a_const, shapes,
-        lambda power: kernel(params.noise, a_const, power, params.alpha))
+        lambda powers: np.array([[kernel(params.noise, a_const, power, params.alpha)]
+                                 for power in powers.tolist()]))
     return [float(by_shape[m][0]) for m in shapes]

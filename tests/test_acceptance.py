@@ -189,7 +189,7 @@ def test_criterion_5_special_functions(acceptance_report):
                 epsabs=0.0, epsrel=1e-13
             )
             worst_gamma = max(
-                worst_gamma, abs(_lower_gamma(s, x) - quad) / quad
+                worst_gamma, abs(_lower_gamma([s], x)[0] - quad) / quad
             )
     if worst_gamma > 1e-10:
         failures.append(f"gamma {worst_gamma:.2e}")

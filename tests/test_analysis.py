@@ -136,7 +136,7 @@ class TestCoverage:
         net = make_network()
 
         def bad_kernel(u, v, power, alpha):
-            return 10.0 / v
+            return np.full((len(power), len(u)), 10.0 / v)
 
         monkeypatch.setattr(pla, "approx_gamma_kernel_integral", bad_kernel)
         with pytest.raises(ArithmeticError, match="outside"):

@@ -12,7 +12,9 @@ import pytest
 from hetnetcov import analysis, mcsim, model, pla
 from hetnetcov.cli import (
     ConfigError,
+    _blocks,
     _params_at,
+    _swept,
     db_to_linear,
     load_config,
     main,
@@ -248,6 +250,48 @@ def counting(func, calls):
         return func(*args, **kwargs)
 
     return counted
+
+
+class TestSweepPoints:
+    """A threshold or noise sweep's points are arrays; its networks hold floats."""
+
+    @pytest.mark.parametrize("variable", ["beta1_db", "noise_db"])
+    def test_swept_arrays_keep_each_value_bits(self, tmp_path, variable):
+        config = network_config(tmp_path, variable, (2, 3), ("closed",), points=7)
+        values = config.sweep.values()
+        thresholds, noises = _swept(config, values)
+        assert thresholds.shape == (7, 2) and noises.shape == (7,)
+        linear = [db_to_linear(float(value)) for value in values]
+        own = [t.threshold for t in config.params.tiers]
+        if variable == "beta1_db":
+            assert thresholds.tolist() == [[beta, own[1]] for beta in linear]
+            assert noises.tolist() == [config.params.noise] * 7
+        else:
+            assert thresholds.tolist() == [own] * 7
+            assert noises.tolist() == linear
+
+    @pytest.mark.parametrize("variable", ["beta1_db", "noise_db"])
+    def test_networks_hold_python_floats(self, tmp_path, variable):
+        config = network_config(tmp_path, variable, (2, 3), ("closed",), points=7)
+        values = config.sweep.values()
+        networks = [block[0] for block in _blocks(config, values)]
+        networks += [_params_at(config, float(value)) for value in values]
+        for params in networks:
+            assert type(params.noise) is float
+            assert [type(t.threshold) for t in params.tiers] == [float, float]
+
+    @pytest.mark.parametrize("variable, end, got", [
+        ("beta1_db", -3.0, f"(got {db_to_linear(-3.0)})"),
+        ("noise_db", -4000.0, "(got 0.0)"),
+    ])
+    def test_sweep_end_error_prints_floats(self, tmp_path, capsys, variable, end, got):
+        cfg = base_config()
+        cfg["sweep"].update(variable=variable, start=end, stop=10.0)
+        assert main(["--config", write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: at 'sweep.start' = {end}: ")
+        assert got in err
+        assert "np.float64(" not in err
 
 
 class TestSharedConstants:

@@ -206,6 +206,18 @@ class TestTierScriptI:
 
 
 class TestRateConstant:
+    def test_one_evaluation_per_distinct_threshold(self, monkeypatch):
+        # A sweep's tier with a repeated threshold evaluates its 2F1 once per
+        # distinct threshold, and each element keeps the bits of its own call.
+        betas = [2.0, 1.5, 2.0, 7.0, 1.5, 2.0]
+        expected = [rate_constants_at(3.0, [beta])[0] for beta in betas]
+        sizes = []
+        hyp2f1_rate = model.hyp2f1_rate
+        monkeypatch.setattr(model, "hyp2f1_rate",
+                            lambda alpha, b: sizes.append(np.size(b)) or hyp2f1_rate(alpha, b))
+        assert rate_constants_at(3.0, betas).tolist() == expected
+        assert sizes == [3]
+
     def test_bounds(self):
         # ln(1+beta) < A_i <= ln(1+beta) + alpha/2 (the 2F1 term lies in (0, 1]).
         for alpha in (2.5, 3.0, 4.0):
@@ -232,17 +244,17 @@ class TestRateConstant:
 
 
 def counting(kernel, calls):
-    """`kernel`, appending the t-exponent of every call to `calls`."""
+    """`kernel`, appending the t-exponents of every call to `calls`, as one tuple per call."""
     def counted(u, v, power, alpha):
-        calls.append(power)
+        calls.append(tuple(np.atleast_1d(power).tolist()))
         return kernel(u, v, power, alpha)
 
     return counted
 
 
 class TestClosedFormBuild:
-    """The closed form's threshold-free I_i: one kernel call per distinct
-    t-exponent, shared by every point of a sweep."""
+    """The closed form's threshold-free I_i: one kernel call for every distinct
+    t-exponent, each exponent once, shared by every point of a sweep."""
 
     # -40..40 dB: from the figure regime into the PLA's noise-limited one.
     NOISES = 10.0 ** np.linspace(-4.0, 4.0, 41)
@@ -260,32 +272,36 @@ class TestClosedFormBuild:
 
     def test_one_kernel_call_per_distinct_exponent(self, monkeypatch):
         # At alpha = 3, M = 2 needs the exponents {0, 1.5, 1} and M = 3
-        # those plus {3, 2.5, 2}, exponent 1 twice: 6 calls, not 10.
+        # those plus {3, 2.5, 2}, exponent 1 twice: 6 (call, exponent)
+        # pairs, not 10, in one call, in the order the sum meets them.
         net = make_network(shapes=(2, 3))
         expected = coverage_probability(net)
         calls = []
         monkeypatch.setattr(pla, "approx_gamma_kernel_integral",
                             counting(pla.approx_gamma_kernel_integral, calls))
         assert coverage_probability(net) == expected
-        assert sorted(calls) == [0.0, 1.0, 1.5, 2.0, 2.5, 3.0]
+        assert calls == [(0.0, 1.5, 1.0, 3.0, 2.5, 2.0)]
 
     def test_threshold_sweep_one_build(self, monkeypatch):
         # Every threshold of a sweep at one noise power shares the I_i:
-        # 6 kernel calls for the sweep, not 6 per row.
+        # one kernel call of 6 exponents for the sweep, not one per row.
         net = make_network(shapes=(2, 3))
         thresholds = [[2.0, 1.5], [40.0, 1.01], [1.1, 7.0], [3.0, 3.0]]
         calls = []
         monkeypatch.setattr(pla, "approx_gamma_kernel_integral",
                             counting(pla.approx_gamma_kernel_integral, calls))
         coverage_probability(net, thresholds, [net.noise] * len(thresholds))
-        assert sorted(calls) == [0.0, 1.0, 1.5, 2.0, 2.5, 3.0]
+        assert len(calls) == 1
+        assert sorted(calls[0]) == [0.0, 1.0, 1.5, 2.0, 2.5, 3.0]
 
     def test_shapes_computed_once(self, monkeypatch):
         calls = []
         monkeypatch.setattr(pla, "approx_gamma_kernel_integral",
                             counting(pla.approx_gamma_kernel_integral, calls))
         coverage_probability(make_network(shapes=(3, 3)))
-        assert len(calls) == len(set(calls)) == 6
+        pairs = [(call, power) for call, powers in enumerate(calls) for power in powers]
+        assert len(calls) == 1
+        assert len(pairs) == len({power for _, power in pairs}) == 6
 
     def test_kernel_looked_up_at_call_time(self, monkeypatch):
         # A kernel replaced on the pla module (as a tracer does) is the one
@@ -295,7 +311,7 @@ class TestClosedFormBuild:
                             counting(pla.approx_gamma_kernel_integral, calls))
         coverage_probability(make_network())
         script_i_at_own_noise(make_network())
-        assert calls == [0.0, 0.0]
+        assert calls == [(0.0,), (0.0,)]
 
     def test_one_kernel_call_per_exponent_for_all_noises(self, monkeypatch):
         calls = []
@@ -305,7 +321,8 @@ class TestClosedFormBuild:
             warnings.simplefilter("ignore", pla.PlaAccuracyWarning)
             coverage_probability(make_network(shapes=(2, 3)),
                                  [[2.0, 1.5]] * self.NOISES.size, self.NOISES)
-        assert sorted(calls) == [0.0, 1.0, 1.5, 2.0, 2.5, 3.0]
+        assert len(calls) == 1
+        assert sorted(calls[0]) == [0.0, 1.0, 1.5, 2.0, 2.5, 3.0]
 
     def test_noise_powers_validated(self):
         net = make_network()

@@ -342,6 +342,69 @@ class TestArrayU:
             approx_gamma_kernel_integral(np.array([1.0, 0.0]), 1.0, 0.0, 3.0)
 
 
+class TestArrayPowers:
+    """An array of exponents gives, row by row, the bits of the float calls."""
+
+    # Criterion 6a's stress-grid exponents, and 60, at which the bracket is
+    # <= 0 over part of U at V = 0.01, so that the bound reads inf there.
+    POWERS = np.append(np.arange(9) / 2.0, 60.0)
+    U = 10.0 ** np.linspace(-4.0, 4.0, 500)
+
+    @pytest.mark.parametrize("v", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 3.5, 4.0])
+    def test_rows_equal_float_calls(self, alpha, v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PlaAccuracyWarning)
+            values = approx_gamma_kernel_integral(self.U, v, self.POWERS, alpha)
+            rows = [approx_gamma_kernel_integral(self.U, v, p, alpha) for p in self.POWERS]
+            at_one_u = approx_gamma_kernel_integral(self.U[7], v, self.POWERS, alpha)
+        bounds = approx_kernel_error_bound(self.U, v, self.POWERS, alpha)
+        assert values.shape == bounds.shape == (self.POWERS.size, self.U.size)
+        # Bytes, so that a nan, an inf or a signed zero must match too.
+        assert values.tobytes() == np.array(rows).tobytes()
+        assert bounds.tobytes() == np.array(
+            [approx_kernel_error_bound(self.U, v, p, alpha) for p in self.POWERS]).tobytes()
+        assert at_one_u.shape == (self.POWERS.size,)
+        assert at_one_u.tobytes() == values[:, 7].tobytes()
+        assert [float(b) for b in approx_kernel_error_bound(self.U[7], v, self.POWERS, alpha)] \
+            == [approx_kernel_error_bound(float(self.U[7]), v, float(p), alpha)
+                for p in self.POWERS]
+
+    def test_bound_reads_inf_where_bracket_not_positive(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PlaAccuracyWarning)
+            values = approx_gamma_kernel_integral(self.U, 0.01, self.POWERS, 3.0)
+        bounds = approx_kernel_error_bound(self.U, 0.01, self.POWERS, 3.0)
+        unbounded = ~(values > 0.0)
+        assert unbounded[-1].any() and not unbounded[:-1].any()
+        assert np.isinf(bounds[unbounded]).all()
+
+    @pytest.mark.parametrize("call", [approx_gamma_kernel_integral, check_kernel_regime])
+    def test_one_warning_per_flagged_exponent(self, call):
+        # At V = 30 and U up to 1 only the 4 largest exponents flag a point.
+        u = self.U[:250]
+
+        def caught(run):
+            with warnings.catch_warnings(record=True) as records:
+                warnings.simplefilter("always")
+                run()
+            return [(str(w.message), w.message.u, w.message.bound, w.message.v,
+                     w.message.power, w.message.alpha, w.filename)
+                    for w in records if w.category is PlaAccuracyWarning]
+
+        swept = caught(lambda: call(u, 30.0, self.POWERS, 3.0))
+        alone = caught(lambda: [call(u, 30.0, p, 3.0) for p in self.POWERS])
+        assert swept == alone
+        assert [w[4] for w in swept] == [3.0, 3.5, 4.0, 60.0]
+        assert {w[6] for w in swept} == {__file__}
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError, match="finite power >= 0, got -0.5"):
+            approx_gamma_kernel_integral(1.0, 1.0, np.array([0.0, -0.5]), 3.0)
+        with pytest.raises(ValueError, match="the power to be a float or a 1-d array"):
+            approx_kernel_error_bound(1.0, 1.0, np.zeros((2, 2)), 3.0)
+
+
 class TestApproxVersusExact:
     def test_figure_regime_accuracy(self):
         # Noise-dominated-by-interference regime of the two-tier setups:

@@ -8,7 +8,7 @@ import random
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from hetnetcov.model import bell_table, hyp2f1_rate
 from hetnetcov.pla import _lower_gamma
@@ -53,26 +53,37 @@ def partial_bell(l, r, x):
 
 class TestLowerIncompleteGamma:
     def test_empty_integral(self):
-        assert _lower_gamma(1.0, 0.0) == 0.0
+        assert _lower_gamma([1.0], 0.0)[0] == 0.0
 
     def test_exponential_case(self):
-        assert _lower_gamma(1.0, 2.0) == pytest.approx(1 - math.exp(-2), rel=1e-14)
+        assert _lower_gamma([1.0], 2.0)[0] == pytest.approx(1 - math.exp(-2), rel=1e-14)
 
     def test_against_quadrature(self):
-        assert _lower_gamma(2.5, 1.7) == pytest.approx(
+        assert _lower_gamma([2.5], 1.7)[0] == pytest.approx(
             gamma_quadrature(2.5, 1.7), rel=1e-10
         )
 
     @pytest.mark.parametrize("s", [0.3, 1.0, 2.5, 7.0, 19.5])
     def test_quadrature_battery(self, s):
         for x in [0.01, 0.5, s, 3 * s + 5, 50.0]:
-            assert _lower_gamma(s, x) == pytest.approx(
+            assert _lower_gamma([s], x)[0] == pytest.approx(
                 gamma_quadrature(s, x), rel=1e-10
             )
 
+    def test_rows_are_one_s_each(self):
+        # The PLA kernel takes many s in one call, against a 1-d or a 2-d x:
+        # row j is gammainc(s_j, x) Gamma(s_j), bit for bit.
+        s = [0.3, 1.0, 2.5, 7.0, 19.5]
+        x = np.array([0.01, 0.5, 2.5, 20.0, 50.0])
+        for xs in (x, np.stack([x, 3 * x])):
+            rows = _lower_gamma(s, xs)
+            assert rows.shape == (len(s),) + xs.shape
+            for s_j, row in zip(s, rows):
+                assert np.array_equal(row, special.gammainc(s_j, xs) * math.gamma(s_j))
+
     def test_monotone_and_saturates(self):
         for s in [0.5, 1.0, 3.3]:
-            values = [_lower_gamma(s, x) for x in [0, 0.1, 1, 5, 20, 200]]
+            values = _lower_gamma([s], [0, 0.1, 1, 5, 20, 200])[0].tolist()
             assert all(a <= b for a, b in zip(values, values[1:]))
             assert values[-1] == pytest.approx(math.gamma(s), rel=1e-12)
 
@@ -83,7 +94,7 @@ class TestLowerIncompleteGamma:
                 finite = math.factorial(z) * (
                     1 - math.exp(-x) * sum(x**k / math.factorial(k) for k in range(z + 1))
                 )
-                assert _lower_gamma(z + 1, x) == pytest.approx(finite, rel=1e-12)
+                assert _lower_gamma([z + 1], x)[0] == pytest.approx(finite, rel=1e-12)
 
 
 class TestHyp2f1Rate:

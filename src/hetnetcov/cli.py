@@ -1,8 +1,8 @@
 """Command-line front end: JSON config in, sweep CSV out.
 
 The config fixes the network (dB thresholds and noise, converted to
-linear on load), a sweep over beta_1, noise power, or the Nakagami shape,
-the evaluation methods, and the Monte Carlo budget.  Output is an
+linear on load), a sweep over beta_1 or the noise power, the evaluation
+methods, and the Monte Carlo budget.  Output is an
 RFC-4180-style CSV with a stable column set: sweep_db, then one column
 per requested method (closed, rayleigh, reference, mc) plus mc_se when
 the simulator runs.
@@ -31,7 +31,7 @@ from .pla import QuadratureError
 
 __all__ = ["SweepSpec", "load_config", "run_sweep", "write_csv", "main"]
 
-SWEEP_VARIABLES = ("beta1_db", "noise_db", "nakagami_pair")
+SWEEP_VARIABLES = ("beta1_db", "noise_db")
 METHODS = ("closed", "rayleigh", "reference", "mc")
 
 
@@ -48,8 +48,6 @@ class SweepSpec:
     methods: tuple[str, ...]
 
     def values(self) -> np.ndarray:
-        if self.variable == "nakagami_pair":
-            return np.unique(np.rint(np.linspace(self.start, self.stop, self.points)).astype(int))
         return np.linspace(self.start, self.stop, self.points)
 
 
@@ -184,44 +182,35 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("sweep.start must be less than sweep.stop")
     if sweep.points < 2:
         raise ConfigError("sweep.points must be at least 2")
-    if variable == "nakagami_pair" and len(sweep.values()) < 2:
-        raise ConfigError(f"'sweep.start' = {sweep.start} and 'sweep.stop' = {sweep.stop} "
-                          "round to one Nakagami shape; a nakagami_pair sweep needs at least 2")
-    if "rayleigh" in methods:
-        if any(t.nakagami_m != 1 for t in params.tiers) or variable == "nakagami_pair":
-            raise ConfigError("method 'rayleigh' requires M_i = 1 on every tier")
+    if "rayleigh" in methods and any(t.nakagami_m != 1 for t in params.tiers):
+        raise ConfigError("method 'rayleigh' requires M_i = 1 on every tier")
 
     sm = raw.get("sim", {})
-    _reject_unknown(sm, ("n_geometry", "n_fading", "seed", "region_radius"), "sim")
+    _reject_unknown(sm, ("n_geometry", "n_fading", "seed"), "sim")
     n_geometry = _optional_integer(sm, "n_geometry", "sim", 1000)
     n_fading = _optional_integer(sm, "n_fading", "sim", 100)
     seed = _optional_integer(sm, "seed", "sim", 0)
-    region_radius = (_require_number(sm, "region_radius", "sim")
-                     if "region_radius" in sm else None)
     # SimConfig checks these too, but its messages cannot name the field.
-    for key, value in (("n_geometry", n_geometry), ("n_fading", n_fading),
-                       ("region_radius", region_radius)):
-        if value is not None and not value > 0:
+    for key, value in (("n_geometry", n_geometry), ("n_fading", n_fading)):
+        if not value > 0:
             raise ConfigError(f"'sim.{key}' must be positive, got {value}")
     if n_geometry == 1:
         raise ConfigError("'sim.n_geometry' must be at least 2 for a standard error, got 1")
     if seed < 0:
         raise ConfigError(f"'sim.seed' must be non-negative, got {seed}")
-    sim = mcsim.SimConfig(n_geometry=n_geometry, n_fading=n_fading, seed=seed,
-                          region_radius=region_radius)
+    sim = mcsim.SimConfig(n_geometry=n_geometry, n_fading=n_fading, seed=seed)
     config = RunConfig(params=params, sweep=sweep, sim=sim)
     # The sweep replaces one field of the network at every point, so the
     # network is validated with that field taken from the sweep's two ends,
     # never at the config's own value of it.  Validity is monotone in the
-    # threshold and the noise power, and holds on an interval of shapes, so
-    # the two ends cover every point.  A violation found at both ends is not
-    # the sweep's and is reported without naming an end.
+    # threshold and in the noise power, so the two ends cover every point.
+    # A violation found at both ends is not the sweep's and is reported
+    # without naming an end.
     found = {}
     for key in ("start", "stop"):
         end = getattr(sweep, key)
-        value = float(np.rint(end)) if variable == "nakagami_pair" else end
         try:
-            found[key] = validate(_params_at(config, value))
+            found[key] = validate(_params_at(config, end))
         except OverflowError:
             raise _overflow(f"'sweep.{key}'", end) from None
     common = [v for v in found["start"] if v in found["stop"]]
@@ -231,31 +220,25 @@ def load_config(path: str) -> RunConfig:
         if violations:
             raise ConfigError(f"at 'sweep.{key}' = {getattr(sweep, key)}: " + "; ".join(violations))
     if "closed" in methods or "rayleigh" in methods:
-        if variable == "nakagami_pair":
-            shapes = {f"'sweep.{key}'": int(np.rint(getattr(sweep, key))) for key in ("start", "stop")}
-        else:
-            shapes = {f"'tiers[{i}].m'": t.nakagami_m for i, t in enumerate(params.tiers)}
-        for field, shape in shapes.items():
-            if not model.closed_form_in_range(alpha, shape):
+        for i, t in enumerate(params.tiers):
+            if not model.closed_form_in_range(alpha, t.nakagami_m):
                 raise ConfigError(
-                    f"'alpha' = {alpha} with {field} = {shape} is beyond the closed forms' "
-                    "range: Gamma((alpha/2) m + 1) overflows float64 there; the "
+                    f"'alpha' = {alpha} with 'tiers[{i}].m' = {t.nakagami_m} is beyond the "
+                    "closed forms' range: Gamma((alpha/2) m + 1) overflows float64 there; the "
                     "'reference' and 'mc' methods are not limited by it")
     return config
 
 
 def _params_at(config: RunConfig, value: float) -> NetworkParams:
+    """The network at one sweep point."""
     params = config.params
-    if config.sweep.variable == "nakagami_pair":
-        # The swept integer is applied to every tier.
-        return replace(params, tiers=tuple(replace(t, nakagami_m=int(value)) for t in params.tiers))
     thresholds, noises = _swept(config, [value])
     return replace(params, noise=noises.item(), tiers=tuple(
         replace(t, threshold=beta) for t, beta in zip(params.tiers, thresholds[0].tolist())))
 
 
 def _swept(config: RunConfig, values) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, K) linear thresholds and (n,) noise powers of a beta1_db or noise_db sweep."""
+    """The (n, K) linear thresholds and (n,) noise powers at a sweep's points."""
     params = config.params
     linear = np.array([db_to_linear(float(value)) for value in values])  # each value alone
     thresholds = np.tile([t.threshold for t in params.tiers], (linear.size, 1))
@@ -280,56 +263,42 @@ def run_sweep(config: RunConfig, rate: bool = False, bits: bool = False,
 
 def _sweep(config: RunConfig, rate: bool,
            bits: bool) -> tuple[list[dict[str, float]], mcsim.Trials | None]:
-    """`run_sweep`'s rows, and the first block's simulation pass, if any.
+    """`run_sweep`'s rows, and the sweep's simulation pass, if it made one.
 
-    A threshold or noise sweep is one block of points that differ only in
-    their thresholds and noise power, so each analytic column is one array
-    call over the block's points (`analysis.coverage_probability` and its
-    siblings), which builds the closed form's constants and the reference's
-    kernel once per distinct noise power, and the simulated statistic, which
-    depends on neither, is one pass.  A nakagami_pair point changes the
-    fading law, so it is a block of its own.  Only the mc column takes the
-    points one by one, deriving the per-tier SINRs once per noise power.
-    An mc value that is not finite raises ArithmeticError naming its point.
+    The points differ only in their thresholds and noise power, on the
+    network of the first point (the config's own value of the swept field
+    is unused).  Each analytic column is one array call over the points
+    (`analysis.coverage_probability` and its siblings), which builds the
+    closed form's constants and the reference's kernel once per distinct
+    noise power, and the simulated statistic, which depends on neither, is
+    one pass.  Only the mc column takes the points one by one, deriving
+    the per-tier SINRs once per noise power.  An mc value that is not
+    finite raises ArithmeticError naming its point.
     """
     sweep = config.sweep
     values = sweep.values()
+    params = _params_at(config, float(values[0]))
+    thresholds, noises = _swept(config, values)
     # A coverage, like any x / 1.0, is left as it is.
     unit = math.log(2.0) if bits and rate else 1.0
     columns: dict[str, list[float]] = {}
-    first = None
-    for params, thresholds, noises in _blocks(config, values):
-        for method in dict.fromkeys(sweep.methods):
-            if method == "mc":
-                trials = mcsim.simulate_trials(params, config.sim)
-                if first is None:
-                    first = trials
-                estimates = _mc_column(trials, thresholds, noises, rate)
-                columns.setdefault("mc", []).extend(e.mean / unit for e in estimates)
-                columns.setdefault("mc_se", []).extend(e.std_error / unit for e in estimates)
-            else:
-                column = _analytic_column(method, rate, params, thresholds, noises) / unit
-                columns.setdefault(method, []).extend(column.tolist())
+    trials = None
+    for method in dict.fromkeys(sweep.methods):
+        if method == "mc":
+            trials = mcsim.simulate_trials(params, config.sim)
+            estimates = _mc_column(trials, thresholds, noises, rate)
+            columns["mc"] = [e.mean / unit for e in estimates]
+            columns["mc_se"] = [e.std_error / unit for e in estimates]
+        else:
+            column = _analytic_column(method, rate, params, thresholds, noises) / unit
+            columns[method] = column.tolist()
     bad = np.flatnonzero(~np.isfinite(columns.get("mc", [])))
     if bad.size:
         point = bad[0]
         raise ArithmeticError(f"mc {'rate' if rate else 'coverage'} is {columns['mc'][point]}, "
                               f"not finite, at sweep_db = {float(values[point]):.10g}")
     names = ["sweep_db", *columns]
-    return [dict(zip(names, row)) for row in zip(map(float, values), *columns.values())], first
-
-
-def _blocks(config: RunConfig, values) -> list[tuple[NetworkParams, np.ndarray, np.ndarray]]:
-    """The sweep's points as (network, thresholds, noises) blocks: (n, K) and (n,) arrays.
-
-    The network fixes all else.  On a threshold or noise sweep it is the
-    first point's: the config's own value of the swept field is unused.
-    """
-    if config.sweep.variable == "nakagami_pair":
-        points = [_params_at(config, float(value)) for value in values]
-        return [(p, np.array([[t.threshold for t in p.tiers]]), np.array([p.noise]))
-                for p in points]
-    return [(_params_at(config, float(values[0])), *_swept(config, values))]
+    return [dict(zip(names, row)) for row in zip(map(float, values), *columns.values())], trials
 
 
 def _analytic_column(method: str, rate: bool, params: NetworkParams, thresholds,
@@ -345,7 +314,7 @@ def _analytic_column(method: str, rate: bool, params: NetworkParams, thresholds,
 
 def _mc_column(trials: mcsim.Trials, thresholds: np.ndarray, noises: np.ndarray,
                rate: bool) -> list[mcsim.Estimate]:
-    """The estimate at each point of a block that `trials` simulates."""
+    """The estimate at each sweep point, from the sweep's pass `trials`."""
     estimates = []
     tier_max_noise = None
     for point_thresholds, noise in zip(thresholds, noises):
@@ -424,9 +393,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         rows, trials = _sweep(config, args.rate, args.bits)
         if args.radius_check:
-            # At the first block's network, which the sweep's own pass, if it
-            # made one, simulated as the inner disks.
-            params = _blocks(config, config.sweep.values())[0][0]
+            # At the network of the sweep's first point, which the sweep's own
+            # pass, if it made one, simulated as the inner disks.
+            params = _params_at(config, float(config.sweep.values()[0]))
             drift = mcsim.radius_doubling_drift(params, config.sim, trials=trials)
             resolution = 1.0 / (config.sim.n_geometry * config.sim.n_fading)
             print(f"radius-doubling coverage drift: {drift:.3e} "

@@ -2,8 +2,7 @@
 
 Base stations of each tier form a Poisson point process observed in a
 disk of the tier's own radius R_i around the typical user at the origin
-(`default_region_radii`; a config that sets `sim.region_radius` gives
-every tier that one radius).  Squared distances are sampled as the arrival
+(`default_region_radii`).  Squared distances are sampled as the arrival
 times of a rate lambda*pi process, with gaps -ln(1 - U), which (a)
 reproduces the disk PPP exactly (Poisson count, d = R sqrt(u) distance
 law) and (b) keeps the near-field points identical when a radius is
@@ -23,19 +22,18 @@ that of one common disk of `_DEFAULT_TARGET_COUNT` BSs with the fewest
 expected draws, and give every tier enough BSs that a serving BS beyond
 its disk is rare (see `default_region_radii`).
 
-At the default radii a tier with M_i >= 2 draws fading only in a smaller
-disk of radius r_i, inside a ring that runs out to Q_i = 2 R_i.  A ring
-BS draws no fading: it enters every trial of its geometry at its mean
-received power P_i M_i d^-alpha, summed once per geometry from the
-arrivals the pass draws anyway, and the tail mean starts at Q_i.  Given
-the positions, the mean drops only the BS's fading variance, so r_i is
-chosen to leave the dropped variance at that of the disk R_i
-(`default_region_radii` derives it): at alpha = 3 it is 0.768 R_i at
-M = 2 and 0.716 R_i at M = 3, about 40% fewer fading BSs.  A tier with
-M_i = 1, and every tier of a config that sets `sim.region_radius`, keeps
-its disk (r_i = Q_i = R_i).  The fading BSs are the nearest arrivals, a
-prefix of the ring's, so doubling R_i, which doubles r_i and Q_i unless
-r_i's floor binds, keeps the inner fading draws.
+A tier with M_i >= 2 draws fading only in a smaller disk of radius r_i,
+inside a ring that runs out to Q_i = 2 R_i.  A ring BS draws no fading:
+it enters every trial of its geometry at its mean received power
+P_i M_i d^-alpha, summed once per geometry from the arrivals the pass
+draws anyway, and the tail mean starts at Q_i.  Given the positions, the
+mean drops only the BS's fading variance, so r_i is chosen to leave the
+dropped variance at that of the disk R_i (`default_region_radii` derives
+it): at alpha = 3 it is 0.768 R_i at M = 2 and 0.716 R_i at M = 3, about
+40% fewer fading BSs.  A tier with M_i = 1 keeps its disk
+(r_i = Q_i = R_i).  The fading BSs are the nearest arrivals, a prefix of
+the ring's, so doubling R_i, which doubles r_i and Q_i unless r_i's
+floor binds, keeps the inner fading draws.
 
 Coverage and rate depend on a trial only through each tier's largest
 received power and the total received power.  One pass (`simulate_trials`)
@@ -109,12 +107,11 @@ _BLOCK_ARRIVALS = 2.0 ** 19
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Disk radius, trial counts, and the master seed."""
+    """Trial counts and the master seed."""
 
     n_geometry: int
     n_fading: int
     seed: int
-    region_radius: float | None = None  # None: per-tier default_region_radii
 
     def __post_init__(self):
         for name in ("n_geometry", "n_fading", "seed"):
@@ -125,8 +122,6 @@ class SimConfig:
             raise ValueError("n_geometry and n_fading must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.region_radius is not None and not (0 < self.region_radius < math.inf):
-            raise ValueError(f"region_radius must be positive and finite, got {self.region_radius}")
         if self.n_geometry * self.n_fading < 1000:
             # Level 3 names the caller of the generated __init__.
             warnings.warn(
@@ -238,13 +233,6 @@ def _serving_count(params: NetworkParams) -> float:
     """n_min, the expected BSs a tier's disk holds at least (see
     `default_region_radii`)."""
     return 2.0 * math.log(2.0 * params.n_tiers / _MISSED_COVERAGE)
-
-
-def _radii(params: NetworkParams, sim: SimConfig) -> tuple[float, ...]:
-    """The sim's disk radius per tier."""
-    if sim.region_radius is not None:
-        return (sim.region_radius,) * params.n_tiers
-    return default_region_radii(params)
 
 
 def tail_mean_interference(params: NetworkParams, radii: Sequence[float]) -> float:
@@ -400,17 +388,16 @@ def simulate_trials(params: NetworkParams, sim: SimConfig,
                     radii: tuple[float, ...] | None = None) -> Trials:
     """One simulation pass: per-tier max and total received power per trial.
 
-    Tier i is observed at radius radii[i], by default the sim's disk R_i
-    (`sim.region_radius` for every tier, or `default_region_radii`).  Unless
-    the sim sets `region_radius`, a tier with M_i >= 2 draws fading only
-    inside r_i <= radii[i], with a ring out to 2 radii[i] (`_ring_radii`).
-    The geometries run one after another, in one sequential pass.  The
+    Tier i is observed at radius radii[i], by default its disk R_i of
+    `default_region_radii`.  A tier with M_i >= 2 draws fading only inside
+    r_i <= radii[i], with a ring out to 2 radii[i] (`_ring_radii`).  The
+    geometries run one after another, in one sequential pass.  The
     network is validated here, before any draw, and not again per geometry.
     """
     model.require_valid(params)
     if radii is None:
-        radii = _radii(params, sim)
-    fading, outer = (radii, radii) if sim.region_radius is not None else _ring_radii(params, radii)
+        radii = default_region_radii(params)
+    fading, outer = _ring_radii(params, radii)
     out = np.zeros((sim.n_geometry, params.n_tiers + 1, sim.n_fading))
     _fill(params, sim, fading, outer, out)
     return Trials(received=out, tail=tail_mean_interference(params, outer), radii=radii)

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -227,11 +229,17 @@ def _warn_outside_regime(bound: np.ndarray, u: np.ndarray, v: float, power: floa
     """One PlaAccuracyWarning for all points whose bound exceeds PLA_WARN_BOUND, if any.
 
     With one such point the message names it; with k of n it names k, n and
-    the point of the largest bound.  The warning carries every flagged point.
+    the point of the largest bound.  The warning carries every flagged point,
+    and names the line of the first caller outside the package, however deep
+    the route that reached the kernel.
     """
     flagged = np.flatnonzero(bound > PLA_WARN_BOUND)
     if not flagged.size:
         return
+    # The stack level of that caller; `skip_file_prefixes` needs Python 3.12.
+    frame, level, package = sys._getframe(1), 2, os.path.dirname(__file__)
+    while frame.f_back is not None and os.path.dirname(frame.f_code.co_filename) == package:
+        frame, level = frame.f_back, level + 1
     worst = flagged[np.argmax(bound[flagged])]
     u_worst = float(u[worst])
     where = (f"U={u_worst:.6g}, V={v:.6g}, power={power:g}, alpha={alpha:g} "
@@ -247,7 +255,7 @@ def _warn_outside_regime(bound: np.ndarray, u: np.ndarray, v: float, power: floa
             u=u[flagged].tolist(), bound=bound[flagged].tolist(), v=float(v), power=float(power),
             alpha=float(alpha),
         ),
-        stacklevel=3,
+        stacklevel=level,
     )
 
 

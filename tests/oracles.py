@@ -110,11 +110,11 @@ def geometry_range(params: NetworkParams, seed: int, first_g: int, n: int,
 def sample_geometry(params: NetworkParams, sim: mcsim.SimConfig, g: int,
                     radii: Sequence[float] | None = None) -> tuple[np.ndarray, ...]:
     """Geometry g's sorted per-tier BS distances, tier i's inside radius
-    radii[i] (by default the sim's disks); angles are irrelevant at the
-    origin."""
+    radii[i] (by default `mcsim.default_region_radii`); angles are
+    irrelevant at the origin."""
     model.require_valid(params)
     if radii is None:
-        radii = mcsim._radii(params, sim)
+        radii = mcsim.default_region_radii(params)
     (distances,), _ = geometry_range(params, sim.seed, g, 1, radii, radii)
     return distances
 

@@ -369,10 +369,9 @@ def test_criterion_7_simulator_validity(acceptance_report, tmp_path):
     single = NetworkParams(alpha=3.0, noise=1e-4,
                            tiers=(TierParams(1.0, 1.0, 2.0),))
     radius = math.sqrt(100.0 / math.pi)
-    sim = mcsim.SimConfig(n_geometry=4000, n_fading=1, seed=31,
-                          region_radius=radius)
+    sim = mcsim.SimConfig(n_geometry=4000, n_fading=1, seed=31)
     counts = np.array([
-        len(oracles.sample_geometry(single, sim, g)[0])
+        len(oracles.sample_geometry(single, sim, g, (radius,))[0])
         for g in range(4000)
     ])
     if abs(counts.mean() - 100.0) > 1.0 or abs(counts.var() / counts.mean() - 1.0) > 0.08:
@@ -382,7 +381,7 @@ def test_criterion_7_simulator_validity(acceptance_report, tmp_path):
     # Uniform-disk distance law: a quarter of the points inside R/2.
     inner = total = 0
     for g in range(2000):
-        d = oracles.sample_geometry(single, sim, g)[0]
+        d = oracles.sample_geometry(single, sim, g, (radius,))[0]
         inner += int((d <= radius / 2.0).sum())
         total += len(d)
     frac = inner / total

@@ -7,12 +7,13 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import hetnetcov
-from hetnetcov import pla
+from hetnetcov import analysis, cli, pla
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = ("analysis", "cli", "mcsim", "model", "pla")
@@ -77,3 +78,38 @@ def test_import_leaves_out_integrate_and_optimize():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert run.stdout.strip() == "[]"
+
+
+def shipped_network(name, noise):
+    """The network at the first point of a shipped config's sweep, at `noise`."""
+    config = cli.load_config(f"configs/{name}.json")
+    return replace(cli._params_at(config, config.sweep.start), noise=noise)
+
+
+def closed_form_sweep(name):
+    config = cli.load_config(f"configs/{name}.json")
+    return replace(config, sweep=replace(config.sweep, methods=("closed", "rayleigh")))
+
+
+# Calls that reach the PLA kernel outside its regime, each from this file.
+WARNING_ROUTES = {
+    "coverage_probability":
+        lambda: analysis.coverage_probability(shipped_network("fig1_nakagami23", 1e3)),
+    "average_rate": lambda: analysis.average_rate(shipped_network("fig1_nakagami23", 1e3)),
+    "coverage_rayleigh":
+        lambda: analysis.coverage_rayleigh(shipped_network("fig2_coverage_noise", 1e3)),
+    "run_sweep": lambda: cli.run_sweep(closed_form_sweep("fig2_coverage_noise")),
+    "approx_gamma_kernel_integral": lambda: pla.approx_gamma_kernel_integral(10.0, 0.01, 4.0, 2.5),
+}
+
+
+@pytest.mark.parametrize("route", list(WARNING_ROUTES))
+def test_pla_warnings_name_the_caller(route):
+    # A PlaAccuracyWarning names the caller's line, however deep in the
+    # package the kernel was reached, not a line of the package.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        WARNING_ROUTES[route]()
+    assert caught
+    assert {w.category for w in caught} == {pla.PlaAccuracyWarning}
+    assert {w.filename for w in caught} == {__file__}

@@ -12,7 +12,6 @@ import pytest
 from hetnetcov import analysis, mcsim, model, pla
 from hetnetcov.cli import (
     ConfigError,
-    _blocks,
     _params_at,
     _swept,
     db_to_linear,
@@ -132,18 +131,9 @@ class TestLoadConfig:
         cfg["sweep"]["start"] = cfg["sweep"]["stop"]
         with pytest.raises(ConfigError, match="start"):
             load_config(write_config(tmp_path, cfg))
-        # Five points from 1.0 to 1.4 all round to M = 1: one row.
-        cfg = base_config()
-        cfg["sweep"] = {"variable": "nakagami_pair", "start": 1.0, "stop": 1.4,
-                        "points": 5, "methods": ["closed"]}
-        with pytest.raises(ConfigError, match=re.escape(
-                "'sweep.start' = 1.0 and 'sweep.stop' = 1.4 round to one Nakagami shape")):
-            load_config(write_config(tmp_path, cfg))
 
     @pytest.mark.parametrize("variable, start, stop, key", [
         ("noise_db", -20.0, 4000.0, "'sweep.stop' is 4000.0 dB, too large for a float"),
-        ("nakagami_pair", 1.0, 17.0, "at 'sweep.stop' = 17.0: tier 0: nakagami_m 17 exceeds"),
-        ("nakagami_pair", 0.4, 3.0, "at 'sweep.start' = 0.4: tier 0: nakagami_m must be"),
     ])
     def test_sweep_ends_validated(self, tmp_path, variable, start, stop, key):
         # Every sweep variable is checked at both ends, on load.
@@ -155,11 +145,14 @@ class TestLoadConfig:
 
 
     def test_sim_defaults_and_region_radius(self, tmp_path):
-        cfg = base_config(sim={"region_radius": 12.5})
-        sim = load_config(write_config(tmp_path, cfg)).sim
-        assert (sim.n_geometry, sim.n_fading, sim.seed, sim.region_radius) == (1000, 100, 0, 12.5)
+        # Every tier takes its own default disk: a common radius is neither
+        # a config field nor a SimConfig field.
+        cfg = base_config()
         del cfg["sim"]
-        assert load_config(write_config(tmp_path, cfg)).sim.region_radius is None
+        sim = load_config(write_config(tmp_path, cfg)).sim
+        assert (sim.n_geometry, sim.n_fading, sim.seed) == (1000, 100, 0)
+        with pytest.raises(TypeError, match="region_radius"):
+            mcsim.SimConfig(n_geometry=1000, n_fading=100, seed=0, region_radius=5.0)
 
 
 # One case per rejection path of the strict parser: (where the bad value
@@ -179,8 +172,6 @@ STRICT_CASES = {
     "n_fading-zero": (("sim", "n_fading"), 0, "'sim.n_fading' must be positive, got 0"),
     "n_geometry-one": (("sim", "n_geometry"), 1,
                        "'sim.n_geometry' must be at least 2 for a standard error, got 1"),
-    "region_radius-negative": (("sim", "region_radius"), -1,
-                               "'sim.region_radius' must be positive, got -1.0"),
     "alpha-string": (("alpha",), "3", "'alpha' must be a number, got \"3\""),
     "power-bool": (("tiers", 0, "power"), True, "'tiers[0].power' must be a number, got true"),
     "stop-null": (("sweep", "stop"), None, "'sweep.stop' must be a number, got null"),
@@ -195,10 +186,9 @@ STRICT_CASES = {
                           "'tiers[1].beta_db' is -4000.0 dB, too small for a float"),
     "start-invalid": (("sweep", "start"), -3.0,
                       "at 'sweep.start' = -3.0: tier 0: SINR threshold must exceed 1"),
-    "region_radius-string": (("sim", "region_radius"), "big",
-                             "'sim.region_radius' must be a number, got \"big\""),
-    "region_radius-null": (("sim", "region_radius"), None,
-                           "'sim.region_radius' must be a number, got null"),
+    "region_radius-retired": (("sim", "region_radius"), 5, "unknown field 'sim.region_radius'"),
+    "variable-nakagami_pair": (("sweep", "variable"), "nakagami_pair",
+                               "sweep.variable must be one of ('beta1_db', 'noise_db')"),
     "tiers-not-list": (("tiers",), {"lambda": 1.0}, "'tiers' must be a JSON list"),
     "tier-not-object": (("tiers", 0), 3, "'tiers[0]' must be a JSON object"),
     "sweep-not-object": (("sweep",), [], "'sweep' must be a JSON object"),
@@ -274,9 +264,7 @@ class TestSweepPoints:
     def test_networks_hold_python_floats(self, tmp_path, variable):
         config = network_config(tmp_path, variable, (2, 3), ("closed",), points=7)
         values = config.sweep.values()
-        networks = [block[0] for block in _blocks(config, values)]
-        networks += [_params_at(config, float(value)) for value in values]
-        for params in networks:
+        for params in (_params_at(config, float(value)) for value in values):
             assert type(params.noise) is float
             assert [type(t.threshold) for t in params.tiers] == [float, float]
 
@@ -459,14 +447,6 @@ class TestRunSweep:
             assert row["mc"] == est.mean
             assert row["mc_se"] == est.std_error
 
-    def test_nakagami_sweep_unique_integers(self, tmp_path):
-        cfg = base_config()
-        cfg["sweep"] = {"variable": "nakagami_pair", "start": 1.0, "stop": 3.0,
-                        "points": 5, "methods": ["closed"]}
-        config = load_config(write_config(tmp_path, cfg))
-        rows = run_sweep(config)
-        assert [r["sweep_db"] for r in rows] == [1.0, 2.0, 3.0]
-
 
 class TestMain:
     def test_golden_reproducible_csv(self, tmp_path):
@@ -569,15 +549,12 @@ class TestMain:
         assert main(["--config", write_config(tmp_path, cfg)]) == 1
         assert f"'tiers[1].m' must be an integer, got {shown}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("variable, passes", [("beta1_db", 2), ("noise_db", 2),
-                                                  ("nakagami_pair", 3)])
+    @pytest.mark.parametrize("variable, passes", [("beta1_db", 2), ("noise_db", 2)])
     def test_radius_check_reuses_sweep_pass(self, tmp_path, capsys, monkeypatch,
                                             variable, passes):
-        # The sweep's first pass is the drift's inner disk; only the doubled
-        # disk is simulated again.  A nakagami_pair sweep (two points here)
-        # simulates each point, and the drift the first point's doubled
-        # disk.  Every pass, the doubled disks' too, runs through
-        # mcsim.simulate_trials.
+        # The sweep's one pass is the drift's inner disk; only the doubled
+        # disk is simulated again.  Every pass, the doubled disks' too, runs
+        # through mcsim.simulate_trials.
         cfg = base_config()
         cfg["sweep"] = {"variable": variable, "start": 1.0, "stop": 2.0,
                         "points": 2, "methods": ["mc"]}
@@ -620,7 +597,6 @@ class TestMain:
     @pytest.mark.parametrize("variable, shape, methods, code", [
         ("beta1_db", 16, ["closed"], 1), ("beta1_db", 12, ["closed"], 1),
         ("beta1_db", 11, ["closed"], 0), ("beta1_db", 16, ["reference"], 0),
-        ("nakagami_pair", None, ["closed"], 1),
     ])
     def test_closed_form_range_exit_code(self, tmp_path, capsys, variable, shape, methods,
                                          code):
@@ -628,19 +604,14 @@ class TestMain:
         # float64 from M = 12: the closed form is refused on load, with both
         # fields named, while the reference still runs.
         cfg = base_config(alpha=30.0)
-        cfg["sweep"]["methods"] = methods
-        if variable == "nakagami_pair":
-            cfg["sweep"].update(variable=variable, start=1.0, stop=16.0)
-            field, shape = "'sweep.stop'", 16
-        else:
-            cfg["tiers"][0]["m"] = shape
-            field = "'tiers[0].m'"
+        cfg["sweep"].update(variable=variable, methods=methods)
+        cfg["tiers"][0]["m"] = shape
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", pla.PlaAccuracyWarning)
             assert main(["--config", write_config(tmp_path, cfg)]) == code
         captured = capsys.readouterr()
         if code:
-            assert f"config error: 'alpha' = 30.0 with {field} = {shape}" in captured.err
+            assert f"config error: 'alpha' = 30.0 with 'tiers[0].m' = {shape}" in captured.err
             assert captured.out == ""
         else:
             assert captured.out.startswith("sweep_db,")

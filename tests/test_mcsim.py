@@ -71,9 +71,9 @@ class TestGeometry:
         net = make_network(densities=(1.0,), powers=(1.0,), thresholds=(2.0,),
                            shapes=(1,))
         radius = math.sqrt(100.0 / math.pi)
-        sim = sim_config(n_geometry=10000, n_fading=1, region_radius=radius)
+        sim = sim_config(n_geometry=10000, n_fading=1)
         counts = np.array([
-            len(sample_geometry(net, sim, g)[0]) for g in range(10000)
+            len(sample_geometry(net, sim, g, (radius,))[0]) for g in range(10000)
         ])
         assert counts.mean() == pytest.approx(100.0, rel=0.01)
         assert counts.var() / counts.mean() == pytest.approx(1.0, abs=0.05)
@@ -82,18 +82,17 @@ class TestGeometry:
         # P(d <= R/2) = 1/4 for points uniform on the disk.
         net = make_network(densities=(2.0,), powers=(1.0,), thresholds=(2.0,),
                            shapes=(1,))
-        sim = sim_config(n_geometry=2000, n_fading=1, region_radius=5.0)
+        sim = sim_config(n_geometry=2000, n_fading=1)
         inner = total = 0
         for g in range(2000):
-            d = sample_geometry(net, sim, g)[0]
+            d = sample_geometry(net, sim, g, (5.0,))[0]
             inner += int((d <= 2.5).sum())
             total += len(d)
         assert inner / total == pytest.approx(0.25, abs=0.01)
 
     def test_distances_sorted_and_bounded(self):
         net = make_network()
-        sim = sim_config(region_radius=4.0)
-        for d in sample_geometry(net, sim, 0):
+        for d in sample_geometry(net, sim_config(), 0, (4.0, 4.0)):
             assert np.all(np.diff(d) >= 0)
             assert d[-1] < 4.0
 
@@ -101,8 +100,8 @@ class TestGeometry:
         # Enlarging the disk must keep the inner points bit-identical
         # (common random numbers for the truncation check).
         net = make_network()
-        small = sample_geometry(net, sim_config(region_radius=3.0), 5)
-        large = sample_geometry(net, sim_config(region_radius=6.0), 5)
+        small = sample_geometry(net, sim_config(), 5, (3.0, 3.0))
+        large = sample_geometry(net, sim_config(), 5, (6.0, 6.0))
         for ds, dl in zip(small, large):
             np.testing.assert_array_equal(ds, dl[: len(ds)])
 
@@ -112,7 +111,7 @@ class TestGeometry:
         # warn of a division by zero.
         net = make_network(densities=(2.0,), powers=(1.0,), thresholds=(2.0,),
                            shapes=(1,))
-        sim = sim_config(region_radius=5.0)
+        sim = sim_config()
         draw = mcsim._draw
 
         def first_zero(rng, out):
@@ -123,7 +122,7 @@ class TestGeometry:
         monkeypatch.setattr(mcsim, "_draw", first_zero)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d = sample_geometry(net, sim, 0)[0]
+            d = sample_geometry(net, sim, 0, (5.0,))[0]
         assert d[0] == 0.0
         assert len(d) > 100  # 157 expected
         assert np.all(d < 5.0)
@@ -134,7 +133,7 @@ class TestGeometry:
         # range, and every other row, equals sample_geometry's and the
         # one-geometry loop drawn from numpy's jumped(g), byte for byte.
         net = make_network(densities=(2.0, 0.5), powers=(1.0, 4.0), thresholds=(2.0, 2.0))
-        sim = sim_config(region_radius=4.0)
+        sim, radius = sim_config(), 4.0
         scale, dense = 0.25, 5
         scale_first_chunk(monkeypatch, sim.seed, dense, net.n_tiers, scale)
 
@@ -142,7 +141,7 @@ class TestGeometry:
             rng = np.random.Generator(np.random.PCG64DXSM(
                 np.random.SeedSequence((sim.seed, tier, _GEOMETRY_STREAM))).jumped(g))
             factor = scale if g == dense else 1.0
-            rate, r2_max = net.tiers[tier].density * math.pi, sim.region_radius ** 2
+            rate, r2_max = net.tiers[tier].density * math.pi, radius ** 2
             expected = rate * r2_max
             chunk = max(16, int(expected + 6.0 * math.sqrt(expected + 1.0)))
             arrivals = np.cumsum(-np.log(1.0 - factor * rng.random(chunk))) / rate
@@ -151,10 +150,10 @@ class TestGeometry:
                 arrivals = np.concatenate([arrivals, arrivals[-1] + np.cumsum(gaps) / rate])
             return np.sqrt(arrivals[:np.searchsorted(arrivals, r2_max)]), chunk
 
-        radii = (sim.region_radius,) * net.n_tiers
+        radii = (radius,) * net.n_tiers
         distances, _ = geometry_range(net, sim.seed, 3, 4, radii, radii)
         for g, tiers in enumerate(distances, start=3):
-            single = sample_geometry(net, sim, g)
+            single = sample_geometry(net, sim, g, radii)
             for tier, d in enumerate(tiers):
                 expected, chunk = loop(g, tier)
                 assert d.tobytes() == expected.tobytes()
@@ -253,12 +252,16 @@ class TestGeometry:
 
 def snapshot_tier_max(net, sim, trials, n_geometry):
     """(n_geometry, K, n_fading) tier maxima of `snapshot_sinrs` over the
-    first geometries of the pass `trials`.  The oracle knows no tail; the
-    pass's tail mean enters it as noise."""
-    oracle_net = replace(net, noise=net.noise + trials.tail)
+    first geometries of the pass `trials`, whose faded BSs lie inside the
+    fading radii of its disks (`mcsim._ring_radii`).  The oracle knows
+    neither ring nor tail; each geometry's ring term and the pass's tail
+    mean enter it as noise."""
+    fading, outer = mcsim._ring_radii(net, trials.radii)
     best = np.empty((n_geometry, net.n_tiers, sim.n_fading))
     for g in range(n_geometry):
-        distances = sample_geometry(net, sim, g)
+        (distances,), ring = geometry_range(net, sim.seed, g, 1, fading, outer)
+        ring_term = 0.0 if ring is None else ring[0]
+        oracle_net = replace(net, noise=ring_term + (net.noise + trials.tail))
         counts = [len(d) for d in distances]
         h = np.split(sample_fading(net, sim, g, counts), np.cumsum(counts)[:-1])
         for f in range(sim.n_fading):
@@ -271,8 +274,8 @@ def snapshot_tier_max(net, sim, trials, n_geometry):
 class TestKernels:
     def test_tier_max_matches_snapshot_oracle(self):
         net = make_network(shapes=(2, 1))
-        sim = sim_config(n_fading=11, region_radius=3.0)
-        trials = simulate_trials(net, sim)
+        sim = sim_config(n_fading=11)
+        trials = simulate_trials(net, sim, (3.0, 3.0))
         tier_max = tier_max_sinr(trials, net.noise)
         oracle = snapshot_tier_max(net, sim, trials, 2)
         assert tier_max[:2] == pytest.approx(oracle, rel=1e-12)
@@ -300,8 +303,12 @@ class TestKernels:
     @pytest.mark.parametrize("n_tiers", [1, 2, 3])
     def test_tier_max_equals_per_bs_formula(self, n_tiers, shapes, noise, tail):
         # max_b r_b / (T + noise + tail - r_b), evaluated per BS over each
-        # tier, equals the SINR of the tier's largest r_b bit for bit.  The third tier is sparse enough to be empty in some
-        # geometries, where the tier maximum must be 0.
+        # tier, equals the SINR of the tier's largest r_b bit for bit.  At
+        # M >= 2 the disk of radius 3 brings its ring: the faded BSs lie
+        # inside the fading radii, and T adds each geometry's ring term to
+        # their sum before the noise and the tail.  The third tier is sparse
+        # enough to be empty in some geometries, where the tier maximum
+        # must be 0.
         net = make_network(
             noise=noise,
             densities=(1.0, 5.0, 0.01)[:n_tiers],
@@ -309,24 +316,29 @@ class TestKernels:
             thresholds=(1.2589,) * n_tiers,
             shapes=tuple(shapes[k % 2] for k in range(n_tiers)),
         )
-        sim = sim_config(n_geometry=20, n_fading=50, region_radius=3.0)
-        trials = simulate_trials(net, sim)
-        denom_const = noise + tail_mean_interference(net, (3.0,) * n_tiers)
+        sim = sim_config(n_geometry=20, n_fading=50)
+        radii = (3.0,) * n_tiers
+        trials = simulate_trials(net, sim, radii)
+        fading, outer = mcsim._ring_radii(net, radii)
+        denom_const = noise + tail_mean_interference(net, outer)
         expected = np.zeros((sim.n_geometry, n_tiers, sim.n_fading))
         for g in range(sim.n_geometry):
-            distances = sample_geometry(net, sim, g)
+            (distances,), ring = geometry_range(net, sim.seed, g, 1, fading, outer)
             counts = [len(d) for d in distances]
             w = np.concatenate([t.power * d ** -net.alpha for t, d in zip(net.tiers, distances)])
             received = w[:, None] * sample_fading(net, sim, g, counts)
-            total = received.sum(axis=0) + denom_const
+            total = received.sum(axis=0)
+            if ring is not None:
+                total += ring[0]
+            total += denom_const
             offsets = np.cumsum([0] + counts)
             for k in range(n_tiers):
                 r = received[offsets[k]:offsets[k + 1]]
                 if len(r):
                     expected[g, k] = (r / (total - r)).max(axis=0)
         np.testing.assert_array_equal(tier_max_sinr(trials, noise), expected)
-        assert trials.tail == tail_mean_interference(net, (3.0,) * n_tiers)
-        assert trials.radii == (3.0,) * n_tiers
+        assert trials.tail == tail_mean_interference(net, outer)
+        assert trials.radii == radii
 
 
 class TestUnionSemantics:
@@ -418,12 +430,10 @@ class TestEstimates:
         ("n_fading", 100.0, "n_fading must be an integer, got 100.0"),
         ("seed", False, "seed must be an integer, got False"),
         ("seed", -3, "seed must be non-negative, got -3"),
-        ("region_radius", math.inf, "region_radius must be positive and finite, got inf"),
     ])
     def test_invalid_counts_and_seed_rejected(self, field, value, message):
-        # True would otherwise run one geometry, numpy's error for a
-        # negative seed names no field, and an infinite radius would pass
-        # until the pass's arrival count overflowed.
+        # True would otherwise run one geometry, and numpy's error for a
+        # negative seed names no field.
         kw = {"n_geometry": 100, "n_fading": 100, "seed": 1, field: value}
         with pytest.raises(ValueError, match=message):
             SimConfig(**kw)
@@ -706,15 +716,13 @@ class TestRing:
             np.testing.assert_array_equal(h_inner[:counts[0]], h_doubled[0][:counts[0]])
             np.testing.assert_array_equal(h_inner[counts[0]:], h_doubled[1][:counts[1]])
 
-    @pytest.mark.parametrize("shapes, region_radius", [
-        ((1, 1), None), ((2, 3), 3.0), ((1, 1), 3.0),
-    ], ids=["M11-default", "M23-region-radius", "M11-region-radius"])
-    def test_no_ring_gives_the_disk_only_pass(self, shapes, region_radius):
-        # With M = 1 on every tier, or with region_radius set, every BS in
-        # the disk R_i is faded and nothing lies beyond it but the tail.
+    @pytest.mark.parametrize("shapes", [(1, 1)], ids=["M11-default"])
+    def test_no_ring_gives_the_disk_only_pass(self, shapes):
+        # With M = 1 on every tier, every BS in the disk R_i is faded and
+        # nothing lies beyond it but the tail.
         net = make_network(shapes=shapes)
-        sim = sim_config(n_geometry=30, n_fading=10, region_radius=region_radius)
-        radii = mcsim._radii(net, sim)
+        sim = sim_config(n_geometry=30, n_fading=10)
+        radii = default_region_radii(net)
         trials = simulate_trials(net, sim)
         assert np.array_equal(trials.received, received_oracle(net, sim, radii))
         assert trials.tail == tail_mean_interference(net, radii)

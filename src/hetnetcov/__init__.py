@@ -10,10 +10,8 @@ simulation of the Poisson network.
 from .analysis import (
     average_rate,
     coverage_probability,
-    coverage_rayleigh,
     coverage_reference,
     rate_exact,
-    rate_rayleigh,
 )
 from .model import (
     NetworkParams,

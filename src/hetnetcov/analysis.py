@@ -1,9 +1,10 @@
 """Coverage probability and average achievable rate of the typical user.
 
-Closed forms (PLA-based), the Rayleigh specialisations, and exact
-references from the displacement theorem that bypass both the
-piecewise-linear step and the paper's triple sum.  Rates are in nats per
-channel use.
+Closed forms (PLA-based) and exact references from the displacement
+theorem that bypass both the piecewise-linear step and the paper's
+triple sum.  Rates are in nats per channel use.  The paper's Rayleigh
+corollary is the closed form at M_i = 1; there the I_i are equal, so
+they cancel from the rate, which is then `rate_exact`.
 
 Each route is called as route(params, thresholds=None, noises=None).
 `params` fixes alpha and each tier's density, power and Nakagami shape.
@@ -31,10 +32,8 @@ from .model import NetworkParams
 
 __all__ = [
     "coverage_probability",
-    "coverage_rayleigh",
     "coverage_reference",
     "average_rate",
-    "rate_rayleigh",
     "rate_exact",
 ]
 
@@ -139,45 +138,6 @@ def coverage_reference(params: NetworkParams, thresholds=None, noises=None):
     return finish(_clamp_probability(p, "coverage reference"))
 
 
-def coverage_rayleigh(params: NetworkParams, thresholds=None, noises=None):
-    """Explicit exponential closed form for all-Rayleigh networks (M_i = 1).
-
-    Algebraically identical to `coverage_probability` with the incomplete
-    gammas expanded; V is the Rayleigh interference constant and U the
-    noise power.  Being the same p = 0 PLA kernel, it raises the same
-    PlaAccuracyWarning outside the kernel's regime: one per call, carrying
-    the flagged noise powers.  Points as in the module docstring; the
-    kernel's bracket and its regime check are evaluated once per distinct
-    noise power.
-    """
-    thresholds, noises, finish = model._points(params, thresholds, noises)
-    if any(t.nakagami_m != 1 for t in params.tiers):
-        raise ValueError("coverage_rayleigh requires M_i = 1 for every tier")
-
-    a = params.alpha
-    e = 2.0 / a
-    v = (
-        (2.0 * math.pi / a)
-        * math.gamma(e)
-        * math.gamma(1.0 - e)
-        * sum(t.density * t.power**e for t in params.tiers)
-    )
-
-    def bracket(u):
-        pla.check_kernel_regime(u, v, 0.0, a)
-        co = pla.pla_coefficients(a)
-        u_e = u**e
-        w, u_v = v / u_e, u_e / v
-        e1 = np.exp(w * -co.x1)
-        e2 = np.exp(w * -co.x2)
-        return ((1.0 - e1) + co.c * (e1 - e2)
-                + co.m * (e1 * (co.x1 + u_v) - e2 * (co.x2 + u_v)))
-
-    masses = _tier_weights(params, thresholds, (1.0,) * params.n_tiers, scale=math.pi)
-    p = sum(m / v for m in masses) * _per_noise(bracket, noises)
-    return finish(_clamp_probability(p, "rayleigh coverage"))
-
-
 def _mean_rate_constant(params: NetworkParams, thresholds: np.ndarray, factors,
                         context: str) -> np.ndarray:
     """The per-tier rate constants averaged with the tiers' coverage masses, at each point."""
@@ -197,25 +157,13 @@ def average_rate(params: NetworkParams, thresholds=None, noises=None):
     return finish(_mean_rate_constant(params, thresholds, script_i, "rate"))
 
 
-def rate_rayleigh(params: NetworkParams, thresholds=None, noises=None):
-    """Rayleigh rate: I_i is tier-independent and cancels; no noise dependence.
-
-    Points as in the module docstring, the noise powers checked but not used.
-    """
-    thresholds, _, finish = model._points(params, thresholds, noises)
-    if any(t.nakagami_m != 1 for t in params.tiers):
-        raise ValueError("rate_rayleigh requires M_i = 1 for every tier")
-    return finish(_mean_rate_constant(params, thresholds, (1.0,) * params.n_tiers,
-                                      "rayleigh rate"))
-
-
 def rate_exact(params: NetworkParams, thresholds=None, noises=None):
     """Exact rate: the rate constants averaged with weights a_i beta_i^(-2/a).
 
     In the displacement picture of `coverage_reference` the SINR given
     coverage has the noise-free CCDF sum_i a_i max(y, beta_i)^(-d) /
     sum_i a_i beta_i^(-d), so the rate needs neither kernel nor quadrature.
-    `rate_rayleigh` is its M_i = 1 case.  Points as in the module
+    At M_i = 1 it is the closed form's rate.  Points as in the module
     docstring, the noise powers checked but not used.
     """
     thresholds, _, finish = model._points(params, thresholds, noises)

@@ -5,7 +5,8 @@ linear on load), a sweep over beta_1 or the noise power, the evaluation
 methods, and the Monte Carlo budget.  Output is an
 RFC-4180-style CSV with a stable column set: sweep_db, then one column
 per requested method (closed, rayleigh, reference, mc) plus mc_se when
-the simulator runs.
+the simulator runs.  `rayleigh` is the paper's Rayleigh corollary: the
+closed form, on a network whose every M_i is 1.
 
 Exit codes: 0 success, 1 config, flag, validation or output failure, 2
 numerical failure.
@@ -33,6 +34,16 @@ __all__ = ["SweepSpec", "load_config", "run_sweep", "write_csv", "main"]
 
 SWEEP_VARIABLES = ("beta1_db", "noise_db")
 METHODS = ("closed", "rayleigh", "reference", "mc")
+# The `analysis` routes of each analytic method, (coverage, rate), looked up
+# by name when called, so that a route rebound on the module is the one run.
+# With every M_i = 1 the closed form's I_i are equal and cancel from its
+# rate, which is then the exact rate; `average_rate` would still build them,
+# and warn for them.
+ROUTES = {
+    "closed": ("coverage_probability", "average_rate"),
+    "rayleigh": ("coverage_probability", "rate_exact"),
+    "reference": ("coverage_reference", "rate_exact"),
+}
 
 
 def db_to_linear(db: float) -> float:
@@ -87,9 +98,13 @@ def _require_number(mapping: dict, key: str, path: str) -> float:
     value = _require(mapping, key, path)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{_field(path, key)} must be a number, got {json.dumps(value)}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer past float64's range
+        raise ConfigError(f"{_field(path, key)} is too large for a float") from None
+    if not math.isfinite(number):
         raise ConfigError(f"{_field(path, key)} must be finite, got {json.dumps(value)}")
-    return float(value)
+    return number
 
 
 def _overflow(field: str, db: float) -> ConfigError:
@@ -128,12 +143,16 @@ def _reject_unknown(mapping: dict, known: tuple[str, ...], path: str) -> None:
 def load_config(path: str) -> RunConfig:
     """Parse and validate a JSON run configuration."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # as RFC 8259 requires of JSON
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not valid UTF-8 (byte {exc.start}): {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
+    except ValueError as exc:  # an integer longer than Python converts from a string
+        raise ConfigError(f"config is not readable JSON: {exc}") from exc
 
     _reject_unknown(raw, ("alpha", "noise_db", "tiers", "sweep", "sim"), "")
     alpha = _require_number(raw, "alpha", "")
@@ -143,6 +162,8 @@ def load_config(path: str) -> RunConfig:
     tier_list = _require(raw, "tiers", "")
     if not isinstance(tier_list, list):
         raise ConfigError("'tiers' must be a JSON list")
+    if not tier_list:
+        raise ConfigError("at least one tier is required")
     for i, t in enumerate(tier_list):
         _reject_unknown(t, ("lambda", "power", "beta_db", "m"), f"tiers[{i}]")
         tiers.append(
@@ -290,7 +311,8 @@ def _sweep(config: RunConfig, rate: bool,
             columns["mc"] = [e.mean / unit for e in estimates]
             columns["mc_se"] = [e.std_error / unit for e in estimates]
         else:
-            column = _analytic_column(method, rate, params, thresholds, noises) / unit
+            route = getattr(analysis, ROUTES[method][rate])
+            column = route(params, thresholds, noises) / unit
             columns[method] = column.tolist()
     bad = np.flatnonzero(~np.isfinite(columns.get("mc", [])))
     if bad.size:
@@ -299,17 +321,6 @@ def _sweep(config: RunConfig, rate: bool,
                               f"not finite, at sweep_db = {float(values[point]):.10g}")
     names = ["sweep_db", *columns]
     return [dict(zip(names, row)) for row in zip(map(float, values), *columns.values())], trials
-
-
-def _analytic_column(method: str, rate: bool, params: NetworkParams, thresholds,
-                     noises) -> np.ndarray:
-    if method == "closed":
-        route = analysis.average_rate if rate else analysis.coverage_probability
-    elif method == "rayleigh":
-        route = analysis.rate_rayleigh if rate else analysis.coverage_rayleigh
-    else:
-        route = analysis.rate_exact if rate else analysis.coverage_reference
-    return route(params, thresholds, noises)
 
 
 def _mc_column(trials: mcsim.Trials, thresholds: np.ndarray, noises: np.ndarray,

@@ -17,11 +17,11 @@ origin.  `approx_kernel_error_bound` bounds its relative error a priori, in
 closed form, and `approx_gamma_kernel_integral` raises one `PlaAccuracyWarning`
 per exponent whose bound exceeds `PLA_WARN_BOUND` at some point.
 
-The PLA kernel, its bound and its regime check take U and the t-exponent
-each as a float or a 1-d array (a sweep's noise powers, the coverage sum's
-exponents), one row per exponent; the exact kernel takes one exponent.  A
-float is evaluated as an array of length 1: numpy's elementwise operations
-give the same bits for an element whatever the array's length, so a value
+The PLA kernel and its bound take U and the t-exponent each as a float
+or a 1-d array (a sweep's noise powers, the coverage sum's exponents),
+one row per exponent; the exact kernel takes one exponent.  A float is
+evaluated as an array of length 1: numpy's elementwise operations give
+the same bits for an element whatever the array's length, so a value
 alone equals, bit for bit, the same value computed inside a sweep.
 """
 
@@ -45,7 +45,6 @@ __all__ = [
     "pla_coefficients",
     "approx_gamma_kernel_integral",
     "approx_kernel_error_bound",
-    "check_kernel_regime",
     "exact_gamma_kernel_integral",
 ]
 
@@ -61,7 +60,7 @@ class QuadratureError(RuntimeError):
 class PlaAccuracyWarning(UserWarning):
     """The PLA kernel is outside its regime: its error bound exceeds PLA_WARN_BOUND.
 
-    One kernel or bound call raises at most one per exponent, for all of its
+    One kernel call raises at most one per exponent, for all of its
     points over PLA_WARN_BOUND, and carries them as data:
 
     u, bound : tuples of floats, the flagged points' U and error bound, in
@@ -155,20 +154,6 @@ def approx_kernel_error_bound(u, v: float, power, alpha: float):
     """
     us, powers, shape = _kernel_args(u, v, power, alpha)
     return _shaped(_bracket_and_bound(us, v, powers, alpha)[1], shape)
-
-
-def check_kernel_regime(u, v: float, power, alpha: float):
-    """Return `approx_kernel_error_bound`, raising PlaAccuracyWarning above PLA_WARN_BOUND.
-
-    For closed forms that expand the PLA kernel inline instead of calling
-    `approx_gamma_kernel_integral`; it warns as that does, once per flagged
-    exponent for all of its flagged points.
-    """
-    us, powers, shape = _kernel_args(u, v, power, alpha)
-    bound = _bracket_and_bound(us, v, powers, alpha)[1]
-    for p, row in zip(powers, bound):
-        _warn_outside_regime(row, us, v, p, alpha)
-    return _shaped(bound, shape)
 
 
 def _lower_gamma(s, x):

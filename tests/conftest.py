@@ -27,10 +27,10 @@ def acceptance_report():
 def pla_warnings(monkeypatch):
     """run -> (run(), what its PlaAccuracyWarnings carry, what its PLA calls flag).
 
-    `pla.approx_gamma_kernel_integral` and `pla.check_kernel_regime` are
+    `pla.approx_gamma_kernel_integral`, the one PLA call that warns, is
     wrapped for the test.  Each of the two lists holds one tuple per item, of
     (U, V, power, alpha, bound) tuples: one item per PlaAccuracyWarning
-    raised, and one per (wrapped call, exponent) pair whose
+    raised, and one per (kernel call, exponent) pair whose
     `pla.approx_kernel_error_bound` exceeds PLA_WARN_BOUND at some point,
     with its flagged points in order.  A run that warns exactly once per
     flagging pair, for exactly its flagged points, gives equal lists once
@@ -39,22 +39,20 @@ def pla_warnings(monkeypatch):
     """
     flagging: list[tuple] = []
 
-    def flags(call):
-        def wrapped(u, v, power, alpha):
-            powers = np.atleast_1d(power).tolist()
-            bounds = np.reshape(pla.approx_kernel_error_bound(u, v, power, alpha),
-                                (len(powers), -1))
-            for p, bound in zip(powers, bounds):
-                points = tuple((float(x), v, p, alpha, float(b))
-                               for x, b in zip(np.atleast_1d(u), bound) if b > pla.PLA_WARN_BOUND)
-                if points:
-                    flagging.append(points)
-            return call(u, v, power, alpha)
+    kernel = pla.approx_gamma_kernel_integral
 
-        return wrapped
+    def flags(u, v, power, alpha):
+        powers = np.atleast_1d(power).tolist()
+        bounds = np.reshape(pla.approx_kernel_error_bound(u, v, power, alpha),
+                            (len(powers), -1))
+        for p, bound in zip(powers, bounds):
+            points = tuple((float(x), v, p, alpha, float(b))
+                           for x, b in zip(np.atleast_1d(u), bound) if b > pla.PLA_WARN_BOUND)
+            if points:
+                flagging.append(points)
+        return kernel(u, v, power, alpha)
 
-    for name in ("approx_gamma_kernel_integral", "check_kernel_regime"):
-        monkeypatch.setattr(pla, name, flags(getattr(pla, name)))
+    monkeypatch.setattr(pla, "approx_gamma_kernel_integral", flags)
 
     def record(run):
         flagging.clear()

@@ -13,7 +13,10 @@ Nothing here is used by the command line or by the library routes:
   simulator pass is checked against;
 * `pla_surrogate`, the PLA's three-piece line itself;
 * `script_i`, the per-tier triple sum I_i on any kernel, the exact one
-  included.
+  included;
+* `rayleigh_coverage` and `rayleigh_rate`, the paper's corollary for an
+  all-Rayleigh network (every M_i = 1), which acceptance criterion 3
+  holds the closed form to.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from scipy import integrate
 
 from hetnetcov import mcsim, model
 from hetnetcov.model import NetworkParams
-from hetnetcov.pla import PlaCoefficients, QuadratureError
+from hetnetcov.pla import PlaCoefficients, QuadratureError, pla_coefficients
 
 # Relative accuracy `rate_reference` demands of each quadrature piece.
 _RATE_REL_TOL = 1e-8
@@ -175,3 +178,46 @@ def script_i(params: NetworkParams, kernel) -> list[float]:
         lambda powers: np.array([[kernel(params.noise, a_const, power, params.alpha)]
                                  for power in powers.tolist()]))
     return [float(by_shape[m][0]) for m in shapes]
+
+
+def _require_rayleigh(params: NetworkParams) -> None:
+    if any(t.nakagami_m != 1 for t in params.tiers):
+        raise ValueError("the Rayleigh corollary requires M_i = 1 for every tier")
+
+
+def rayleigh_coverage(params: NetworkParams) -> float:
+    """The PLA closed form at every M_i = 1, its incomplete gammas expanded.
+
+    The form of Dhillon, Ganti, Baccelli & Andrews (IEEE JSAC 2012) for
+    Rayleigh fading, with the PLA's line (slope m, intercept c, knots x1,
+    x2) in place of exp(-x^(alpha/2)):
+
+        P_c = sum_i pi lambda_i P_i^d beta_i^(-d) / V * B,
+        B = (1 - e1) + c (e1 - e2) + m (e1 (x1 + U^d / V) - e2 (x2 + U^d / V)),
+
+    with d = 2/alpha, e_k = exp(-x_k V / U^d), U the noise power and
+    V = (2 pi / alpha) Gamma(d) Gamma(1 - d) sum_i lambda_i P_i^d.
+    """
+    _require_rayleigh(params)
+    a = params.alpha
+    e = 2.0 / a
+    v = ((2.0 * math.pi / a) * math.gamma(e) * math.gamma(1.0 - e)
+         * sum(t.density * t.power**e for t in params.tiers))
+    co = pla_coefficients(a)
+    u_e = params.noise**e
+    u_v = u_e / v
+    e1, e2 = math.exp(-co.x1 * v / u_e), math.exp(-co.x2 * v / u_e)
+    bracket = ((1.0 - e1) + co.c * (e1 - e2)
+               + co.m * (e1 * (co.x1 + u_v) - e2 * (co.x2 + u_v)))
+    masses = sum(math.pi * t.density * t.power**e * t.threshold**-e for t in params.tiers)
+    return masses / v * bracket
+
+
+def rayleigh_rate(params: NetworkParams) -> float:
+    """The closed-form rate at every M_i = 1: the I_i are equal and cancel,
+    leaving the rate constants averaged with weights lambda_i P_i^d beta_i^(-d)."""
+    _require_rayleigh(params)
+    e = 2.0 / params.alpha
+    weights = [t.density * t.power**e * t.threshold**-e for t in params.tiers]
+    rates = model.rate_constants_at(params.alpha, [t.threshold for t in params.tiers])
+    return float(sum(w * r for w, r in zip(weights, rates)) / sum(weights))

@@ -6,7 +6,9 @@ Independent oracles:
 * the displacement-theorem coverage against the paper's triple sum on
   the exact kernel, and its noise-free sin limit,
 * the arctan closed form of the alpha = 4 rate hypergeometric,
-* the piecewise CCDF quadrature of `oracles.rate_reference`.
+* the piecewise CCDF quadrature of `oracles.rate_reference`,
+* the paper's explicit Rayleigh corollary, `oracles.rayleigh_coverage`
+  and `oracles.rayleigh_rate`.
 """
 
 import math
@@ -20,14 +22,13 @@ import scipy.integrate
 from hetnetcov.analysis import (
     average_rate,
     coverage_probability,
-    coverage_rayleigh,
     coverage_reference,
     rate_exact,
-    rate_rayleigh,
 )
 from hetnetcov import pla
 from hetnetcov.model import NetworkParams, TierParams, rate_constants_at
-from oracles import conditional_ccdf, rate_reference, script_i
+from oracles import (conditional_ccdf, rate_reference, rayleigh_coverage, rayleigh_rate,
+                     script_i)
 
 
 def make_network(alpha=3.0, noise=1e-4, densities=(1.0, 5.0), powers=(25.0, 1.0),
@@ -78,7 +79,7 @@ class TestCoverage:
             for noise in (1e-4, 1e-2, 1.0):
                 net = make_network(alpha=alpha, noise=noise)
                 a = coverage_probability(net)
-                b = coverage_rayleigh(net)
+                b = rayleigh_coverage(net)
                 assert a == pytest.approx(b, rel=1e-10)
 
     def test_reference_matches_polar_quadrature(self):
@@ -126,10 +127,6 @@ class TestCoverage:
         net = make_network(thresholds=(1e9, 1e9))
         assert coverage_probability(net) < 1e-4
 
-    def test_rayleigh_rejects_general_shapes(self):
-        with pytest.raises(ValueError, match="M_i = 1"):
-            coverage_rayleigh(make_network(shapes=(2, 1)))
-
     def test_clamp_guard(self, monkeypatch):
         # A kernel lying an order of magnitude high must trip the guard
         # rather than silently clamp.
@@ -148,7 +145,7 @@ class TestCoverage:
         # closed forms' constants come out NaN; NaN fails both comparisons
         # of a range check, so it must be caught explicitly.
         net = make_network(alpha=2.000000001, noise=1e-299, thresholds=(3.1623, 1.2589))
-        for route in (coverage_probability, coverage_rayleigh, average_rate, rate_reference):
+        for route in (coverage_probability, average_rate, rate_reference):
             with pytest.raises(ArithmeticError, match="nan"):
                 route(net)
 
@@ -223,18 +220,24 @@ class TestRate:
         # mean, so the general and Rayleigh forms coincide exactly.
         net = make_network(thresholds=(2.0, 1.5))
         assert average_rate(net) == pytest.approx(
-            rate_rayleigh(net), rel=1e-14
+            rayleigh_rate(net), rel=1e-14
         )
 
     def test_rayleigh_noise_invariance(self):
-        net_lo = make_network(noise=1e-6, thresholds=(2.0, 1.5))
-        net_hi = make_network(noise=10.0, thresholds=(2.0, 1.5))
-        assert rate_rayleigh(net_lo) == rate_rayleigh(net_hi)
+        # The I_i cancel at every noise power, so the closed form's rate is
+        # the exact rate, noise free, which is what the CLI's rayleigh
+        # column reports.
+        for noise in (1e-6, 10.0):
+            net = make_network(noise=noise, thresholds=(2.0, 1.5))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", pla.PlaAccuracyWarning)
+                closed = average_rate(net)
+            assert closed == pytest.approx(rate_exact(net), rel=1e-14)
 
     def test_exact_rate_weights(self):
         # The rate constants averaged with the displacement masses
         # a_i beta_i^(-2/a), whatever the noise; with M = 1 everywhere that
-        # is rate_rayleigh.
+        # is the Rayleigh corollary's rate.
         net = make_network(thresholds=(2.0, 1.4), shapes=(2, 3))
         e = 2.0 / net.alpha
         weights = [a * t.threshold**-e for a, t in zip(displacement_masses(net), net.tiers)]
@@ -243,8 +246,7 @@ class TestRate:
         assert rate_exact(net) == pytest.approx(expected, rel=1e-14)
         assert rate_exact(replace(net, noise=1e4)) == rate_exact(net)
         rayleigh = make_network(thresholds=(2.0, 1.4))
-        assert rate_exact(rayleigh) == pytest.approx(rate_rayleigh(rayleigh),
-                                                           rel=1e-14)
+        assert rate_exact(rayleigh) == pytest.approx(rayleigh_rate(rayleigh), rel=1e-14)
 
     def test_against_ccdf_quadrature(self):
         for shapes in ((1, 1), (2, 3)):
@@ -310,8 +312,7 @@ class TestPrebuiltConstants:
 class TestArrayRoutes:
     """A route at n points equals the route on each point's network, bit for bit."""
 
-    ROUTES = [coverage_probability, average_rate, coverage_reference, rate_exact,
-              coverage_rayleigh, rate_rayleigh]
+    ROUTES = [coverage_probability, average_rate, coverage_reference, rate_exact]
 
     @pytest.mark.parametrize("shapes", [(1, 1, 1), (2, 3, 1)])
     def test_equal_to_route_at_each_point(self, shapes):
@@ -325,10 +326,9 @@ class TestArrayRoutes:
         points = [replace(net, noise=float(noise), tiers=tuple(
             replace(t, threshold=float(beta)) for t, beta in zip(net.tiers, row)))
             for row, noise in zip(thresholds, noises)]
-        rayleigh = set(shapes) == {1}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", pla.PlaAccuracyWarning)
-            for route in self.ROUTES[:4] + self.ROUTES[4:] * rayleigh:
+            for route in self.ROUTES:
                 values = route(net, thresholds, noises)
                 assert values.tolist() == [route(p) for p in points], route.__name__
 
@@ -355,5 +355,3 @@ class TestArrayRoutes:
             average_rate(net, [[2.0, 2.0]], [0.0])
         with pytest.raises(ValueError, match=r"shape \(points, tiers\) = \(1, 2\)"):
             rate_exact(net, [[2.0, 2.0, 2.0]], [1e-3])
-        with pytest.raises(ValueError, match="M_i = 1"):
-            coverage_rayleigh(make_network(shapes=(2, 1)), [[2.0, 2.0]], [1e-3])

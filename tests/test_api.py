@@ -19,12 +19,16 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = ("analysis", "cli", "mcsim", "model", "pla")
 # Oracles that only tests call; they live in tests/oracles.py.
 TEST_ORACLES = ("rate_reference", "conditional_ccdf", "snapshot_sinrs", "sample_geometry",
-                "sample_fading", "Realization", "pla_surrogate")
+                "sample_fading", "Realization", "pla_surrogate", "rayleigh_coverage",
+                "rayleigh_rate")
 # Single-network conveniences folded into the forms the sweep runs, with no
 # aliases: model._script_i_by_shape, model.rate_constants_at and the chain
 # mcsim.simulate_trials -> tier_max_sinr -> coverage_from_tier_max or
-# rate_from_tier_max.
-FOLDED = ("tier_script_I", "rate_constant", "mc_coverage", "mc_conditional_rate", "_simulate")
+# rate_from_tier_max.  The Rayleigh specialisations are the closed form at
+# M_i = 1 (its rate there is rate_exact), and their regime check went with
+# them.
+FOLDED = ("tier_script_I", "rate_constant", "mc_coverage", "mc_conditional_rate", "_simulate",
+          "coverage_rayleigh", "rate_rayleigh", "check_kernel_regime")
 
 
 def library_example() -> str:
@@ -96,8 +100,6 @@ WARNING_ROUTES = {
     "coverage_probability":
         lambda: analysis.coverage_probability(shipped_network("fig1_nakagami23", 1e3)),
     "average_rate": lambda: analysis.average_rate(shipped_network("fig1_nakagami23", 1e3)),
-    "coverage_rayleigh":
-        lambda: analysis.coverage_rayleigh(shipped_network("fig2_coverage_noise", 1e3)),
     "run_sweep": lambda: cli.run_sweep(closed_form_sweep("fig2_coverage_noise")),
     "approx_gamma_kernel_integral": lambda: pla.approx_gamma_kernel_integral(10.0, 0.01, 4.0, 2.5),
 }

@@ -109,6 +109,23 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="line 2"):
             load_config(str(path))
 
+    def test_not_utf8_reported(self, tmp_path, capsys):
+        # JSON is UTF-8 (RFC 8259), whatever the locale's encoding; a UTF-16
+        # file with its byte order mark is not.
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(base_config()).encode("utf-16-le"))
+        assert main(["--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config is not valid UTF-8 (byte 0)")
+        assert "Traceback" not in err
+
+    def test_overlong_integer_reported(self, tmp_path):
+        # Python reads no integer of more than 4,300 digits from a string.
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(base_config()).replace('"seed": 11', '"seed": ' + "1" * 5000))
+        with pytest.raises(ConfigError, match="not readable JSON"):
+            load_config(str(path))
+
     def test_unknown_sweep_variable(self, tmp_path):
         cfg = base_config()
         cfg["sweep"]["variable"] = "power1"
@@ -190,6 +207,10 @@ STRICT_CASES = {
     "variable-nakagami_pair": (("sweep", "variable"), "nakagami_pair",
                                "sweep.variable must be one of ('beta1_db', 'noise_db')"),
     "tiers-not-list": (("tiers",), {"lambda": 1.0}, "'tiers' must be a JSON list"),
+    "tiers-empty": (("tiers",), [], "at least one tier is required"),
+    "alpha-huge-integer": (("alpha",), 10**400, "'alpha' is too large for a float"),
+    "power-huge-integer": (("tiers", 0, "power"), 10**400,
+                           "'tiers[0].power' is too large for a float"),
     "tier-not-object": (("tiers", 0), 3, "'tiers[0]' must be a JSON object"),
     "sweep-not-object": (("sweep",), [], "'sweep' must be a JSON object"),
     "sim-not-object": (("sim",), 5, "'sim' must be a JSON object"),
@@ -300,12 +321,12 @@ class TestSharedConstants:
                     expected = {"closed": analysis.average_rate(params),
                                 "reference": analysis.rate_exact(params)}
                     if "rayleigh" in methods:
-                        expected["rayleigh"] = analysis.rate_rayleigh(params)
+                        expected["rayleigh"] = analysis.rate_exact(params)
                 else:
                     expected = {"closed": analysis.coverage_probability(params),
                                 "reference": analysis.coverage_reference(params)}
                     if "rayleigh" in methods:
-                        expected["rayleigh"] = analysis.coverage_rayleigh(params)
+                        expected["rayleigh"] = analysis.coverage_probability(params)
                 assert {m: row[m] for m in methods} == expected
 
     @pytest.mark.parametrize("variable, points", [("beta1_db", 6), ("noise_db", 300)])
@@ -387,14 +408,16 @@ class TestSharedConstants:
                                                methods=("closed", "rayleigh", "reference")))
 
         def per_point():
+            # The routes of the closed, rayleigh and reference columns.
+            if rate:
+                routes = (analysis.average_rate, analysis.rate_exact, analysis.rate_exact)
+            else:
+                routes = (analysis.coverage_probability, analysis.coverage_probability,
+                          analysis.coverage_reference)
             for value in config.sweep.values():
                 params = _params_at(config, float(value))
-                if rate:
-                    analysis.average_rate(params), analysis.rate_rayleigh(params)
-                    analysis.rate_exact(params)
-                else:
-                    analysis.coverage_probability(params), analysis.coverage_rayleigh(params)
-                    analysis.coverage_reference(params)
+                for route in routes:
+                    route(params)
 
         _, swept, swept_calls = pla_warnings(lambda: run_sweep(config, rate=rate))
         _, alone, alone_calls = pla_warnings(per_point)
@@ -402,6 +425,18 @@ class TestSharedConstants:
         assert sorted(swept) == sorted(swept_calls)
         assert sorted(alone) == sorted(alone_calls)
         assert sorted(sum(swept, ())) == sorted(sum(alone, ()))
+
+    def test_rayleigh_rate_column_does_not_warn(self):
+        # fig2's rayleigh coverage reaches the PLA kernel's noise-limited
+        # regime and warns; its rate is the exact rate, which has no I_i to
+        # build, so the same sweep with --rate is silent.
+        config = load_config("configs/fig2_coverage_noise.json")
+        config = replace(config, sweep=replace(config.sweep, methods=("rayleigh",)))
+        with pytest.warns(pla.PlaAccuracyWarning):
+            run_sweep(config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", pla.PlaAccuracyWarning)
+            run_sweep(config, rate=True)
 
 
 class TestRunSweep:

@@ -12,7 +12,6 @@ from hetnetcov.pla import (
     QuadratureError,
     approx_gamma_kernel_integral,
     approx_kernel_error_bound,
-    check_kernel_regime,
     exact_gamma_kernel_integral,
     pla_coefficients,
 )
@@ -379,7 +378,7 @@ class TestArrayPowers:
         assert unbounded[-1].any() and not unbounded[:-1].any()
         assert np.isinf(bounds[unbounded]).all()
 
-    @pytest.mark.parametrize("call", [approx_gamma_kernel_integral, check_kernel_regime])
+    @pytest.mark.parametrize("call", [approx_gamma_kernel_integral])
     def test_one_warning_per_flagged_exponent(self, call):
         # At V = 30 and U up to 1 only the 4 largest exponents flag a point.
         u = self.U[:250]
@@ -480,14 +479,6 @@ class TestErrorBound:
             warnings.simplefilter("ignore", PlaAccuracyWarning)
             quiet = approx_gamma_kernel_integral(10.0, 0.01, 4.0, 2.5)
         assert warned == quiet
-
-    def test_check_kernel_regime(self):
-        with pytest.warns(PlaAccuracyWarning):
-            bound = check_kernel_regime(10.0, 0.01, 0.0, 3.0)
-        assert bound == approx_kernel_error_bound(10.0, 0.01, 0.0, 3.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", PlaAccuracyWarning)
-            assert check_kernel_regime(1e-3, 100.0, 0.0, 3.0) < 1e-3
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

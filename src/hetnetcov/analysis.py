@@ -14,10 +14,11 @@ neither, it evaluates `params`' own thresholds and noise power and
 returns a float; given one alone, it raises ValueError (`model._points`).
 The threshold-free part (the closed form's I_i, `model._script_i_at`'s
 one PLA kernel call for every exponent of the triple sum, or the
-reference's one exact kernel) is built once per distinct noise power, as
-one array evaluation, and shared by every threshold of the sweep.  The
-float is the one-point array's element, so element j of an array result
-equals, bit for bit, the route called on the network of point j.
+reference's one exact kernel) is built once per distinct noise power
+(`model._per_distinct`), as one array evaluation, and shared by every
+threshold of the sweep.  The float is the one-point array's element, so
+element j of an array result equals, bit for bit, the route called on
+the network of point j.
 """
 
 from __future__ import annotations
@@ -59,14 +60,6 @@ def _clamp_probability(p: np.ndarray, context: str) -> np.ndarray:
     return p.clip(0.0, 1.0)
 
 
-def _per_noise(build, noises: np.ndarray) -> np.ndarray:
-    """build(distinct noise powers), one column per point: one build per distinct noise power."""
-    if noises.size == 1:  # a one-point call skips np.unique's cost
-        return build(noises)
-    distinct, at = np.unique(noises, return_inverse=True)
-    return build(distinct)[..., at]
-
-
 def _tier_weights(params: NetworkParams, thresholds: np.ndarray, factors,
                   scale: float = 1.0) -> list[np.ndarray]:
     """scale lambda_i P_i^(2/a) beta_i^(-2/a) f_i for each tier, at each point.
@@ -91,7 +84,7 @@ def coverage_probability(params: NetworkParams, thresholds=None, noises=None):
     t-exponent, carrying the noise powers that exponent flags.
     """
     thresholds, noises, finish = model._points(params, thresholds, noises)
-    script_i = _per_noise(partial(model._script_i_at, params), noises)
+    script_i = model._per_distinct(partial(model._script_i_at, params), noises)
     p = sum(_tier_weights(params, thresholds, script_i, scale=math.pi))
     return finish(_clamp_probability(p, "coverage"))
 
@@ -131,7 +124,7 @@ def coverage_reference(params: NetworkParams, thresholds=None, noises=None):
     quadrature (`_exact_kernel_at`'s) serves every distinct noise power.
     """
     thresholds, noises, finish = model._points(params, thresholds, noises)
-    kernel = _per_noise(partial(_exact_kernel_at, params), noises)
+    kernel = model._per_distinct(partial(_exact_kernel_at, params), noises)
     e = 2.0 / params.alpha
     masses = _tier_weights(params, thresholds, _fading_moments(params), scale=math.pi)  # a_i beta_i^(-d)
     p = sum(masses) * (params.alpha / 2.0) / math.gamma(e) * kernel
@@ -153,7 +146,7 @@ def average_rate(params: NetworkParams, thresholds=None, noises=None):
     Points, I_i and warnings as in `coverage_probability`.
     """
     thresholds, noises, finish = model._points(params, thresholds, noises)
-    script_i = _per_noise(partial(model._script_i_at, params), noises)
+    script_i = model._per_distinct(partial(model._script_i_at, params), noises)
     return finish(_mean_rate_constant(params, thresholds, script_i, "rate"))
 
 

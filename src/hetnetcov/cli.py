@@ -330,6 +330,7 @@ def _mc_column(trials: mcsim.Trials, thresholds: np.ndarray, noises: np.ndarray,
     tier_max_noise = None
     for point_thresholds, noise in zip(thresholds, noises):
         if noise != tier_max_noise:
+            tier_max = None  # freed before the next noise power's SINRs are built
             tier_max, tier_max_noise = mcsim.tier_max_sinr(trials, noise), noise
         estimates.append(mcsim.rate_from_tier_max(tier_max, point_thresholds) if rate
                          else mcsim.coverage_from_tier_max(tier_max, point_thresholds))

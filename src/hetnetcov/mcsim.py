@@ -30,10 +30,11 @@ draws anyway, and the tail mean starts at Q_i.  Given the positions, the
 mean drops only the BS's fading variance, so r_i is chosen to leave the
 dropped variance at that of the disk R_i (`default_region_radii` derives
 it): at alpha = 3 it is 0.768 R_i at M = 2 and 0.716 R_i at M = 3, about
-40% fewer fading BSs.  A tier with M_i = 1 keeps its disk
-(r_i = Q_i = R_i).  The fading BSs are the nearest arrivals, a prefix of
-the ring's, so doubling R_i, which doubles r_i and Q_i unless r_i's
-floor binds, keeps the inner fading draws.
+40% fewer fading BSs.  Every tier has a ring, and `_ring_radii` alone
+sets it: at M_i = 1 it is empty (r_i = Q_i = R_i) and adds 0.  The fading
+BSs are the nearest arrivals, a prefix of the ring's, so doubling R_i,
+which doubles r_i and Q_i unless r_i's floor binds, keeps the inner
+fading draws.
 
 Coverage and rate depend on a trial only through each tier's largest
 received power and the total received power.  One pass (`simulate_trials`)
@@ -140,8 +141,8 @@ class Trials:
                ring BSs at their mean.
     tail     : mean interference from beyond the disks and rings, added to
                every denominator.
-    radii    : tier i's disk radius R_i, per tier (its ring, if any, runs
-               out to 2 R_i).
+    radii    : tier i's disk radius R_i, per tier (its ring runs out to
+               2 R_i at M_i >= 2 and is empty at M_i = 1).
 
     Neither thresholds nor the noise power enter, so one pass serves any
     threshold or noise sweep point (`tier_max_sinr`).
@@ -268,37 +269,35 @@ def _draw(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
 def _arrivals(params: NetworkParams, seed: int, first_g: int, n: int,
               fading_radii: Sequence[float], outer_radii: Sequence[float],
               streams: Sequence[np.random.Generator],
-              ) -> tuple[list[tuple], np.ndarray | None]:
+              ) -> tuple[list[tuple], np.ndarray]:
     """Geometries first_g, ..., first_g + n - 1, drawn out to the outer radii.
 
     `streams` holds tier i's geometry generator at geometry first_g, and is
     left at first_g + n.  Returns each geometry's per-tier sorted distances
     of the arrivals inside the fading radii, and each geometry's ring term,
     the sum over tiers of P_i M_i d^-alpha over tier i's arrivals between
-    its fading and outer radius (None where every tier's two radii are
-    equal).
+    its fading and outer radius (0 from a tier whose two radii are equal).
     """
-    per_tier, ring = [], None
+    per_tier, ring = [], np.zeros(n)
     for tier_index, (tier, r, q, rng) in enumerate(
             zip(params.tiers, fading_radii, outer_radii, streams, strict=True)):
         distances, sums = _distances(rng, (seed, tier_index, first_g), tier.density * math.pi,
-                                     q * q, n, r * r if r < q else None, params.alpha)
+                                     q * q, n, r * r, params.alpha)
         per_tier.append(distances)
-        if sums is not None:
-            term = tier.power * tier.nakagami_m * sums
-            ring = term if ring is None else ring + term
+        ring += tier.power * tier.nakagami_m * sums
     return list(zip(*per_tier)), ring
 
 
 def _distances(rng: np.random.Generator, key: tuple[int, int, int], rate: float,
-               r2_max: float, n: int, r2_fading: float | None,
-               alpha: float) -> tuple[list[np.ndarray], np.ndarray | None]:
-    """Sorted distances of one tier's arrivals of rate `rate` below `r2_max`,
-    for n geometries, a row each, drawn from `rng` (see `_arrivals`), and
-    None; with `r2_fading`, only the distances below it, and each
-    geometry's sum of d^-alpha over the rest, its ring.  `key` is
-    (seed, tier_index, first geometry), from which a row whose chunk ends
-    inside the disk rebuilds its geometry's stream to draw on.
+               r2_max: float, n: int, r2_fading: float,
+               alpha: float) -> tuple[list[np.ndarray], np.ndarray]:
+    """Sorted distances of one tier's arrivals of rate `rate` below
+    `r2_fading` <= `r2_max`, for n geometries, a row each, drawn from `rng`
+    (see `_arrivals`), and each geometry's sum of d^-alpha over its
+    arrivals from `r2_fading` to `r2_max`, its ring (0 where the two are
+    equal).  `key` is (seed, tier_index, first geometry), from which a row
+    whose chunk ends inside the disk rebuilds its geometry's stream to draw
+    on.
 
     Each row is one chunk of uniforms from its geometry's stream, and the
     gaps, their running sums and the distances are taken for all rows at
@@ -321,15 +320,14 @@ def _distances(rng: np.random.Generator, key: tuple[int, int, int], rate: float,
     counts = np.count_nonzero(arrivals < r2_max, axis=1)
     # Rows whose chunk ends inside the disk, before the square root.
     short = {i: arrivals[i].copy() for i in np.flatnonzero(counts == chunk)}
-    ring = None
-    if r2_fading is not None:
-        inner = np.count_nonzero(arrivals < r2_fading, axis=1)
-        # d^-alpha = (d^2)^(-alpha/2), kept on the ring's columns only; the
-        # rows are sorted, so those are inner[i] <= j < counts[i].
-        terms = np.power(arrivals, -0.5 * alpha)
-        terms *= (arrivals >= r2_fading) & (arrivals < r2_max)
-        ring = terms.sum(axis=1)
-        counts = inner
+    ring = np.zeros(n)
+    if r2_fading < r2_max:
+        # d^-alpha = (d^2)^(-alpha/2), taken on the ring's columns only, so
+        # a fading arrival at d = 0 adds 0, not inf * 0.
+        in_ring = (arrivals >= r2_fading) & (arrivals < r2_max)
+        ring = np.power(arrivals, -0.5 * alpha, out=np.zeros_like(arrivals),
+                        where=in_ring).sum(axis=1)
+        counts = np.count_nonzero(arrivals < r2_fading, axis=1)
     # Only the columns that hold a returned distance need the square root.
     head = arrivals[:, :counts.max(initial=0)]
     np.sqrt(head, out=head)
@@ -342,11 +340,9 @@ def _distances(rng: np.random.Generator, key: tuple[int, int, int], rate: float,
             gaps = -np.log(1.0 - extra.random(max(16, chunk // 4)))
             row = np.concatenate([row, row[-1] + np.cumsum(gaps) / rate])
         row = row[:np.searchsorted(row, r2_max)]
-        if ring is not None:
-            inside = np.searchsorted(row, r2_fading)
-            ring[i] = np.sum(row[inside:] ** (-0.5 * alpha))
-            row = row[:inside]
-        distances[i] = np.sqrt(row)
+        inside = np.searchsorted(row, r2_fading)
+        ring[i] = np.sum(row[inside:] ** (-0.5 * alpha))
+        distances[i] = np.sqrt(row[:inside])
     return distances, ring
 
 
@@ -407,24 +403,20 @@ def _ring_radii(params: NetworkParams,
                 radii: Sequence[float]) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """(fading radii r_i, outer radii Q_i) of tiers observed at radii R_i.
 
-    A tier with M_i = 1 keeps its disk, r_i = Q_i = R_i.  One with M_i >= 2
+    A tier with M_i = 1 has an empty ring, r_i = Q_i = R_i.  One with M_i >= 2
     has Q_i = 2 R_i and r_i^(2 - 2 alpha) = (M_i + 1) R_i^(2 - 2 alpha) -
     M_i Q_i^(2 - 2 alpha), raised to hold `_serving_count` BSs but never
     past R_i (the derivation is in `default_region_radii`).
     """
     e = 2.0 - 2.0 * params.alpha
     n_min = _serving_count(params)
-    fading, outer = [], []
-    for t, radius in zip(params.tiers, radii, strict=True):
+    fading, outer = list(radii), list(radii)
+    for i, (t, radius) in enumerate(zip(params.tiers, radii, strict=True)):
         m = t.nakagami_m
-        if m == 1:
-            fading.append(radius)
-            outer.append(radius)
-            continue
-        q = _RING_FACTOR * radius
-        r = ((m + 1) * radius ** e - m * q ** e) ** (1.0 / e)
-        fading.append(min(radius, max(r, math.sqrt(n_min / (math.pi * t.density)))))
-        outer.append(q)
+        if m > 1:
+            outer[i] = q = _RING_FACTOR * radius
+            r = ((m + 1) * radius ** e - m * q ** e) ** (1.0 / e)
+            fading[i] = min(radius, max(r, math.sqrt(n_min / (math.pi * t.density))))
     return tuple(fading), tuple(outer)
 
 
@@ -462,8 +454,7 @@ def _fill(params: NetworkParams, sim: SimConfig, fading_radii: Sequence[float],
                     tier_rows.max(axis=0, out=res[k])
                 start += len(d)
             received.sum(axis=0, out=res[n_tiers])
-        if ring is not None:
-            rows[:, n_tiers] += ring[:, None]
+        rows[:, n_tiers] += ring[:, None]
 
 
 def tier_max_sinr(trials: Trials, noise: float) -> np.ndarray:
@@ -474,8 +465,12 @@ def tier_max_sinr(trials: Trials, noise: float) -> np.ndarray:
     the tier's strongest BS; an empty tier (r = 0) gives 0.
     """
     strongest = trials.received[:, :-1]
-    total = trials.received[:, -1:]
-    return strongest / ((total + (noise + trials.tail)) - strongest)
+    # One buffer: (total + (noise + tail) - strongest) and then the ratio,
+    # the same operations in the same order as the written-out expression.
+    sinr = np.empty_like(strongest)
+    np.add(trials.received[:, -1:], noise + trials.tail, out=sinr)
+    sinr -= strongest
+    return np.divide(strongest, sinr, out=sinr)
 
 
 def _covered(tier_max: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
@@ -502,8 +497,10 @@ def rate_from_tier_max(tier_max: np.ndarray, thresholds: Sequence[float]) -> Est
     covered = _covered(tier_max, thresholds)
     if not covered.any():
         raise RuntimeError("no covered trials; cannot condition the rate estimate")
-    log_rate = np.log1p(tier_max.max(axis=1))
-    a = (covered * log_rate).sum(axis=1)  # per-geometry sums
+    log_rate = tier_max.max(axis=1)  # ln(1 + max SINR), zeroed where not covered
+    np.log1p(log_rate, out=log_rate)
+    log_rate *= covered
+    a = log_rate.sum(axis=1)  # per-geometry sums
     b = covered.sum(axis=1).astype(float)
     n_geo = a.shape[0]
     ratio = a.sum() / b.sum()

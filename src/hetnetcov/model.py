@@ -14,6 +14,7 @@ A and the I_i involve no threshold; `_script_i_at` builds the I_i for
 every noise power of a sweep at once, as arrays over the noise, which
 every threshold of the sweep shares (see `analysis`'s routes).
 Likewise `rate_constants_at` gives the A_i at an array of thresholds.
+Both build once per distinct value through `_per_distinct`.
 
 Thresholds and powers are linear-scale throughout; dB conversion is the
 CLI's job.
@@ -274,17 +275,23 @@ def hyp2f1_rate(alpha: float, beta_threshold):
     return value if betas.ndim else float(value)
 
 
+def _per_distinct(build, values: np.ndarray) -> np.ndarray:
+    """build(the distinct values of a 1-d array), one column per value: one build
+    per distinct value, and no np.unique on a one-point call."""
+    if values.size == 1:
+        return build(values)
+    distinct, at = np.unique(values, return_inverse=True)
+    return build(distinct)[..., at]
+
+
 def rate_constants_at(alpha: float, thresholds) -> np.ndarray:
     """ln(1 + beta) + (alpha/2) 2F1(1, 2/a; 1+2/a; -1/beta) at each threshold of a 1-d array.
 
     The rate constant A_i of a tier at each of its thresholds in a sweep, once per
     distinct threshold: a beta_1 sweep repeats each tier's but tier 0's, a noise sweep all.
     """
-    betas = np.array(thresholds, dtype=float, ndmin=1)
-    distinct, at = betas, ...
-    if betas.size > 1:  # a one-point call skips np.unique's cost
-        distinct, at = np.unique(betas, return_inverse=True)
-    return (np.log1p(distinct) + (alpha / 2.0) * hyp2f1_rate(alpha, distinct))[at]
+    return _per_distinct(lambda b: np.log1p(b) + (alpha / 2.0) * hyp2f1_rate(alpha, b),
+                         np.array(thresholds, dtype=float, ndmin=1))
 
 
 def _script_i_at(params: NetworkParams, noises: np.ndarray) -> np.ndarray:

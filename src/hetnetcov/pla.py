@@ -27,7 +27,6 @@ alone equals, bit for bit, the same value computed inside a sweep.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import sys
@@ -87,13 +86,11 @@ class PlaCoefficients:
     x2: float  # right knot: m x2 + c = 0
 
 
-@functools.lru_cache(maxsize=64)
 def pla_coefficients(alpha: float) -> PlaCoefficients:
     """Line through the inflection point of exp(-x^(alpha/2)), clipped to [0, 1].
 
     x0 = (1 - 2/alpha)^(2/alpha) is the inflection point, m the derivative
     there, c the matching intercept; x1, x2 solve m x + c = 1 and 0.
-    Cached: every kernel evaluation of a sweep shares one alpha.
     """
     if not (alpha > 2):
         raise ValueError(f"pla_coefficients requires alpha > 2, got {alpha}")

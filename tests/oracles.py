@@ -104,7 +104,9 @@ def _check_quad(value: float, abserr: float) -> None:
 def geometry_range(params: NetworkParams, seed: int, first_g: int, n: int,
                    fading_radii: Sequence[float], outer_radii: Sequence[float]):
     """`mcsim._arrivals` of geometries first_g, ..., first_g + n - 1, from
-    geometry generators built at first_g."""
+    geometry generators built at first_g: each geometry's per-tier distances
+    inside the fading radii, and the (n,) array of its ring terms, 0 where
+    every tier's fading and outer radii are equal (as at M = 1)."""
     streams = [mcsim._stream(seed, i, mcsim._GEOMETRY_STREAM, first_g)
                for i in range(params.n_tiers)]
     return mcsim._arrivals(params, seed, first_g, n, fading_radii, outer_radii, streams)

@@ -4,6 +4,7 @@ reproducibility across runs, and exit codes."""
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ import pytest
 from hetnetcov import analysis, mcsim, model, pla
 from hetnetcov.cli import (
     ConfigError,
+    _mc_column,
     _params_at,
     _swept,
     db_to_linear,
@@ -481,6 +483,26 @@ class TestRunSweep:
             est = estimator(tier_max, [t.threshold for t in params.tiers])
             assert row["mc"] == est.mean
             assert row["mc_se"] == est.std_error
+
+    @pytest.mark.parametrize("rate", [False, True])
+    def test_noise_sweep_holds_one_sinr_array(self, tmp_path, rate):
+        # Each noise power's SINR array is freed before the next one is
+        # built, so the mc column's peak traced allocation stays under 1.8x
+        # one such array (about 3x when two are alive).
+        cfg = base_config()
+        cfg["sweep"] = {"variable": "noise_db", "start": -20.0, "stop": 30.0,
+                        "points": 3, "methods": ["mc"]}
+        cfg["sim"] = {"n_geometry": 400, "n_fading": 200, "seed": 11}
+        config = load_config(write_config(tmp_path, cfg))
+        trials = mcsim.simulate_trials(config.params, config.sim)
+        thresholds, noises = _swept(config, config.sweep.values())
+        tracemalloc.start()
+        try:
+            _mc_column(trials, thresholds, noises, rate)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8 * trials.received[:, :-1].nbytes
 
 
 class TestMain:

@@ -9,6 +9,7 @@ the radius-doubling self-check.
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -126,6 +127,33 @@ class TestGeometry:
         assert d[0] == 0.0
         assert len(d) > 100  # 157 expected
         assert np.all(d < 5.0)
+
+    def test_zero_uniform_in_a_ring_tier_adds_nothing_to_the_ring(self, monkeypatch):
+        # As above, in a tier with M = 2: the arrival at d = 0 is a fading
+        # BS, so the ring, taken on the ring's columns only, stays the
+        # finite sum over the arrivals between r and Q.
+        net = make_network(densities=(2.0,), powers=(1.0,), thresholds=(2.0,),
+                           shapes=(2,))
+        sim = sim_config()
+        fading, outer = mcsim._ring_radii(net, (5.0,))
+        draw = mcsim._draw
+
+        def first_zero(rng, out):
+            draw(rng, out)
+            out.flat[0] = 0.0
+            return out
+
+        monkeypatch.setattr(mcsim, "_draw", first_zero)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ((d,),), ring = geometry_range(net, sim.seed, 0, 1, fading, outer)
+            ((whole,),), _ = geometry_range(net, sim.seed, 0, 1, outer, outer)
+        assert d[0] == 0.0
+        assert fading[0] < outer[0] and len(d) < len(whole)
+        assert np.isfinite(ring).all()
+        t = net.tiers[0]
+        assert ring[0] == pytest.approx(
+            t.power * t.nakagami_m * sum(x ** -net.alpha for x in whole[len(d):]), rel=1e-12)
 
     def test_range_row_whose_chunk_ends_inside_the_disk(self, monkeypatch):
         # Geometry 5's first chunk of uniforms is scaled down, so its gaps
@@ -260,8 +288,7 @@ def snapshot_tier_max(net, sim, trials, n_geometry):
     best = np.empty((n_geometry, net.n_tiers, sim.n_fading))
     for g in range(n_geometry):
         (distances,), ring = geometry_range(net, sim.seed, g, 1, fading, outer)
-        ring_term = 0.0 if ring is None else ring[0]
-        oracle_net = replace(net, noise=ring_term + (net.noise + trials.tail))
+        oracle_net = replace(net, noise=ring[0] + (net.noise + trials.tail))
         counts = [len(d) for d in distances]
         h = np.split(sample_fading(net, sim, g, counts), np.cumsum(counts)[:-1])
         for f in range(sim.n_fading):
@@ -295,6 +322,35 @@ class TestKernels:
         assert np.isfinite(tier_max).all()
         assert tier_max == pytest.approx(oracle, rel=1e-12)
 
+    def test_tier_max_sinr_fills_one_buffer(self):
+        # The SINRs are built in their result's own buffer: the call's peak
+        # traced allocation stays under 1.5x the result (a temporary per
+        # step takes it past 2x; numpy's iterator adds a fixed 64 KiB), and
+        # the values are those of the written-out expression, bit for bit,
+        # at every noise power.
+        net = make_network(shapes=(2, 1))
+        trials = simulate_trials(net, sim_config(n_geometry=400, n_fading=200))
+        strongest, total = trials.received[:, :-1], trials.received[:, -1:]
+        for noise in (0.0, 1e-4, 0.37, 1e3):
+            explicit = strongest / ((total + (noise + trials.tail)) - strongest)
+            tracemalloc.start()
+            try:
+                tier_max = tier_max_sinr(trials, noise)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * tier_max.nbytes
+            assert tier_max.tobytes() == explicit.tobytes()
+        # The rate estimator takes ln(1 + max SINR) in the buffer of the
+        # maximum: under 1.5x one (geometry, draw) array, not 2.2x.
+        tracemalloc.start()
+        try:
+            rate_from_tier_max(tier_max, [t.threshold for t in net.tiers])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * tier_max[:, 0].nbytes
+
     # The tail mean is always added: `tail` has the one value True, so each
     # case id names the mode it checks.
     @pytest.mark.parametrize("tail", [True])
@@ -327,9 +383,7 @@ class TestKernels:
             counts = [len(d) for d in distances]
             w = np.concatenate([t.power * d ** -net.alpha for t, d in zip(net.tiers, distances)])
             received = w[:, None] * sample_fading(net, sim, g, counts)
-            total = received.sum(axis=0)
-            if ring is not None:
-                total += ring[0]
+            total = received.sum(axis=0) + ring[0]
             total += denom_const
             offsets = np.cumsum([0] + counts)
             for k in range(n_tiers):
@@ -727,6 +781,11 @@ class TestRing:
         assert np.array_equal(trials.received, received_oracle(net, sim, radii))
         assert trials.tail == tail_mean_interference(net, radii)
         assert trials.radii == radii
+        # Every tier's ring is empty at M = 1, and adds exactly 0.
+        fading, outer = mcsim._ring_radii(net, radii)
+        assert fading == outer == radii
+        _, ring = geometry_range(net, sim.seed, 0, sim.n_geometry, fading, outer)
+        assert ring.tobytes() == np.zeros(sim.n_geometry).tobytes()
 
     @pytest.mark.parametrize("shapes", [(1, 1), (2, 3)])
     def test_blocks_leave_the_bytes(self, monkeypatch, shapes):

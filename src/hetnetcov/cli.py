@@ -187,9 +187,11 @@ def load_config(path: str) -> RunConfig:
             f"'sweep.methods' must be a JSON list of strings, got {json.dumps(methods)}"
         )
     methods = tuple(methods)
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in METHODS:
             raise ConfigError(f"sweep.methods entry '{m}' not in {METHODS}")
+        if m in methods[:i]:
+            raise ConfigError(f"sweep.methods entry '{m}' is repeated")
     if not methods:
         raise ConfigError("sweep.methods must not be empty")
     sweep = SweepSpec(
@@ -304,7 +306,7 @@ def _sweep(config: RunConfig, rate: bool,
     unit = math.log(2.0) if bits and rate else 1.0
     columns: dict[str, list[float]] = {}
     trials = None
-    for method in dict.fromkeys(sweep.methods):
+    for method in sweep.methods:
         if method == "mc":
             trials = mcsim.simulate_trials(params, config.sim)
             estimates = _mc_column(trials, thresholds, noises, rate)
@@ -349,7 +351,10 @@ def write_csv(rows: list[dict[str, float]], methods: tuple[str, ...], out) -> No
 
 def _output_problem(path: str) -> str | None:
     """Why `path` cannot be opened for writing, if that shows without
-    creating or truncating it: its directory is missing or it is a directory."""
+    creating or truncating it: it is empty, its directory is missing or it
+    is a directory."""
+    if not path:
+        return os.strerror(errno.ENOENT)
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         return os.strerror(errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT)
@@ -397,7 +402,7 @@ def main(argv: list[str] | None = None) -> int:
             config = replace(config, sim=replace(config.sim, seed=args.seed))
 
     # Checked again by the write itself; this fails before the sweep runs.
-    problem = _output_problem(args.output) if args.output else None
+    problem = _output_problem(args.output) if args.output is not None else None
     if problem:
         print(f"output error: cannot write '{args.output}': {problem}", file=sys.stderr)
         return 1
@@ -419,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
 
-    if args.output:
+    if args.output is not None:
         try:
             with open(args.output, "w", newline="") as fh:
                 write_csv(rows, config.sweep.methods, fh)

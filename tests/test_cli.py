@@ -7,6 +7,7 @@ import re
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,9 @@ from hetnetcov.cli import (
     main,
     run_sweep,
 )
+
+
+SHIPPED = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
 def base_config(**overrides):
@@ -54,10 +58,17 @@ class TestDbConversion:
 
 class TestLoadConfig:
     def test_shipped_configs_load(self):
-        for name in ("fig1_coverage", "fig2_coverage_noise", "fig3_rate",
-                     "fig1_nakagami23"):
-            config = load_config(f"configs/{name}.json")
-            assert config.params.alpha == 3.0
+        for path in SHIPPED:
+            config = load_config(str(path))
+            assert config.params.alpha == json.loads(path.read_text())["alpha"]
+
+    def test_shipped_configs_pairwise_distinct(self):
+        # A config that parses to another's JSON runs the same passes and
+        # writes the same golden files twice.
+        parsed = [json.loads(path.read_text()) for path in SHIPPED]
+        for i, cfg in enumerate(parsed):
+            for j in range(i):
+                assert cfg != parsed[j], f"{SHIPPED[i].name} equals {SHIPPED[j].name}"
 
     def test_fields_converted_to_linear(self, tmp_path):
         config = load_config(write_config(tmp_path, base_config()))
@@ -220,6 +231,8 @@ STRICT_CASES = {
                        "'sweep.methods' must be a JSON list of strings, got 5"),
     "methods-string": (("sweep", "methods"), "closed",
                        "'sweep.methods' must be a JSON list of strings, got \"closed\""),
+    "methods-repeated": (("sweep", "methods"), ["closed", "mc", "closed"],
+                         "sweep.methods entry 'closed' is repeated"),
 }
 
 
@@ -240,8 +253,8 @@ class TestStrictConfig:
     def test_shipped_configs_use_known_keys_only(self):
         # Every shipped config still loads now that unknown keys are errors
         # (test_shipped_configs_load), and keeps its own budget and seed.
-        for name in ("fig1_coverage", "fig1_nakagami23", "fig2_coverage_noise", "fig3_rate"):
-            sim = load_config(f"configs/{name}.json").sim
+        for path in SHIPPED:
+            sim = load_config(str(path)).sim
             assert (sim.n_geometry, sim.n_fading, sim.seed) == (10000, 100, 2024)
 
 
@@ -699,12 +712,14 @@ class TestMain:
         assert main(["--config", str(tmp_path / "absent.json")]) == 1
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("target", ["missing/out.csv", "."], ids=["missing-dir", "dir"])
+    @pytest.mark.parametrize("target", ["missing/out.csv", ".", None],
+                             ids=["missing-dir", "dir", "empty"])
     def test_unwritable_output_exit_code(self, tmp_path, capsys, monkeypatch, target):
-        # The path is checked before the sweep runs, not after it.
+        # The path is checked before the sweep runs, not after it.  An empty
+        # path is a path that cannot be opened, not a request for stdout.
         cfg = base_config()
         cfg["sweep"]["methods"] = ["closed", "mc"]
-        out = str(tmp_path / target)
+        out = "" if target is None else str(tmp_path / target)
         calls = [0]
         monkeypatch.setattr(mcsim, "simulate_trials", counting(mcsim.simulate_trials, calls))
         assert main(["--config", write_config(tmp_path, cfg), "--output", out]) == 1

@@ -65,6 +65,12 @@ def test_csv_bytes_equal_golden(tmp_path, name):
     assert _csv(cfg, rate, tmp_path) == (GOLDEN / f"{name}.csv").read_bytes()
 
 
+def test_no_orphan_golden_files():
+    # A golden file that no case names is checked by nothing, as when its
+    # config is deleted.
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(f"{name}.csv" for name in CASES)
+
+
 @pytest.mark.parametrize("name", ["fig1_nakagami23-noise500", "fig1_nakagami23-noise500-rate"])
 def test_one_warning_per_flagging_call(tmp_path, pla_warnings, name):
     # The 500-point noise sweep flags hundreds of points, in a few kernel

@@ -108,6 +108,13 @@ def test_mc_csv_equal_golden(tmp_path, name):
     assert out.read_bytes() == expected.encode()
 
 
+def test_no_orphan_golden_files():
+    # A golden file that no case names is checked by nothing, as when its
+    # config is deleted.
+    expected = [f"{name}.csv" for name in CASES] + [FINGERPRINT.name]
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(expected)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_mc_values_equal_golden_full_precision(name):
     if _elementwise_fingerprint() != FINGERPRINT.read_text().strip():

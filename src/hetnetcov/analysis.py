@@ -89,22 +89,6 @@ def coverage_probability(params: NetworkParams, thresholds=None, noises=None):
     return finish(_clamp_probability(p, "coverage"))
 
 
-def _fading_moments(params: NetworkParams) -> list[float]:
-    """E[h_i^(2/a)] = Gamma(M_i + 2/a) / Gamma(M_i) for each tier's Gamma(M_i, 1) power."""
-    e = 2.0 / params.alpha
-    return [math.gamma(t.nakagami_m + e) / math.gamma(t.nakagami_m) for t in params.tiers]
-
-
-def _exact_kernel_at(params: NetworkParams, noises: np.ndarray) -> np.ndarray:
-    """K(sigma^2, a Gamma(1-d), 0) of `coverage_reference` at each noise power, in one
-    `pla.exact_gamma_kernel_integral` call."""
-    e = 2.0 / params.alpha
-    a_total = math.pi * sum(t.density * t.power**e * g
-                            for t, g in zip(params.tiers, _fading_moments(params)))
-    return pla.exact_gamma_kernel_integral(
-        noises, a_total * math.gamma(1.0 - e), 0.0, params.alpha)
-
-
 def coverage_reference(params: NetworkParams, thresholds=None, noises=None):
     """Exact coverage from the displacement theorem, with one kernel quadrature.
 
@@ -118,15 +102,21 @@ def coverage_reference(params: NetworkParams, thresholds=None, noises=None):
         P_c = sum_i a_i beta_i^(-d) (alpha/2) / Gamma(d) K(sigma^2, a Gamma(1-d), 0),
 
     with a = sum_i a_i and K the exact kernel integral at t-exponent 0.
-    It shares neither the PLA nor the paper's triple sum with the closed
-    form, so it is the yardstick for both; quadrature failures surface as
-    QuadratureError.  Points as in the module docstring; one kernel
-    quadrature (`_exact_kernel_at`'s) serves every distinct noise power.
+    Here a Gamma(1-d) is the closed form's interference constant A, built
+    by the same `model.interference_constant`.  The reference shares
+    neither the PLA nor the paper's triple sum with the closed form, so it
+    is the yardstick for both; quadrature failures surface as
+    QuadratureError.  Points as in the module docstring; one
+    `pla.exact_gamma_kernel_integral` call (as bound on `pla` when called)
+    serves every distinct noise power.
     """
     thresholds, noises, finish = model._points(params, thresholds, noises)
-    kernel = model._per_distinct(partial(_exact_kernel_at, params), noises)
+    a_const = model.interference_constant(params)
+    kernel = model._per_distinct(
+        lambda u: pla.exact_gamma_kernel_integral(u, a_const, 0.0, params.alpha), noises)
     e = 2.0 / params.alpha
-    masses = _tier_weights(params, thresholds, _fading_moments(params), scale=math.pi)  # a_i beta_i^(-d)
+    masses = _tier_weights(params, thresholds, model._fading_moments(params),
+                           scale=math.pi)  # a_i beta_i^(-d)
     p = sum(masses) * (params.alpha / 2.0) / math.gamma(e) * kernel
     return finish(_clamp_probability(p, "coverage reference"))
 
@@ -160,5 +150,5 @@ def rate_exact(params: NetworkParams, thresholds=None, noises=None):
     docstring, the noise powers checked but not used.
     """
     thresholds, _, finish = model._points(params, thresholds, noises)
-    return finish(_mean_rate_constant(params, thresholds, _fading_moments(params),
+    return finish(_mean_rate_constant(params, thresholds, model._fading_moments(params),
                                       "exact rate"))

@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -370,7 +369,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--output", help="CSV output path (default: stdout)")
-    parser.add_argument("--seed", type=int, help="override sim.seed")
     parser.add_argument("--rate", action="store_true",
                         help="emit average achievable rate instead of coverage probability")
     parser.add_argument("--bits", action="store_true",
@@ -384,22 +382,12 @@ def main(argv: list[str] | None = None) -> int:
         # argparse has printed the usage error (or --help) and exits 2 on an
         # error; 2 is reserved here for numerical failure.
         return 1 if exc.code else 0
-    if args.seed is not None and args.seed < 0:
-        print(f"usage error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
-        return 1
 
     try:
         config = load_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-
-    if args.seed is not None:
-        # load_config has warned already if the trial count is small; the
-        # rebuilt SimConfig would warn again, from inside dataclasses.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            config = replace(config, sim=replace(config.sim, seed=args.seed))
 
     # Checked again by the write itself; this fails before the sweep runs.
     problem = _output_problem(args.output) if args.output is not None else None

@@ -4,8 +4,8 @@ A K-tier network is a path-loss exponent, a noise power, and per-tier
 (density, power, SINR threshold, Nakagami shape) tuples.  From these the
 closed-form coverage/rate expressions need three derived quantities:
 
-* the interference constant A (tier-summed Beta-function coefficient of
-  the aggregate-interference Laplace transform),
+* the interference constant A of the aggregate-interference Laplace
+  exponent A s^(2/alpha), which `coverage_reference` shares,
 * the per-tier coverage kernel I_i (a triple alternating sum of kernel
   integrals; depends on the tier only through its Nakagami shape),
 * the per-tier rate constant A_i = ln(1+beta_i) + (alpha/2) 2F1(...).
@@ -104,6 +104,8 @@ def _points(params: NetworkParams, thresholds=None, noises=None):
     if not (noises > 0).all():
         raise ValueError("invalid network parameters: noise power must be positive "
                          f"(got {float(noises[~(noises > 0)][0])})")
+    if np.isinf(noises).any():
+        raise ValueError("invalid network parameters: noise power must be finite (got inf)")
     thresholds = np.asarray(thresholds, dtype=float)
     if thresholds.shape != (noises.size, params.n_tiers):
         raise ValueError(f"thresholds must have shape (points, tiers) = "
@@ -112,6 +114,10 @@ def _points(params: NetworkParams, thresholds=None, noises=None):
         point, tier = np.argwhere(~(thresholds > 1))[0]
         raise ValueError("invalid network parameters: "
                          + _threshold_error(int(tier), float(thresholds[point, tier])))
+    if np.isinf(thresholds).any():
+        tier = np.isinf(thresholds).any(axis=0).argmax()
+        raise ValueError(f"invalid network parameters: tier {tier}: SINR threshold "
+                         "must be finite (got inf)")
     return np.ascontiguousarray(thresholds.T), noises, finish
 
 
@@ -145,6 +151,12 @@ def validate(params: NetworkParams) -> list[str]:
                 f"maximum {MAX_NAKAGAMI_M} (the largest shape tested; float64 "
                 "overflows in the closed form's terms at larger shapes)"
             )
+    # +inf passes every lower bound above, so it has its own message.
+    fields = [("alpha", params.alpha), ("noise power", params.noise)] + [
+        (f"tier {i}: {name}", value) for i, t in enumerate(params.tiers)
+        for name, value in (("density", t.density), ("power", t.power),
+                            ("SINR threshold", t.threshold))]
+    errors += [f"{name} must be finite (got inf)" for name, value in fields if value == math.inf]
     return errors
 
 
@@ -172,21 +184,28 @@ def closed_form_in_range(alpha: float, nakagami_m: int) -> bool:
     return True
 
 
+def _fading_moments(params: NetworkParams) -> list[float]:
+    """E[h_i^(2/a)] = Gamma(M_i + 2/a) / Gamma(M_i) for each tier's Gamma(M_i, 1) power."""
+    e = 2.0 / params.alpha
+    return [math.gamma(t.nakagami_m + e) / math.gamma(t.nakagami_m) for t in params.tiers]
+
+
 def interference_constant(params: NetworkParams) -> float:
-    """A = sum_m lambda_m P_m^(2/a) sum_p C(M_m,p) (2pi/a) B(M_m-p+2/a, p-2/a)."""
+    """A = pi Gamma(1 - d) sum_i lambda_i P_i^d E[h_i^d], with d = 2/alpha.
+
+    Tier i adds A_i s^d = 2 pi lambda_i int_0^inf (1 - E[exp(-s P_i h r^(-alpha))]) r dr
+    to the aggregate interference's Laplace exponent.  With x = s P_i h r^(-alpha)
+    the Mellin integral int_0^inf (1 - e^(-x)) x^(-d-1) dx = Gamma(1 - d) / d gives
+    this form.  The paper expands 1 - (1 + u)^(-M) binomially for Gamma(M, 1)
+    fading, and its term p gives (2 pi / alpha) B(M - p + d, p - d), so the same A is
+        sum_i lambda_i P_i^d sum_{p=1}^{M_i} C(M_i, p) (2 pi / alpha) B(M_i - p + d, p - d),
+    the oracle the test suite holds this form to.
+    """
     require_valid(params)
-    a = params.alpha
-    total = 0.0
-    for tier in params.tiers:
-        inner = 0.0
-        for p in range(1, tier.nakagami_m + 1):
-            inner += (
-                math.comb(tier.nakagami_m, p)
-                * (2.0 * math.pi / a)
-                * float(special.beta(tier.nakagami_m - p + 2.0 / a, p - 2.0 / a))
-            )
-        total += tier.density * tier.power ** (2.0 / a) * inner
-    return total
+    e = 2.0 / params.alpha
+    moments = _fading_moments(params)
+    return (math.pi * sum(t.density * t.power**e * g for t, g in zip(params.tiers, moments))
+            * math.gamma(1.0 - e))
 
 
 def bell_table(x: list[float]) -> list[list[float]]:

@@ -355,3 +355,7 @@ class TestArrayRoutes:
             average_rate(net, [[2.0, 2.0]], [0.0])
         with pytest.raises(ValueError, match=r"shape \(points, tiers\) = \(1, 2\)"):
             rate_exact(net, [[2.0, 2.0, 2.0]], [1e-3])
+        with pytest.raises(ValueError, match=r"noise power must be finite \(got inf\)"):
+            coverage_reference(net, [[2.0, 2.0], [2.0, 2.0]], [1e-3, math.inf])
+        with pytest.raises(ValueError, match=r"tier 1: SINR threshold must be finite"):
+            average_rate(net, [[2.0, 2.0], [2.0, math.inf]], [1e-3, 1e-3])

@@ -542,20 +542,21 @@ class TestMain:
         assert len(lines) == 5
 
     def test_seed_override_changes_mc(self, tmp_path):
-        path = write_config(tmp_path, base_config())
+        # sim.seed is the one place a run's seed is set.
         a, b = tmp_path / "s1.csv", tmp_path / "s2.csv"
-        assert main(["--config", path, "--output", str(a), "--seed", "1"]) == 0
-        assert main(["--config", path, "--output", str(b), "--seed", "2"]) == 0
+        for seed, out in ((1, a), (2, b)):
+            cfg = base_config(sim={"n_geometry": 200, "n_fading": 10, "seed": seed})
+            path = write_config(tmp_path, cfg, name=f"seed{seed}.json")
+            assert main(["--config", path, "--output", str(out)]) == 0
         assert a.read_bytes() != b.read_bytes()
 
     def test_seed_override_warns_once(self, tmp_path, capsys):
-        # A small trial count warns once, naming load_config's line; the
-        # SimConfig that --seed rebuilds does not warn again.
+        # A small trial count warns once, naming load_config's line.
         cfg = base_config(sim={"n_geometry": 10, "n_fading": 10, "seed": 11})
         path = write_config(tmp_path, cfg)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(["--config", path, "--seed", "3"]) == 0
+            assert main(["--config", path]) == 0
         noisy = [w for w in caught if "estimates will be noisy" in str(w.message)]
         assert [w.filename for w in noisy] == [load_config.__code__.co_filename]
 
@@ -686,16 +687,12 @@ class TestMain:
         else:
             assert captured.out.startswith("sweep_db,")
 
-    def test_negative_seed_exit_code(self, tmp_path, capsys):
-        path = write_config(tmp_path, base_config())
-        assert main(["--config", path, "--seed", "-1"]) == 1
-        assert "usage error: --seed must be non-negative, got -1" in capsys.readouterr().err
-
     @pytest.mark.parametrize("argv, message", [
         (["--threads", "2"], "unrecognized arguments: --threads 2"),
+        (["--seed", "1"], "unrecognized arguments: --seed 1"),
         (["--bogus"], "unrecognized arguments: --bogus"),
         ([], "the following arguments are required: --config"),
-    ], ids=["threads-removed", "unknown-flag", "missing-config"])
+    ], ids=["threads-removed", "seed-removed", "unknown-flag", "missing-config"])
     def test_usage_error_exit_code(self, tmp_path, capsys, argv, message):
         # argparse itself would exit 2, the code of a numerical failure.
         config = [] if not argv else ["--config", write_config(tmp_path, base_config())]
